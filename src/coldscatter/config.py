@@ -225,7 +225,12 @@ def canonical_text(config: ScenarioConfig) -> str:
 
 
 def config_hash(config: ScenarioConfig) -> str:
-    return hashlib.sha256(canonical_text(config).encode()).hexdigest()
+    """sha256 of the canonical text without ``run.out`` and ``run.workers``,
+    which decide where and how wide a run executes but not its results."""
+    run = {key: val for key, val in config["run"].items()
+           if key not in ("out", "workers")}
+    physics = ScenarioConfig(config.scenario, {**config.values, "run": run})
+    return hashlib.sha256(canonical_text(physics).encode()).hexdigest()
 
 
 def to_json_dict(config: ScenarioConfig) -> dict:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -40,10 +41,6 @@ __all__ = [
 CONTACT_FLOOR = 0.05  # reduced wavelengths; dipole model invalid below
 
 
-def _hankel1(n: int, x: float) -> complex:
-    return spherical_jn(n, x) + 1j * spherical_yn(n, x)
-
-
 def field_green_tensor(R, omega: float = 1.0) -> np.ndarray:
     """Retarded field Green's tensor D_{mu nu}(R) between two dipoles.
 
@@ -51,16 +48,18 @@ def field_green_tensor(R, omega: float = 1.0) -> np.ndarray:
     spherical Hankel functions of the first kind and k = |omega|/c = 1.
     The far field reduces to -(e^{ikR}/R) times the transverse projector,
     the near field to the static dipole-dipole tensor (delta - 3 RR)/R^3.
+    ``R`` may be a stack of separations of shape (..., 3); the result
+    then has shape (..., 3, 3).
     """
     R = np.asarray(R, dtype=float)
-    r = float(np.linalg.norm(R))
-    if r == 0.0:
+    r = np.linalg.norm(R, axis=-1)
+    if np.any(r == 0.0):
         raise ValueError("field Green's tensor undefined at zero separation")
     k = abs(omega)
     x = k * r
-    h0 = _hankel1(0, x)
-    h2 = _hankel1(2, x)
-    rr = np.outer(R, R) / r ** 2
+    h0 = (spherical_jn(0, x) + 1j * spherical_yn(0, x))[..., None, None]
+    h2 = (spherical_jn(2, x) + 1j * spherical_yn(2, x))[..., None, None]
+    rr = R[..., :, None] * R[..., None, :] / r[..., None, None] ** 2
     eye = np.eye(3)
     return -k ** 3 * (1j * (2.0 / 3.0) * h0 * eye
                       + (rr - eye / 3.0) * 1j * h2)
@@ -68,7 +67,11 @@ def field_green_tensor(R, omega: float = 1.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Frozen positions of N point scatterers plus the model choice."""
+    """Frozen positions of N point scatterers plus the model choice.
+
+    The positions are a private read-only copy, so the detuning-independent
+    ``coupling`` matrix can be cached on the configuration.
+    """
     positions: np.ndarray
     model: str = "vector"
     detuning: float = 0.0
@@ -76,9 +79,10 @@ class Configuration:
     contact_floor: float = CONTACT_FLOOR
 
     def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
+        pos = np.array(self.positions, dtype=float, ndmin=2)
         if pos.shape[1] != 3:
             raise ValueError("positions must be an (N, 3) array")
+        pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
         if self.model not in ("scalar", "vector"):
             raise ValueError(f"unknown model {self.model!r}")
@@ -100,39 +104,46 @@ class Configuration:
     def n_atoms(self) -> int:
         return len(self.positions)
 
+    @cached_property
+    def coupling(self) -> np.ndarray:
+        """Photon-exchange part of the effective Hamiltonian (zero diagonal).
+
+        The vector model uses the full field Green's tensor with basis
+        index 3*atom + Cartesian component; the scalar model keeps the
+        angular-averaged transverse far-field kernel -(gamma/2) e^{ikR}/(kR).
+        Built once per configuration for all pairs a < b and mirrored, so
+        the matrix is complex-symmetric.  Read-only.
+        """
+        pos = self.positions
+        n = len(pos)
+        a, b = np.triu_indices(n, k=1)
+        if self.model == "scalar":
+            r = np.linalg.norm(pos[a] - pos[b], axis=-1)
+            upper = np.zeros((n, n), dtype=complex)
+            upper[a, b] = -0.5 * self.gamma * np.exp(1j * r) / r
+        else:
+            d0sq = 0.75 * self.gamma  # |<1,q|d_q|0,0>|^2, closed F0=0 -> F=1
+            blocks = np.zeros((n, n, 3, 3), dtype=complex)
+            blocks[a, b] = d0sq * field_green_tensor(pos[a] - pos[b])
+            upper = blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+        coupling = upper + upper.T
+        coupling.flags.writeable = False
+        return coupling
+
 
 def build_effective_hamiltonian(config: Configuration,
                                 detuning: float | None = None) -> np.ndarray:
     """Non-Hermitian effective Hamiltonian over the singly-excited basis.
 
     Diagonal entries are (-Delta - i gamma/2); off-diagonal entries carry
-    the photon-exchange self-energy.  The vector model uses the full field
-    Green's tensor with basis index 3*atom + Cartesian component; the
-    scalar model keeps the angular-averaged transverse far-field kernel
-    -(gamma/2) e^{ikR}/(kR).  The matrix is complex-symmetric.
+    the photon-exchange self-energy ``config.coupling``, which is computed
+    once per configuration and shared by every detuning.  The matrix is
+    complex-symmetric.
     """
     if detuning is None:
         detuning = config.detuning
-    pos = config.positions
-    n = len(pos)
-    gamma = config.gamma
-    diag = -detuning - 0.5j * gamma
-    if config.model == "scalar":
-        H = np.zeros((n, n), dtype=complex)
-        np.fill_diagonal(H, diag)
-        for a in range(n):
-            for b in range(a + 1, n):
-                r = float(np.linalg.norm(pos[a] - pos[b]))
-                H[a, b] = H[b, a] = -0.5 * gamma * cmath.exp(1j * r) / r
-        return H
-    H = np.zeros((3 * n, 3 * n), dtype=complex)
-    H[np.arange(3 * n), np.arange(3 * n)] = diag
-    d0sq = 0.75 * gamma  # |<1,q|d_q|0,0>|^2 for the closed F0=0 -> F=1 line
-    for a in range(n):
-        for b in range(a + 1, n):
-            blk = d0sq * field_green_tensor(pos[a] - pos[b])
-            H[3 * a:3 * a + 3, 3 * b:3 * b + 3] = blk
-            H[3 * b:3 * b + 3, 3 * a:3 * a + 3] = blk.T
+    H = config.coupling.copy()
+    np.fill_diagonal(H, -detuning - 0.5j * config.gamma)
     return H
 
 
@@ -178,10 +189,6 @@ class DipoleSolver:
         exit_vec = (out_phases[:, None]
                     * np.conj(np.asarray(e_out, dtype=complex))).ravel()
         return -self._pref * complex(exit_vec @ x)
-
-    # the reduced amplitude doubles as the T-matrix element in the
-    # volume-cancelling output convention
-    t_matrix_element = scattering_amplitude
 
     def total_cross_section(self, k_in, e_in=None) -> float:
         """Q0 via the optical theorem, 4 pi Im f_forward (k = 1)."""

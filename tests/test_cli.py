@@ -69,6 +69,11 @@ def test_config_hash_semantics():
     c = cf.parse_text(MINIMAL.replace("stop = 2", "stop = 3"))
     assert cf.config_hash(a) == cf.config_hash(b)
     assert cf.config_hash(a) != cf.config_hash(c)
+    # where the output goes and how many workers run it is not physics
+    d = cf.parse_text(MINIMAL.replace(
+        "[run]\n", "[run]\nout = elsewhere/x\nworkers = 2\n"))
+    assert d["run"]["workers"] == 2
+    assert cf.config_hash(a) == cf.config_hash(d)
 
 
 def test_run_scenario_protocol_rows():

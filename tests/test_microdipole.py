@@ -59,6 +59,28 @@ def test_field_green_tensor_zero_separation_raises():
         mi.field_green_tensor([0.0, 0.0, 0.0])
 
 
+def test_field_green_tensor_stack_matches_single_calls():
+    rng = np.random.default_rng(4)
+    R = rng.normal(scale=2.0, size=(2, 5, 3))
+    D = mi.field_green_tensor(R)
+    assert D.shape == (2, 5, 3, 3)
+    for idx in np.ndindex(2, 5):
+        single = mi.field_green_tensor(R[idx])
+        assert np.max(np.abs(D[idx] - single)) <= 1e-15 * np.max(np.abs(single))
+    R[1, 3] = 0.0
+    with pytest.raises(ValueError):
+        mi.field_green_tensor(R)
+
+
+def test_configuration_positions_are_a_private_read_only_copy():
+    src = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.8]])
+    cfg = mi.Configuration(src)
+    with pytest.raises(ValueError):
+        cfg.positions[0, 0] = 1.0
+    src[1, 2] = 3.0
+    assert cfg.positions[1, 2] == 0.8
+
+
 def test_configuration_contact_floor():
     with pytest.raises(ValueError, match="contact floor"):
         mi.Configuration(np.array([[0, 0, 0], [0.01, 0, 0.0]]))
@@ -86,6 +108,39 @@ def test_hamiltonian_complex_symmetric_and_decaying():
     assert np.max(np.abs(H - H.T)) < 1e-14
     lam = np.linalg.eigvals(H)
     assert np.all(lam.imag < 1e-12)
+
+
+def test_hamiltonian_matches_per_pair_oracle():
+    rng = np.random.default_rng(9)
+    pos = mi.random_ball_configuration(12, 3.0, rng).positions
+    detuning = 0.7
+    H = mi.build_effective_hamiltonian(mi.Configuration(pos), detuning)
+    oracle = np.zeros((36, 36), dtype=complex)
+    Hs = mi.build_effective_hamiltonian(
+        mi.Configuration(pos, model="scalar"), detuning)
+    oracle_s = np.zeros((12, 12), dtype=complex)
+    for a in range(12):
+        oracle[3 * a:3 * a + 3, 3 * a:3 * a + 3] = \
+            (-detuning - 0.5j) * np.eye(3)
+        oracle_s[a, a] = -detuning - 0.5j
+        for b in range(12):
+            if a != b:
+                oracle[3 * a:3 * a + 3, 3 * b:3 * b + 3] = \
+                    0.75 * mi.field_green_tensor(pos[a] - pos[b])
+                r = float(np.linalg.norm(pos[a] - pos[b]))
+                oracle_s[a, b] = -0.5 * cmath.exp(1j * r) / r
+    assert np.max(np.abs(H - oracle)) < 1e-13
+    assert np.max(np.abs(Hs - oracle_s)) < 1e-13
+
+
+def test_hamiltonian_detuning_enters_only_the_diagonal():
+    rng = np.random.default_rng(10)
+    for model in ("vector", "scalar"):
+        cfg = mi.random_ball_configuration(10, 3.0, rng, model=model)
+        d1, d2 = -0.37, 1.9
+        diff = (mi.build_effective_hamiltonian(cfg, d1)
+                - mi.build_effective_hamiltonian(cfg, d2))
+        assert np.array_equal(diff, (d2 - d1) * np.eye(len(diff)))
 
 
 def test_hamiltonian_n2_eigenvalues_match_direct_diagonalization():
