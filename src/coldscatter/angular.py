@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
     "from_spherical",
     "spherical_unit_vectors",
     "dipole_matrix_element",
+    "dipole_q_array",
     "magnetic_matrix_element",
     "repopulation_matrix",
 ]
@@ -470,6 +472,21 @@ def dipole_matrix_element(scheme: LevelScheme, F, M, F0, M0, q) -> float:
     return red / math.sqrt(tF + 1.0) * cg
 
 
+@lru_cache(maxsize=32)
+def dipole_q_array(scheme: LevelScheme) -> np.ndarray:
+    """d[q_index, n_excited, m_ground] with q ordered (-1, 0, +1)."""
+    exc = scheme.excited_sublevels()
+    gnd = scheme.ground_sublevels()
+    d = np.zeros((3, len(exc), len(gnd)))
+    for iq, q in enumerate((-1, 0, 1)):
+        for ie, (tF, tM) in enumerate(exc):
+            for ig, (tF0, tM0) in enumerate(gnd):
+                if tM == tM0 + 2 * q:
+                    d[iq, ie, ig] = dipole_matrix_element(
+                        scheme, tF / 2, tM / 2, tF0 / 2, tM0 / 2, q)
+    return d
+
+
 def magnetic_matrix_element(scheme: LevelScheme, F0p, M0p, F0, M0, q) -> float:
     """<F0', M0' | m_q | F0, M0> within the ground manifold (Bohr magnetons)."""
     tF0p, tM0p = _twice(F0p), _twice(M0p)
@@ -494,7 +511,6 @@ def repopulation_matrix(scheme: LevelScheme, rho_excited: np.ndarray) -> np.ndar
     the output equals ``gamma * Tr(rho_excited)``.
     """
     exc = scheme.excited_sublevels()
-    gnd = scheme.ground_sublevels()
     rho = np.asarray(rho_excited, dtype=complex)
     if rho.shape != (len(exc), len(exc)):
         raise ValueError(
@@ -502,12 +518,5 @@ def repopulation_matrix(scheme: LevelScheme, rho_excited: np.ndarray) -> np.ndar
 
     # feeding rate: (4/3) sum_q d_q[e, m0'] rho[e, e'] d_q[e', m0]; the
     # normalization of the reduced elements makes the trace gamma-preserving
-    d = np.zeros((3, len(exc), len(gnd)))
-    for iq, q in enumerate((-1, 0, 1)):
-        for ie, (tF, tM) in enumerate(exc):
-            for ig, (tF0, tM0) in enumerate(gnd):
-                if tM == tM0 + 2 * q:
-                    d[iq, ie, ig] = dipole_matrix_element(
-                        scheme, tF / 2, tM / 2, tF0 / 2, tM0 / 2, q)
-    out = (4.0 / 3.0) * np.einsum('qea,ef,qfb->ab', d, rho, d)
-    return out
+    d = dipole_q_array(scheme)
+    return (4.0 / 3.0) * np.einsum('qea,ef,qfb->ab', d, rho, d)

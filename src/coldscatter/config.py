@@ -12,7 +12,6 @@ import configparser
 import difflib
 import hashlib
 import io
-import json
 from dataclasses import dataclass, field
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "parse_text",
@@ -105,24 +104,22 @@ _SCHEMA = {
         "albedo": (float, 1.0, _unit_interval, "in [0, 1]"),
     },
     "protocol": {
-        "n_bar": (float, 1.0, _non_negative, ">= 0"),
         "xi": (float, 0.01, _non_negative, ">= 0"),
         "i_mean": (float, 1.0, lambda x: True, "mean intensity"),
         "n_atoms": (float, 100.0, _non_negative, ">= 0"),
     },
 }
 
-# sections whose values a scenario actually consumes (others may be
-# present but are still validated)
-_USED = {
-    "cbs-cone": ("run", "atom", "cloud", "detection", "mc"),
-    "ladder-spectrum": ("run", "atom", "cloud", "detection", "sweep", "mc"),
-    "gain-transport": ("run", "atom", "cloud", "sweep", "mc"),
-    "eit-spectrum": ("run", "atom", "cloud", "control", "sweep"),
-    "coupled-dipole-spectrum": ("run", "dipole", "sweep"),
-    "selfconsistent-slab": ("run", "slab", "sweep"),
-    "diffusion-threshold": ("run", "diffusion", "sweep"),
-    "protocol-utils": ("run", "protocol", "sweep"),
+# [sweep] defaults and domain of the scenarios that do not sweep a probe
+# detuning (the schema's -5..5 default):
+# scenario -> (start, stop, predicate, description)
+_SWEEP_RANGES = {
+    "gain-transport": (0.0, 1.0, _non_negative,
+                       ">= 0 (gain cross section per sigma0)"),
+    # brackets the Letokhov radius pi sqrt(l_tr l_g / 3) ~ 5.74 of the
+    # default [diffusion] lengths
+    "diffusion-threshold": (3.0, 9.0, _positive, "> 0 (radius, lambda-bar)"),
+    "protocol-utils": (0.0, 5.0, _non_negative, ">= 0 (mean photon number)"),
 }
 
 
@@ -134,9 +131,6 @@ class ScenarioConfig:
 
     def __getitem__(self, section):
         return self.values[section]
-
-    def used_sections(self):
-        return _USED[self.scenario]
 
 
 def _convert(raw: str, typ, section, key, errors):
@@ -194,6 +188,14 @@ def parse_text(text: str) -> ScenarioConfig:
     elif scenario is None and not any(e.startswith("run.scenario")
                                       for e in errors):
         errors.append("run.scenario is required")
+    if scenario in _SWEEP_RANGES:
+        start, stop, pred, desc = _SWEEP_RANGES[scenario]
+        sweep = values.setdefault("sweep", {})
+        sweep.setdefault("start", start)
+        sweep.setdefault("stop", stop)
+        errors += [f"sweep.{key}: {sweep[key]!r} violates: {desc} in a "
+                   f"{scenario} sweep" for key in ("start", "stop")
+                   if not pred(sweep[key])]
     if errors:
         raise ConfigError(errors)
 
@@ -236,6 +238,3 @@ def config_hash(config: ScenarioConfig) -> str:
 def to_json_dict(config: ScenarioConfig) -> dict:
     return {"scenario": config.scenario, "values": config.values}
 
-
-def _self_check():  # pragma: no cover
-    json.dumps(to_json_dict(parse_text("[run]\nscenario = cbs-cone\n")))

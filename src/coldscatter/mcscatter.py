@@ -18,7 +18,7 @@ Units: gamma = 1, k = 1, lengths in reduced wavelengths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from multiprocessing import Pool
 
 import numpy as np
@@ -41,12 +41,16 @@ __all__ = [
     "chain_pair_amplitudes",
     "simulate_ladder",
     "cbs_enhancement",
-    "gain_transport",
     "helicity_vectors",
     "backscatter_detectors",
 ]
 
 _EIGHT_PI_3 = 8.0 * math.pi / 3.0
+_SQRT2 = math.sqrt(2.0)
+_SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
+_K_IN = np.array([0.0, 0.0, 1.0])  # incident beam direction
+_K_IN.flags.writeable = False
+_INSTABILITY_RUN = 3  # consecutive growing orders that flag a runaway
 
 
 @dataclass(frozen=True)
@@ -82,30 +86,39 @@ class Cloud:
         return math.sqrt(2.0 * math.pi) * self.n0 * s * self.r0
 
 
-def chord_depth(cloud: Cloud, p, u, sigma: float,
-                s: float | None = None) -> float:
-    """Optical depth from p along unit direction u over length s (None: to
-    infinity), using the closed-form Gaussian chord integral."""
+def _chord(cloud: Cloud, p, u, sigma: float):
+    """Closest-approach coordinate t0 = p.u and prefactor C of the chord
+    through p along u; the optical depth from p + a u to p + b u is
+    C [erf((t0 + b)/(sqrt2 r0)) - erf((t0 + a)/(sqrt2 r0))].  ``u`` is one
+    unit direction (3,) or a stack (n, 3), giving t0 and C of shape (n,)."""
     p = np.asarray(p, dtype=float)
     u = np.asarray(u, dtype=float)
-    t0 = float(p @ u)
-    rho2 = float(p @ p) - t0 * t0
-    sr2 = math.sqrt(2.0) * cloud.r0
-    C = cloud.n0 * sigma * math.sqrt(math.pi / 2.0) * cloud.r0 \
-        * math.exp(-rho2 / (2.0 * cloud.r0 ** 2))
+    t0 = u.dot(p)
+    rho2 = p.dot(p) - t0 * t0
+    # one direction keeps libm's exp, whose last bit numpy's vectorised exp
+    # does not always match: the free paths, and so the RNG-driven
+    # trajectories, stay bit-identical
+    exp = np.exp if u.ndim > 1 else math.exp
+    C = cloud.n0 * sigma * _SQRT_HALF_PI * cloud.r0 \
+        * exp(-rho2 / (2.0 * cloud.r0 ** 2))
+    return t0, C
+
+
+def chord_depth(cloud: Cloud, p, u, sigma: float,
+                s: float | None = None) -> float | np.ndarray:
+    """Optical depth from p along unit direction u over length s (None: to
+    infinity), using the closed-form Gaussian chord integral.  A stack of
+    directions u (n, 3) gives the n depths."""
+    t0, C = _chord(cloud, p, u, sigma)
+    sr2 = _SQRT2 * cloud.r0
     upper = 1.0 if s is None else erf((t0 + s) / sr2)
     return C * (upper - erf(t0 / sr2))
 
 
 def sample_free_path(cloud: Cloud, p, u, sigma: float, rng) -> float | None:
     """Exact free-path draw along the chord; None means escape."""
-    p = np.asarray(p, dtype=float)
-    u = np.asarray(u, dtype=float)
-    t0 = float(p @ u)
-    rho2 = float(p @ p) - t0 * t0
-    sr2 = math.sqrt(2.0) * cloud.r0
-    C = cloud.n0 * sigma * math.sqrt(math.pi / 2.0) * cloud.r0 \
-        * math.exp(-rho2 / (2.0 * cloud.r0 ** 2))
+    t0, C = _chord(cloud, p, u, sigma)
+    sr2 = _SQRT2 * cloud.r0
     tau = rng.exponential()
     base = erf(t0 / sr2)
     if tau >= C * (1.0 - base):
@@ -122,19 +135,18 @@ def sample_entry(cloud: Cloud, sigma: float, rng):
     depth along the accepted chord is then drawn from the truncated
     exponential and inverted in closed form.
     """
-    sr2 = math.sqrt(2.0) * cloud.r0
-    pref = cloud.n0 * sigma * math.sqrt(math.pi / 2.0) * cloud.r0
+    p = np.zeros(3)  # impact point (x, y, 0), refilled by every try
     while True:
-        x, y = rng.normal(scale=cloud.r0, size=2)
-        C = pref * math.exp(-(x * x + y * y) / (2.0 * cloud.r0 ** 2))
+        p[:2] = rng.normal(scale=cloud.r0, size=2)
+        _, C = _chord(cloud, p, _K_IN, sigma)
         b = 2.0 * C
         if b < 1e-300:
             continue
         if rng.random() < -math.expm1(-b) / b:
             break
     tau = -math.log1p(rng.random() * math.expm1(-b))
-    z = sr2 * erfinv(tau / C - 1.0)
-    return np.array([x, y, z])
+    p[2] = _SQRT2 * cloud.r0 * erfinv(tau / C - 1.0)
+    return p
 
 
 def scatter_event(tensors: dict, e_in, rng):
@@ -228,10 +240,8 @@ class MCParams:
     include_crossed: bool = False
     source: str = "beam"             # "beam" or "volume" (pumped subvolume)
     extra_gain_sigma: float = 0.0    # stimulated-gain cross section per atom
-    crossed_phase_damping: float = 0.0  # heuristic per-order damping
     e_in: tuple = (1.0, 0.0, 0.0)
     chunk_size: int = 20000
-    instability_run: int = 3
 
 
 @dataclass
@@ -327,9 +337,8 @@ def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
     n_det = len(detectors)
     det_dirs = np.array([d.direction for d in detectors])
     det_pols_c = np.conj(np.array([d.polarization for d in detectors]))
-    k_in = np.array([0.0, 0.0, 1.0])
     e_in0 = np.asarray(params.e_in, dtype=complex)
-    k_sum = k_in + det_dirs  # rows k_in + k_out for the interference phase
+    k_sum = _K_IN + det_dirs  # rows k_in + k_out for the interference phase
 
     ladder = np.zeros((n_det, params.max_order + 1))
     crossed = np.zeros((n_det, params.max_order + 1))
@@ -339,24 +348,13 @@ def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
     truncated_w = 0.0
     n_trunc = 0
 
-    single_channel = len(cloud.scheme.ground_sublevels()) == 1
-    do_crossed = params.include_crossed and single_channel
-
-    def det_depths(p, sigma):
-        """Exit optical depth from p toward every detector."""
-        t0 = det_dirs @ p
-        rho2 = float(p @ p) - t0 * t0
-        C = cloud.n0 * sigma * math.sqrt(math.pi / 2.0) * cloud.r0 \
-            * np.exp(-rho2 / (2.0 * cloud.r0 ** 2))
-        return C * (1.0 - erf(t0 / (math.sqrt(2.0) * cloud.r0)))
-
     for idx in range(lo, hi):
         rng = np.random.Generator(np.random.Philox(key=[params.seed, idx]))
         omega = params.detuning
         sigma = tab.sigma_ex(omega)
         if params.source == "beam":
             p = sample_entry(cloud, sigma, rng)
-            u = k_in.copy()
+            u = _K_IN.copy()
             e = e_in0.copy()
         elif params.source == "volume":
             p = rng.normal(scale=cloud.r0, size=3)
@@ -383,7 +381,7 @@ def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
         M_dir = np.eye(3, dtype=complex)    # product up to previous vertex
         M_revpre = np.eye(3, dtype=complex)
         r_first = p.copy()
-        tau_in_first = chord_depth(cloud, r_first, -k_in, sigma)
+        tau_in_first = chord_depth(cloud, r_first, -_K_IN, sigma)
         tau_out_first = None
         elastic = True
         order = 0
@@ -393,7 +391,7 @@ def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
             tensors = tab.tensors(m, omega)
 
             # next-event estimation toward every detector
-            depths = det_depths(p, sigma)
+            depths = chord_depth(cloud, p, det_dirs, sigma)
             nee = np.zeros(n_det)
             for mp, A in tensors.items():
                 amp = det_pols_c @ (A @ e)
@@ -401,45 +399,42 @@ def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
                 if shift == 0.0:
                     d_out = depths
                 else:
-                    d_out = det_depths(p, tab.sigma_ex(omega - shift))
+                    d_out = chord_depth(cloud, p, det_dirs,
+                                        tab.sigma_ex(omega - shift))
                 nee += np.abs(amp) ** 2 * np.exp(-d_out)
             contrib = w * nee
             ladder[:, order] += contrib
             traj_l += contrib
 
-            if do_crossed and order >= 2 and elastic:
-                A = tensors[next(iter(tensors))] if len(tensors) == 1 else None
-                if A is not None:
-                    chain_in = M_dir @ e_in0
-                    amp_dir = det_pols_c @ (A @ chain_in)
-                    amp_rev = (det_pols_c @ (M_revpre @ A)) @ e_in0
-                    dphi = k_sum @ (p - r_first)
-                    tau_in_here = chord_depth(cloud, p, -k_in, sigma)
-                    att = np.exp(-0.5 * (tau_in_here + tau_out_first
-                                         - tau_in_first - depths))
-                    ratio = (amp_dir * np.conj(amp_rev)
-                             * np.exp(1j * dphi)).real * att
-                    denom = np.abs(amp_dir) ** 2
-                    ok = denom > 1e-300
-                    cc = np.zeros(n_det)
-                    cc[ok] = contrib[ok] * ratio[ok] / denom[ok]
-                    if params.crossed_phase_damping:
-                        cc *= math.exp(-params.crossed_phase_damping
-                                       * (order - 1))
-                    crossed[:, order] += cc
-                    traj_c += cc
+            if params.include_crossed and order >= 2 and elastic:
+                A = tensors[m]  # the one ground sublevel: elastic vertex
+                chain_in = M_dir @ e_in0
+                amp_dir = det_pols_c @ (A @ chain_in)
+                amp_rev = (det_pols_c @ (M_revpre @ A)) @ e_in0
+                dphi = k_sum @ (p - r_first)
+                tau_in_here = chord_depth(cloud, p, -_K_IN, sigma)
+                att = np.exp(-0.5 * (tau_in_here + tau_out_first
+                                     - tau_in_first - depths))
+                ratio = (amp_dir * np.conj(amp_rev)
+                         * np.exp(1j * dphi)).real * att
+                denom = np.abs(amp_dir) ** 2
+                ok = denom > 1e-300
+                cc = np.zeros(n_det)
+                cc[ok] = contrib[ok] * ratio[ok] / denom[ok]
+                crossed[:, order] += cc
+                traj_c += cc
 
             # continue the chain
             mp, u_new, e_new, W_sc = scatter_event(tensors, e, rng)
             if order == 1:
-                tau_out_first = det_depths(r_first, sigma)
+                tau_out_first = chord_depth(cloud, r_first, det_dirs, sigma)
             w *= (W_sc + tab.extra_gain) / sigma
             shift = tab.shift(mp, m)
             if shift != 0.0:
                 elastic = False
                 omega = omega - shift
                 sigma = tab.sigma_ex(omega)
-            if do_crossed:
+            if params.include_crossed:
                 A = tensors[mp]
                 P = _transverse_projector(u_new)
                 M_dir = P @ A @ M_dir
@@ -472,8 +467,17 @@ def simulate_ladder(cloud: Cloud, detectors: list[Detector],
 
     Trajectory RNG streams depend only on (seed, trajectory index) and
     chunk results merge in fixed order, so the output is bit-identical
-    for any ``n_workers``.
+    for any ``n_workers``.  ``extra_gain_sigma`` adds a stimulated-gain
+    albedo excess; the ``unstable`` flag reports a growing order-resolved
+    tail.  The crossed term is implemented for a non-degenerate ground
+    state only; ``include_crossed`` on any other scheme raises ValueError.
     """
+    n_ground = len(cloud.scheme.ground_sublevels())
+    if params.include_crossed and n_ground > 1:
+        raise ValueError(
+            "the crossed (CBS) term is implemented only for a "
+            f"non-degenerate ground state; this atom has {n_ground} ground "
+            "sublevels")
     edges = list(range(0, params.n_traj, params.chunk_size)) + [params.n_traj]
     jobs = [(cloud, params, detectors, lo, hi)
             for lo, hi in zip(edges[:-1], edges[1:])]
@@ -507,7 +511,7 @@ def simulate_ladder(cloud: Cloud, detectors: list[Detector],
     c_err = np.sqrt(np.maximum(c_sq / n - (c_tot / n) ** 2, 0.0) / n) * n
 
     totals = ladder.sum(axis=0)
-    unstable = _detect_instability(totals, params.instability_run)
+    unstable = _detect_instability(totals, _INSTABILITY_RUN)
     if trunc_w > 1e-3 * max(escaped, 1.0):
         unstable = True
     return LadderResult(per_order=ladder, crossed_per_order=crossed,
@@ -579,7 +583,6 @@ def cbs_enhancement(cloud: Cloud, thetas, params: MCParams,
 
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     dets = backscatter_detectors(thetas, e_det)
-    from dataclasses import replace
     run = replace(params, include_crossed=True, e_in=tuple(e_in))
     raw = simulate_ladder(cloud, dets, run, n_workers=n_workers)
 
@@ -596,13 +599,3 @@ def cbs_enhancement(cloud: Cloud, thetas, params: MCParams,
     return CbsResult(thetas=thetas, single=S, ladder=L, crossed=C,
                      eta=eta, eta_multiple=eta_m, stat_err=err, raw=raw)
 
-
-def gain_transport(cloud: Cloud, detectors: list[Detector],
-                   params: MCParams, n_workers: int = 1) -> LadderResult:
-    """Order-resolved transport with a stimulated-gain albedo excess.
-
-    With ``extra_gain_sigma = 0`` and the beam source this is exactly
-    ``simulate_ladder`` (same code path, same seed stream).  The
-    instability flag reports a growing order-resolved tail.
-    """
-    return simulate_ladder(cloud, detectors, params, n_workers=n_workers)

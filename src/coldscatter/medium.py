@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .angular import LevelScheme, spherical_unit_vectors
+from .angular import LevelScheme, dipole_q_array, spherical_unit_vectors
 
 __all__ = [
     "PoleProximityError",
@@ -47,23 +46,6 @@ class PoleProximityError(ArithmeticError):
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-
-
-@lru_cache(maxsize=32)
-def dipole_q_array(scheme: LevelScheme) -> np.ndarray:
-    """d[q_index, n_excited, m_ground] with q ordered (-1, 0, +1)."""
-    from .angular import dipole_matrix_element
-
-    exc = scheme.excited_sublevels()
-    gnd = scheme.ground_sublevels()
-    d = np.zeros((3, len(exc), len(gnd)))
-    for iq, q in enumerate((-1, 0, 1)):
-        for ie, (tF, tM) in enumerate(exc):
-            for ig, (tF0, tM0) in enumerate(gnd):
-                if tM == tM0 + 2 * q:
-                    d[iq, ie, ig] = dipole_matrix_element(
-                        scheme, tF / 2, tM / 2, tF0 / 2, tM0 / 2, q)
-    return d
 
 
 @dataclass(frozen=True)
@@ -108,12 +90,10 @@ class GroundState:
     ``rho`` is Hermitian with unit trace over the sublevels enumerated by
     :meth:`LevelScheme.ground_sublevels`; coherences are supported only
     within degenerate Zeeman manifolds.  ``n0`` is the peak density in
-    atoms per cubed reduced wavelength; ``density`` optionally maps a
-    position to a local density multiplier in [0, 1].
+    atoms per cubed reduced wavelength.
     """
     rho: np.ndarray
     n0: float = 1.0
-    density = None  # optional callable position -> relative density
 
     @classmethod
     def isotropic(cls, scheme: LevelScheme, twice_F0: int | None = None,
@@ -202,18 +182,15 @@ def excited_green(scheme: LevelScheme, control: ControlField | None,
 # ----------------------------------------------------------------------------
 
 def susceptibility(scheme: LevelScheme, ground: GroundState,
-                   control: ControlField | None, omega: float,
-                   position=None) -> np.ndarray:
+                   control: ControlField | None, omega: float) -> np.ndarray:
     """Sample susceptibility chi_{mu mu'} (3x3, Cartesian lab frame).
 
-    chi = -n0(r) sum rho_{m'm} d_mu[m n] d_mu'[n' m'] G_{n n'}(omega + E_m).
+    chi = -n0 sum rho_{m'm} d_mu[m n] d_mu'[n' m'] G_{n n'}(omega + E_m).
     """
     d = dipole_q_array(scheme)
     eq = spherical_unit_vectors()
     gnd = scheme.ground_sublevels()
     n0 = ground.n0
-    if position is not None and ground.density is not None:
-        n0 = n0 * ground.density(position)
 
     green_cache: dict[float, np.ndarray] = {}
     chi = np.zeros((3, 3), dtype=complex)
@@ -335,7 +312,6 @@ def transverse_decompose(chi_lab: np.ndarray, ray_direction,
 class KineticLengths:
     sigma_ex: float
     sigma_sc: float
-    sigma_tot: float
     l_ex: float
     l_sc: float
     l_ls: float      # +inf when lossless; negative values indicate gain
@@ -419,9 +395,8 @@ def kinetic_lengths(scheme: LevelScheme, ground: GroundState,
     l_ls = 1.0 / inv_lls if inv_lls != 0 else math.inf
     l_g = -l_ls if l_ls < 0 else math.inf
     albedo = sigma_sc / sigma_ex if sigma_ex > 0 else math.inf
-    return KineticLengths(sigma_ex=sigma_ex, sigma_sc=sigma_sc,
-                          sigma_tot=sigma_ex, l_ex=l_ex, l_sc=l_sc,
-                          l_ls=l_ls, l_g=l_g, albedo=albedo)
+    return KineticLengths(sigma_ex=sigma_ex, sigma_sc=sigma_sc, l_ex=l_ex,
+                          l_sc=l_sc, l_ls=l_ls, l_g=l_g, albedo=albedo)
 
 
 # ----------------------------------------------------------------------------

@@ -41,11 +41,11 @@ __all__ = [
 CONTACT_FLOOR = 0.05  # reduced wavelengths; dipole model invalid below
 
 
-def field_green_tensor(R, omega: float = 1.0) -> np.ndarray:
+def field_green_tensor(R) -> np.ndarray:
     """Retarded field Green's tensor D_{mu nu}(R) between two dipoles.
 
     D = -(i(2/3) h0(kR) delta + [X_mu X_nu / R^2 - delta/3] i h2(kR)) with
-    spherical Hankel functions of the first kind and k = |omega|/c = 1.
+    spherical Hankel functions of the first kind and k = 1.
     The far field reduces to -(e^{ikR}/R) times the transverse projector,
     the near field to the static dipole-dipole tensor (delta - 3 RR)/R^3.
     ``R`` may be a stack of separations of shape (..., 3); the result
@@ -55,28 +55,32 @@ def field_green_tensor(R, omega: float = 1.0) -> np.ndarray:
     r = np.linalg.norm(R, axis=-1)
     if np.any(r == 0.0):
         raise ValueError("field Green's tensor undefined at zero separation")
-    k = abs(omega)
-    x = k * r
-    h0 = (spherical_jn(0, x) + 1j * spherical_yn(0, x))[..., None, None]
-    h2 = (spherical_jn(2, x) + 1j * spherical_yn(2, x))[..., None, None]
+    h0 = (spherical_jn(0, r) + 1j * spherical_yn(0, r))[..., None, None]
+    h2 = (spherical_jn(2, r) + 1j * spherical_yn(2, r))[..., None, None]
     rr = R[..., :, None] * R[..., None, :] / r[..., None, None] ** 2
     eye = np.eye(3)
-    return -k ** 3 * (1j * (2.0 / 3.0) * h0 * eye
-                      + (rr - eye / 3.0) * 1j * h2)
+    return -(1j * (2.0 / 3.0) * h0 * eye + (rr - eye / 3.0) * 1j * h2)
 
 
-@dataclass(frozen=True)
+def _nearest(pos: np.ndarray) -> np.ndarray:
+    """Distance from each of the (N, 3) positions to its nearest other
+    one (inf when there is none)."""
+    diff = pos[:, None, :] - pos[None, :, :]
+    dist = np.sqrt(np.sum(diff ** 2, axis=-1))
+    np.fill_diagonal(dist, math.inf)
+    return dist.min(axis=1, initial=math.inf)
+
+
+@dataclass(frozen=True, eq=False)
 class Configuration:
     """Frozen positions of N point scatterers plus the model choice.
 
     The positions are a private read-only copy, so the detuning-independent
-    ``coupling`` matrix can be cached on the configuration.
+    ``coupling`` matrix can be cached on the configuration.  Equality and
+    hashing are by identity.
     """
     positions: np.ndarray
     model: str = "vector"
-    detuning: float = 0.0
-    gamma: float = 1.0
-    contact_floor: float = CONTACT_FLOOR
 
     def __post_init__(self):
         pos = np.array(self.positions, dtype=float, ndmin=2)
@@ -86,19 +90,12 @@ class Configuration:
         object.__setattr__(self, "positions", pos)
         if self.model not in ("scalar", "vector"):
             raise ValueError(f"unknown model {self.model!r}")
-        n = len(pos)
-        if n > 1:
-            diff = pos[:, None, :] - pos[None, :, :]
-            dist = np.sqrt(np.sum(diff ** 2, axis=-1))
-            dist[np.arange(n), np.arange(n)] = math.inf
-            a, b = np.unravel_index(np.argmin(dist), dist.shape)
-            if dist[a, b] <= self.contact_floor:
-                raise ValueError(
-                    f"atoms {a} and {b} separated by {dist[a, b]:.4g}, "
-                    f"below the contact floor {self.contact_floor}")
-
-    def __hash__(self):
-        return hash((self.positions.tobytes(), self.model, self.detuning))
+        near = _nearest(pos)
+        if np.any(near <= CONTACT_FLOOR):
+            a = int(np.argmin(near))
+            raise ValueError(
+                f"atom {a} is {near[a]:.4g} from its nearest neighbour, "
+                f"below the contact floor {CONTACT_FLOOR}")
 
     @property
     def n_atoms(self) -> int:
@@ -110,7 +107,7 @@ class Configuration:
 
         The vector model uses the full field Green's tensor with basis
         index 3*atom + Cartesian component; the scalar model keeps the
-        angular-averaged transverse far-field kernel -(gamma/2) e^{ikR}/(kR).
+        angular-averaged transverse far-field kernel -(1/2) e^{ikR}/(kR).
         Built once per configuration for all pairs a < b and mirrored, so
         the matrix is complex-symmetric.  Read-only.
         """
@@ -120,9 +117,9 @@ class Configuration:
         if self.model == "scalar":
             r = np.linalg.norm(pos[a] - pos[b], axis=-1)
             upper = np.zeros((n, n), dtype=complex)
-            upper[a, b] = -0.5 * self.gamma * np.exp(1j * r) / r
+            upper[a, b] = -0.5 * np.exp(1j * r) / r
         else:
-            d0sq = 0.75 * self.gamma  # |<1,q|d_q|0,0>|^2, closed F0=0 -> F=1
+            d0sq = 0.75  # |<1,q|d_q|0,0>|^2, closed F0=0 -> F=1
             blocks = np.zeros((n, n, 3, 3), dtype=complex)
             blocks[a, b] = d0sq * field_green_tensor(pos[a] - pos[b])
             upper = blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
@@ -132,7 +129,7 @@ class Configuration:
 
 
 def build_effective_hamiltonian(config: Configuration,
-                                detuning: float | None = None) -> np.ndarray:
+                                detuning: float) -> np.ndarray:
     """Non-Hermitian effective Hamiltonian over the singly-excited basis.
 
     Diagonal entries are (-Delta - i gamma/2); off-diagonal entries carry
@@ -140,10 +137,8 @@ def build_effective_hamiltonian(config: Configuration,
     once per configuration and shared by every detuning.  The matrix is
     complex-symmetric.
     """
-    if detuning is None:
-        detuning = config.detuning
     H = config.coupling.copy()
-    np.fill_diagonal(H, -detuning - 0.5j * config.gamma)
+    np.fill_diagonal(H, -detuning - 0.5j)
     return H
 
 
@@ -155,15 +150,14 @@ class DipoleSolver:
     across input/output channels.
     """
 
-    def __init__(self, config: Configuration, detuning: float | None = None):
+    def __init__(self, config: Configuration, detuning: float):
         self.config = config
-        self.detuning = config.detuning if detuning is None else detuning
-        self.H = build_effective_hamiltonian(config, self.detuning)
+        self.detuning = detuning
+        self.H = build_effective_hamiltonian(config, detuning)
         self._lu = lu_factor(-self.H)
         # source normalization: reduced amplitude f such that
         # dsigma/dOmega = |f|^2 and Q0 = 4 pi Im f_forward
-        self._pref = 0.75 * config.gamma if config.model == "vector" \
-            else 0.5 * config.gamma
+        self._pref = 0.75 if config.model == "vector" else 0.5
 
     def _source(self, k_in, e_in) -> np.ndarray:
         pos = self.config.positions
@@ -310,13 +304,10 @@ def slab_transmission(epsilon: complex, L: float,
 # Random configurations and averaging.
 # ----------------------------------------------------------------------------
 
-def _respace(draw, n: int, floor: float, max_tries: int = 200) -> np.ndarray:
+def _respace(draw, n: int, max_tries: int = 200) -> np.ndarray:
     pos = draw(n)
     for _ in range(max_tries):
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt(np.sum(diff ** 2, axis=-1))
-        dist[np.arange(n), np.arange(n)] = math.inf
-        bad = np.unique(np.nonzero(dist.min(axis=1) <= floor)[0])
+        bad = np.nonzero(_nearest(pos) <= CONTACT_FLOOR)[0]
         if bad.size == 0:
             return pos
         pos[bad] = draw(bad.size)
@@ -324,9 +315,7 @@ def _respace(draw, n: int, floor: float, max_tries: int = 200) -> np.ndarray:
 
 
 def random_ball_configuration(n: int, radius: float, rng: np.random.Generator,
-                              model: str = "vector",
-                              contact_floor: float = CONTACT_FLOOR
-                              ) -> Configuration:
+                              model: str = "vector") -> Configuration:
     """Uniform random positions in a ball of the given radius."""
 
     def draw(m):
@@ -340,21 +329,17 @@ def random_ball_configuration(n: int, radius: float, rng: np.random.Generator,
             got += take
         return out
 
-    return Configuration(_respace(draw, n, contact_floor), model=model,
-                         contact_floor=contact_floor)
+    return Configuration(_respace(draw, n), model=model)
 
 
 def gaussian_configuration(n: int, r0: float, rng: np.random.Generator,
-                           model: str = "vector",
-                           contact_floor: float = CONTACT_FLOOR
-                           ) -> Configuration:
+                           model: str = "vector") -> Configuration:
     """Random positions from an isotropic Gaussian cloud of rms radius r0."""
 
     def draw(m):
         return rng.normal(scale=r0, size=(m, 3))
 
-    return Configuration(_respace(draw, n, contact_floor), model=model,
-                         contact_floor=contact_floor)
+    return Configuration(_respace(draw, n), model=model)
 
 
 class RunningAverage:

@@ -344,7 +344,7 @@ def test_criterion_11_gain_transport_instability():
     flags = []
     for rabi in (0.0, 300.0, 500.0, 800.0, 1200.0):
         sigma_g = md.raman_gain_cross_section(rabi, hpf)
-        res = mc.gain_transport(cloud, dets, mc.MCParams(
+        res = mc.simulate_ladder(cloud, dets, mc.MCParams(
             n_traj=4000, seed=11, chunk_size=2000, max_order=400,
             extra_gain_sigma=sigma_g))
         flags.append(res.unstable)

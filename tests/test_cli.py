@@ -76,6 +76,48 @@ def test_config_hash_semantics():
     assert cf.config_hash(a) == cf.config_hash(d)
 
 
+def test_every_scenario_validates_on_defaults():
+    for scenario in cf.SCENARIOS:
+        cfg = cf.parse_text(f"[run]\nscenario = {scenario}\n")
+        assert cfg.scenario == scenario
+
+
+@pytest.mark.parametrize("scenario, extra", [
+    ("gain-transport", "[mc]\ntrajectories = 40\n"),
+    ("diffusion-threshold", ""),
+    ("protocol-utils", ""),
+])
+def test_non_detuning_sweeps_run_on_default_range(scenario, extra):
+    cfg = cf.parse_text(f"[run]\nscenario = {scenario}\n"
+                        f"[sweep]\nn = 3\n{extra}")
+    assert cfg["sweep"]["start"] >= 0
+    record = run_scenario(cfg)
+    assert record.complete
+    if scenario == "diffusion-threshold":
+        # the default range brackets the threshold of the default lengths
+        rates = [r.value for r in record.rows]
+        assert rates[0] < 0 < rates[-1]
+
+
+@pytest.mark.parametrize("scenario", ["gain-transport", "diffusion-threshold",
+                                      "protocol-utils"])
+def test_out_of_domain_sweep_is_a_config_error(tmp_path, capsys, scenario):
+    p = tmp_path / "c.ini"
+    p.write_text(f"[run]\nscenario = {scenario}\n[sweep]\nstart = -1\n")
+    assert cli.main(["run", str(p), "--out", str(tmp_path), "--quiet"]) == 1
+    assert "sweep.start" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cbs_cone_on_rb85_fails_without_output(tmp_path, capsys):
+    p = tmp_path / "c.ini"
+    p.write_text("[run]\nscenario = cbs-cone\n[atom]\nkind = rb85\n"
+                 "[mc]\ntrajectories = 10\n")
+    assert cli.main(["run", str(p), "--out", str(tmp_path), "--quiet"]) == 2
+    assert "non-degenerate ground state" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_run_scenario_protocol_rows():
     record = run_scenario(cf.parse_text(MINIMAL))
     assert record.complete

@@ -37,6 +37,19 @@ def test_chord_depth_matches_quadrature():
             pytest.approx(quad, rel=1e-6)
 
 
+def test_chord_depth_stack_matches_single_directions():
+    cloud = two_level_cloud()
+    rng = np.random.default_rng(20)
+    p = rng.normal(scale=5.0, size=3)
+    U = rng.normal(size=(9, 3))
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    for s in (None, 7.5):
+        stacked = mc.chord_depth(cloud, p, U, 6 * math.pi, s)
+        assert stacked.shape == (9,)
+        single = [mc.chord_depth(cloud, p, u, 6 * math.pi, s) for u in U]
+        np.testing.assert_allclose(stacked, single, rtol=1e-14, atol=0)
+
+
 def test_free_path_zero_cross_section_escapes():
     cloud = two_level_cloud()
     rng = np.random.default_rng(1)
@@ -245,14 +258,16 @@ def test_eta_at_least_one_all_channels():
         assert cbs.eta[0] >= 1.0 - 3 * cbs.stat_err[0] - 0.01
 
 
-def test_gain_transport_reduces_to_ladder_without_gain():
-    cloud = two_level_cloud(b0=3.0)
+def test_crossed_term_refused_for_degenerate_ground_state():
+    # the crossed term is implemented for one ground sublevel only; Rb must
+    # not silently report eta = 1
+    cloud = mc.Cloud(scheme=LevelScheme.rb85_d2(), n0=0.02, r0=8.0)
+    with pytest.raises(ValueError, match="non-degenerate ground state"):
+        mc.cbs_enhancement(cloud, [0.0], mc.MCParams(n_traj=10))
     dets = mc.backscatter_detectors([0.0], np.array([1.0, 0, 0]))
-    params = mc.MCParams(n_traj=3000, seed=15, chunk_size=1000)
-    a = mc.simulate_ladder(cloud, dets, params)
-    b = mc.gain_transport(cloud, dets, params)
-    assert np.array_equal(a.per_order, b.per_order)
-    assert a.escaped_weight == b.escaped_weight
+    with pytest.raises(ValueError, match="non-degenerate ground state"):
+        mc.simulate_ladder(cloud, dets,
+                           mc.MCParams(n_traj=10, include_crossed=True))
 
 
 def test_gain_weight_bookkeeping():

@@ -81,6 +81,15 @@ def test_configuration_positions_are_a_private_read_only_copy():
     assert cfg.positions[1, 2] == 0.8
 
 
+def test_configuration_equality_and_hash_by_identity():
+    pos = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    a, b = mi.Configuration(pos), mi.Configuration(pos)
+    assert a == a
+    assert a != b
+    table = {a: "a", b: "b"}
+    assert table[a] == "a" and table[b] == "b"
+
+
 def test_configuration_contact_floor():
     with pytest.raises(ValueError, match="contact floor"):
         mi.Configuration(np.array([[0, 0, 0], [0.01, 0, 0.0]]))
@@ -375,7 +384,7 @@ def test_random_configurations_respect_floor():
         diff = pos[:, None, :] - pos[None, :, :]
         dist = np.sqrt(np.sum(diff ** 2, axis=-1))
         dist[np.arange(40), np.arange(40)] = np.inf
-        assert dist.min() > cfg.contact_floor
+        assert dist.min() > mi.CONTACT_FLOOR
 
 
 def test_running_average_matches_numpy():
