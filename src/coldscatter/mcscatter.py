@@ -25,8 +25,8 @@ import numpy as np
 from scipy.special import erf, erfinv
 
 from .angular import LevelScheme
-from .medium import (ControlField, GroundState, raman_shift,
-                     scattering_tensors, susceptibility, transverse_decompose)
+from .medium import (ControlField, GroundState, extinction_cross_section,
+                     raman_shift, scattering_tensors)
 
 __all__ = [
     "Cloud",
@@ -286,9 +286,8 @@ class CbsResult:
 class _MediumTables:
     """Caches sigma_ex(omega) and scattering tensors per (m, omega)."""
 
-    def __init__(self, cloud: Cloud, extra_gain_sigma: float = 0.0):
+    def __init__(self, cloud: Cloud):
         self.cloud = cloud
-        self.extra_gain = extra_gain_sigma
         self._sigma = {}
         self._tensors = {}
         self.populations = np.diag(cloud.ground.rho).real
@@ -298,11 +297,9 @@ class _MediumTables:
     def sigma_ex(self, omega: float) -> float:
         val = self._sigma.get(omega)
         if val is None:
-            unit = GroundState(rho=self.cloud.ground.rho, n0=1.0)
-            chi = susceptibility(self.cloud.scheme, unit, self.cloud.control,
-                                 omega)
-            tc = transverse_decompose(chi, [0.0, 0.0, 1.0])
-            val = 4.0 * math.pi * tc.chi0.imag
+            val = extinction_cross_section(self.cloud.scheme,
+                                           self.cloud.ground,
+                                           self.cloud.control, omega)
             if val <= 0:
                 raise ArithmeticError(
                     f"non-positive extinction at omega={omega}")
@@ -323,9 +320,6 @@ class _MediumTables:
             return int(self._pop_idx[0])
         return int(rng.choice(self._pop_idx, p=self._pop_p))
 
-    def shift(self, m_out: int, m_in: int) -> float:
-        return raman_shift(self.cloud.scheme, m_out, m_in)
-
 
 # ----------------------------------------------------------------------------
 # Core trajectory loop.
@@ -333,7 +327,11 @@ class _MediumTables:
 
 def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
                lo: int, hi: int):
-    tab = _MediumTables(cloud, params.extra_gain_sigma)
+    tab = _MediumTables(cloud)
+    n_ground = len(cloud.scheme.ground_sublevels())
+    # shifts[m'][m]: Raman shift omega' - omega of the channel m -> m'
+    shifts = [[raman_shift(cloud.scheme, mp, m) for m in range(n_ground)]
+              for mp in range(n_ground)]
     n_det = len(detectors)
     det_dirs = np.array([d.direction for d in detectors])
     det_pols_c = np.conj(np.array([d.polarization for d in detectors]))
@@ -383,7 +381,6 @@ def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
         r_first = p.copy()
         tau_in_first = chord_depth(cloud, r_first, -_K_IN, sigma)
         tau_out_first = None
-        elastic = True
         order = 0
         while True:
             order += 1
@@ -395,7 +392,7 @@ def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
             nee = np.zeros(n_det)
             for mp, A in tensors.items():
                 amp = det_pols_c @ (A @ e)
-                shift = tab.shift(mp, m)
+                shift = shifts[mp][m]
                 if shift == 0.0:
                     d_out = depths
                 else:
@@ -406,7 +403,7 @@ def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
             ladder[:, order] += contrib
             traj_l += contrib
 
-            if params.include_crossed and order >= 2 and elastic:
+            if params.include_crossed and order >= 2:
                 A = tensors[m]  # the one ground sublevel: elastic vertex
                 chain_in = M_dir @ e_in0
                 amp_dir = det_pols_c @ (A @ chain_in)
@@ -428,10 +425,9 @@ def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
             mp, u_new, e_new, W_sc = scatter_event(tensors, e, rng)
             if order == 1:
                 tau_out_first = chord_depth(cloud, r_first, det_dirs, sigma)
-            w *= (W_sc + tab.extra_gain) / sigma
-            shift = tab.shift(mp, m)
+            w *= (W_sc + params.extra_gain_sigma) / sigma
+            shift = shifts[mp][m]
             if shift != 0.0:
-                elastic = False
                 omega = omega - shift
                 sigma = tab.sigma_ex(omega)
             if params.include_crossed:

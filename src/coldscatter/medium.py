@@ -33,11 +33,14 @@ __all__ = [
     "scattering_tensors",
     "local_frame",
     "transverse_decompose",
+    "extinction_cross_section",
     "kinetic_lengths",
     "saturation_and_intensities",
     "doppler_dephasing",
     "raman_gain_cross_section",
 ]
+
+_ISOTROPY_TOL = 1e-12  # |chivec| / |chi0| below which a ray sees no director
 
 
 class PoleProximityError(ArithmeticError):
@@ -181,31 +184,34 @@ def excited_green(scheme: LevelScheme, control: ControlField | None,
 # Susceptibility and scattering tensors.
 # ----------------------------------------------------------------------------
 
+def _tensor_stack(scheme: LevelScheme, G: np.ndarray, m_in,
+                  m_out=slice(None)) -> np.ndarray:
+    """alpha^{(m' m)} = -e_q'^* d G d e_q from one excited-state Green's
+    function G.  For one incoming m_in it is the (n_ground, 3, 3) stack of
+    every outgoing m'; for index arrays m_in, m_out, one tensor per pair."""
+    d = dipole_q_array(scheme).transpose(2, 0, 1)  # d[m, q, n]
+    eq = spherical_unit_vectors()
+    # staged products: K[.., q', q] in the spherical basis, no chained einsum
+    K = (d[m_out] @ G) @ d[m_in].swapaxes(-1, -2)
+    return -(eq.conj().T @ K @ eq)
+
+
 def susceptibility(scheme: LevelScheme, ground: GroundState,
                    control: ControlField | None, omega: float) -> np.ndarray:
     """Sample susceptibility chi_{mu mu'} (3x3, Cartesian lab frame).
 
-    chi = -n0 sum rho_{m'm} d_mu[m n] d_mu'[n' m'] G_{n n'}(omega + E_m).
+    chi = n0 sum rho_{m'm} alpha^{(m m')} with G at omega + E_m.
     """
-    d = dipole_q_array(scheme)
-    eq = spherical_unit_vectors()
     gnd = scheme.ground_sublevels()
-    n0 = ground.n0
-
-    green_cache: dict[float, np.ndarray] = {}
     chi = np.zeros((3, 3), dtype=complex)
     rows, cols = np.nonzero(ground.rho)
-    for mp, m in zip(rows, cols):
-        Em = scheme.ground_energy(gnd[m][0])
-        G = green_cache.get(Em)
-        if G is None:
-            G = excited_green(scheme, control, omega + Em)
-            green_cache[Em] = G
-        # K[q1, q2] = sum_{n n'} d_q1[n, m] G[n, n'] d_q2[n', m']
-        K = np.einsum('qn,nm,pm->qp', d[:, :, m], G, d[:, :, mp])
-        chi -= n0 * ground.rho[mp, m] * np.einsum(
-            'qa,qp,pb->ab', eq.conj(), K, eq)
-    return chi
+    energies = np.array([scheme.ground_energy(gnd[m][0]) for m in cols])
+    for E in np.unique(energies):
+        on = energies == E
+        G = excited_green(scheme, control, omega + E)
+        alpha = _tensor_stack(scheme, G, rows[on], cols[on])
+        chi += np.tensordot(ground.rho[rows[on], cols[on]], alpha, axes=1)
+    return ground.n0 * chi
 
 
 def scattering_tensor(scheme: LevelScheme, control: ControlField | None,
@@ -215,22 +221,16 @@ def scattering_tensor(scheme: LevelScheme, control: ControlField | None,
     ``m_in``/``m_out`` index :meth:`LevelScheme.ground_sublevels`; rows are
     the outgoing Cartesian index mu', columns the incoming mu.
     """
-    d = dipole_q_array(scheme)
-    eq = spherical_unit_vectors()
-    gnd = scheme.ground_sublevels()
-    Em = scheme.ground_energy(gnd[m_in][0])
-    G = excited_green(scheme, control, omega + Em)
-    # K[q', q] = sum_{n' n} d_q'[n', m'] G[n', n] d_q[n, m]
-    K = np.einsum('pn,nm,qm->pq', d[:, :, m_out], G, d[:, :, m_in])
-    return -np.einsum('pa,pq,qb->ab', eq.conj(), K, eq)
+    return scattering_tensors(scheme, control, m_in, omega)[m_out]
 
 
 def scattering_tensors(scheme: LevelScheme, control: ControlField | None,
                        m_in: int, omega: float) -> dict[int, np.ndarray]:
     """All outgoing-channel tensors m_in -> m' at input frequency omega."""
     gnd = scheme.ground_sublevels()
-    return {mp: scattering_tensor(scheme, control, mp, m_in, omega)
-            for mp in range(len(gnd))}
+    G = excited_green(scheme, control,
+                      omega + scheme.ground_energy(gnd[m_in][0]))
+    return dict(enumerate(_tensor_stack(scheme, G, m_in)))
 
 
 def raman_shift(scheme: LevelScheme, m_out: int, m_in: int) -> float:
@@ -280,8 +280,7 @@ class TransverseChi:
 
 
 def transverse_decompose(chi_lab: np.ndarray, ray_direction,
-                         frame: np.ndarray | None = None,
-                         isotropy_tol: float = 1e-12) -> TransverseChi:
+                         frame: np.ndarray | None = None) -> TransverseChi:
     """Project a lab-frame 3x3 susceptibility onto a ray's transverse plane.
 
     Returns the Pauli expansion coefficients, the complex length
@@ -299,7 +298,7 @@ def transverse_decompose(chi_lab: np.ndarray, ray_direction,
     chivec = np.array([cx, cy, cz])
     chi_len = np.sqrt(cx * cx + cy * cy + cz * cz + 0j)
     scale = max(abs(chi0), 1e-300)
-    if np.max(np.abs(chivec)) <= isotropy_tol * scale or chi_len == 0:
+    if np.max(np.abs(chivec)) <= _ISOTROPY_TOL * scale or chi_len == 0:
         return TransverseChi(chi0, chivec, chi_len, None, R)
     return TransverseChi(chi0, chivec, chi_len, chivec / chi_len, R)
 
@@ -319,72 +318,36 @@ class KineticLengths:
     albedo: float
 
 
-def _sigma_sc_quadrature(tensors: dict[int, np.ndarray], e_in: np.ndarray,
-                         n_theta: int) -> float:
-    """Angular quadrature of sum_{m', e'} |e'* . alpha . e|^2 dOmega."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
-    nphi = 2 * n_theta
-    phis = 2.0 * math.pi * np.arange(nphi) / nphi
-    wphi = 2.0 * math.pi / nphi
-    st = np.sqrt(1.0 - nodes ** 2)
-    dirs = np.stack([
-        np.outer(st, np.cos(phis)).ravel(),
-        np.outer(st, np.sin(phis)).ravel(),
-        np.repeat(nodes, nphi),
-    ], axis=1)
-    w = np.repeat(weights, nphi) * wphi
-    total = 0.0
-    for A in tensors.values():
-        v = A @ e_in
-        vmag2 = np.vdot(v, v).real
-        proj2 = np.abs(dirs @ v) ** 2
-        total += float(np.sum(w * (vmag2 - proj2)))
-    return total
+def extinction_cross_section(scheme: LevelScheme, ground: GroundState,
+                             control: ControlField | None,
+                             omega: float) -> float:
+    """Unit-density extinction sigma_ex = 4 pi Im chi0 for a beam along +z."""
+    unit_ground = GroundState(rho=ground.rho, n0=1.0)
+    chi1 = susceptibility(scheme, unit_ground, control, omega)
+    tc = transverse_decompose(chi1, (0.0, 0.0, 1.0))
+    return 4.0 * math.pi * tc.chi0.imag
 
 
 def kinetic_lengths(scheme: LevelScheme, ground: GroundState,
                     control: ControlField | None, omega: float,
-                    direction=(0.0, 0.0, 1.0), polarization=None,
-                    n_theta: int = 12, quad_rtol: float = 1e-8,
                     extra_gain_sigma: float = 0.0) -> KineticLengths:
-    """Extinction, scattering and loss/gain lengths at frequency omega.
+    """Extinction, scattering and loss/gain lengths of a beam along +z.
 
-    ``sigma_ex`` comes from the imaginary part of the transverse
-    susceptibility per unit density along ``direction``; ``sigma_sc`` from
-    angular quadrature of the polarization-resolved differential cross
-    section, summed over outgoing channels and averaged over the populated
-    ground sublevels.  ``extra_gain_sigma`` adds an externally supplied
+    ``sigma_ex`` is :func:`extinction_cross_section`; ``sigma_sc`` is the
+    closed-form total (8 pi/3) sum_m' |alpha^{(m' m)} e|^2, averaged over
+    the two transverse polarizations e = x, y and over the populated
+    ground sublevels m.  ``extra_gain_sigma`` adds an externally supplied
     stimulated (gain) cross section to the scattering budget, as used by
     the Raman gain-transport scenario.
     """
-    unit_ground = GroundState(rho=ground.rho, n0=1.0)
-    chi1 = susceptibility(scheme, unit_ground, control, omega)
-    tc = transverse_decompose(chi1, np.asarray(direction, dtype=float))
-    sigma_ex = 4.0 * math.pi * tc.chi0.imag
-
-    frame = tc.frame
-    if polarization is None:
-        e_list = [frame[0].astype(complex), frame[1].astype(complex)]
-    else:
-        e_list = [np.asarray(polarization, dtype=complex)]
-
+    sigma_ex = extinction_cross_section(scheme, ground, control, omega)
     pops = np.diag(ground.rho).real
     sigma_sc = 0.0
-    sigma_sc_coarse = 0.0
-    for m, p in enumerate(pops):
-        if p <= 0.0:
-            continue
+    for m in np.nonzero(pops > 0.0)[0]:
         tensors = scattering_tensors(scheme, control, m, omega)
-        for e_in in e_list:
-            sigma_sc += p / len(e_list) * _sigma_sc_quadrature(
-                tensors, e_in, 2 * n_theta)
-            sigma_sc_coarse += p / len(e_list) * _sigma_sc_quadrature(
-                tensors, e_in, n_theta)
-    if sigma_sc > 0 and abs(sigma_sc - sigma_sc_coarse) > quad_rtol * sigma_sc:
-        raise ArithmeticError(
-            "scattering cross-section quadrature did not converge: "
-            f"{sigma_sc_coarse} vs {sigma_sc}")
-    sigma_sc += extra_gain_sigma
+        transverse = np.array(list(tensors.values()))[:, :, :2]
+        sigma_sc += pops[m] * float(np.sum(np.abs(transverse) ** 2))
+    sigma_sc = (8.0 * math.pi / 3.0) * 0.5 * sigma_sc + extra_gain_sigma
 
     n0 = ground.n0
     inv_lex = n0 * sigma_ex

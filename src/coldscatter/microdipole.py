@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 CONTACT_FLOOR = 0.05  # reduced wavelengths; dipole model invalid below
+_HOMOTOPY_STEPS = 40  # density steps from the dilute limit to the target
+_RESPACE_TRIES = 200  # redraw rounds for atoms inside the contact floor
 
 
 def field_green_tensor(R) -> np.ndarray:
@@ -217,26 +219,24 @@ class Epsilon:
     chi: complex
 
 
-def _sc_residual(chi: complex, n0s: float, delta: float, gamma: float):
+def _sc_residual(chi: complex, n0s: float, delta: float):
     """Closed equation for the self-consistent susceptibility.
 
-    chi (Delta + (i gamma/2) sqrt(1 + 4 pi chi)) =
-        -(3/4) gamma n0s (1 + (4 pi/3) chi)
+    chi (Delta + (i/2) sqrt(1 + 4 pi chi)) = -(3/4) n0s (1 + (4 pi/3) chi)
     including the local-field (Lorentz-Lorenz) term; n0s is the scaled
     density n0 (2F+1)/[3(2F0+1)].
     """
     root = cmath.sqrt(1.0 + 4.0 * math.pi * chi)
-    F = chi * (delta + 0.5j * gamma * root) \
-        + 0.75 * gamma * n0s * (1.0 + (4.0 * math.pi / 3.0) * chi)
-    dF = (delta + 0.5j * gamma * root
-          + chi * 0.5j * gamma * (2.0 * math.pi / root)
-          + math.pi * gamma * n0s)
+    F = chi * (delta + 0.5j * root) \
+        + 0.75 * n0s * (1.0 + (4.0 * math.pi / 3.0) * chi)
+    dF = (delta + 0.5j * root
+          + chi * 0.5j * (2.0 * math.pi / root)
+          + math.pi * n0s)
     return F, dF
 
 
 def self_consistent_epsilon(n0_scaled: float, detuning: float,
-                            gamma: float = 1.0, chi_start: complex | None = None,
-                            n_steps: int = 40) -> Epsilon:
+                            chi_start: complex | None = None) -> Epsilon:
     """Self-consistent dielectric function at scaled density ``n0_scaled``.
 
     Solves the closed algebraic equation for chi by Newton iteration with
@@ -251,7 +251,7 @@ def self_consistent_epsilon(n0_scaled: float, detuning: float,
 
     def newton(chi, n0s):
         for _ in range(100):
-            F, dF = _sc_residual(chi, n0s, detuning, gamma)
+            F, dF = _sc_residual(chi, n0s, detuning)
             step = F / dF
             chi = chi - step
             if abs(step) < 1e-14 * max(abs(chi), 1e-12):
@@ -264,9 +264,10 @@ def self_consistent_epsilon(n0_scaled: float, detuning: float,
         chi = newton(chi_start, n0_scaled)
     else:
         chi = 0.0j
-        for n0s in np.linspace(n0_scaled / n_steps, n0_scaled, n_steps):
+        for n0s in np.linspace(n0_scaled / _HOMOTOPY_STEPS, n0_scaled,
+                               _HOMOTOPY_STEPS):
             guess = chi if abs(chi) > 0 else \
-                -0.75 * gamma * n0s / (detuning + 0.5j * gamma)
+                -0.75 * n0s / (detuning + 0.5j)
             chi = newton(guess, n0s)
     eps = 1.0 + 4.0 * math.pi * chi
     if eps.imag < -1e-9:
@@ -285,17 +286,16 @@ class SlabTransmission:
         return abs(self.amplitude) ** 2
 
 
-def slab_transmission(epsilon: complex, L: float,
-                      omega: float = 1.0) -> SlabTransmission:
+def slab_transmission(epsilon: complex, L: float) -> SlabTransmission:
     """Exact transmission amplitude of a homogeneous dielectric slab.
 
     T = 2 sqrt(eps) / (2 sqrt(eps) cos psi - i (1 + eps) sin psi) with
-    psi = L sqrt(eps) omega / c (principal branch).
+    psi = L sqrt(eps) k with k = 1 (principal branch).
     """
     if L < 0:
         raise ValueError("slab thickness must be non-negative")
     root = cmath.sqrt(epsilon)
-    psi = L * root * omega
+    psi = L * root
     denom = 2.0 * root * cmath.cos(psi) - 1j * (1.0 + epsilon) * cmath.sin(psi)
     return SlabTransmission(2.0 * root / denom)
 
@@ -304,14 +304,14 @@ def slab_transmission(epsilon: complex, L: float,
 # Random configurations and averaging.
 # ----------------------------------------------------------------------------
 
-def _respace(draw, n: int, max_tries: int = 200) -> np.ndarray:
+def _respace(draw, n: int) -> np.ndarray:
     pos = draw(n)
-    for _ in range(max_tries):
+    for _ in range(_RESPACE_TRIES):
         bad = np.nonzero(_nearest(pos) <= CONTACT_FLOOR)[0]
         if bad.size == 0:
             return pos
         pos[bad] = draw(bad.size)
-    raise RuntimeError("could not satisfy the contact floor; density too high")
+    raise ValueError("could not satisfy the contact floor; density too high")
 
 
 def random_ball_configuration(n: int, radius: float, rng: np.random.Generator,

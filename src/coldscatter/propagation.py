@@ -28,7 +28,7 @@ __all__ = [
     "track_branch",
 ]
 
-MIN_SEPARATION = 1.0  # default far-field validity radius, reduced wavelengths
+MIN_SEPARATION = 1.0  # far-field validity radius, reduced wavelengths
 
 
 class QuadratureError(ArithmeticError):
@@ -134,8 +134,7 @@ def amplitude_matrix(phi0: complex, phi: complex,
     ])
 
 
-def green_asymptote(r1, r2, X: np.ndarray, frame: np.ndarray,
-                    min_separation: float = MIN_SEPARATION) -> np.ndarray:
+def green_asymptote(r1, r2, X: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """Far-field Green's-function tensor -X e^{ikR}/R embedded in 3x3 form.
 
     ``frame`` holds the local (x, y, z) axes of the ray as rows; the 2x2
@@ -146,9 +145,9 @@ def green_asymptote(r1, r2, X: np.ndarray, frame: np.ndarray,
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
     R = float(np.linalg.norm(r2 - r1))
-    if R < min_separation:
+    if R < MIN_SEPARATION:
         raise ValueError(
-            f"separation {R} below far-field radius {min_separation}")
+            f"separation {R} below far-field radius {MIN_SEPARATION}")
     pref = -cmath.exp(1j * R) / R
     ex, ey = frame[0], frame[1]
     basis = np.array([ex, ey])
@@ -156,8 +155,8 @@ def green_asymptote(r1, r2, X: np.ndarray, frame: np.ndarray,
 
 
 def propagate_path(chi_sampler, start, direction, length: float,
-                   max_segment: float | None = None,
-                   rtol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+                   max_segment: float | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Compose the amplitude matrix along a straight path.
 
     ``chi_sampler`` maps a position to the lab-frame 3x3 susceptibility.
@@ -189,7 +188,7 @@ def propagate_path(chi_sampler, start, direction, length: float,
             tc = transverse_decompose(chi_sampler(pos), u, frame=frame)
             return tc.chi0, tc.chi_len
 
-        phi0, phi = phase_integrals(seg, sampler, rtol=rtol)
+        phi0, phi = phase_integrals(seg, sampler)
         X = amplitude_matrix(phi0, phi, director_components(tc_mid)) @ X
         s += step
     return X, frame

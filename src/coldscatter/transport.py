@@ -27,6 +27,9 @@ __all__ = [
     "continuity_residual",
 ]
 
+_DERIVATIVE_RTOL = 1e-6  # Richardson consistency of the dispersion slope
+_GRID_RTOL = 5e-3  # eigenvalue agreement with the half-resolution grid
+
 
 @dataclass(frozen=True)
 class DiffusionModel:
@@ -46,7 +49,7 @@ class DiffusionModel:
 
 
 def group_velocity(chi_real, omega: float, omega_bar: float,
-                   h: float = 1e-3, rtol: float = 1e-6) -> float:
+                   h: float = 1e-3) -> float:
     """Group speed v_g/c from the dispersion slope of Re(chi).
 
     1/v_g = 1/c [1 + 2 pi omega_bar dchi'/domega]; ``chi_real`` is a
@@ -62,7 +65,7 @@ def group_velocity(chi_real, omega: float, omega_bar: float,
     d2 = central(h / 2)
     richardson = (4.0 * d2 - d1) / 3.0
     scale = max(abs(richardson), abs(d1), 1e-30)
-    if abs(d2 - d1) > max(rtol * scale, 1e3 * np.finfo(float).eps):
+    if abs(d2 - d1) > max(_DERIVATIVE_RTOL * scale, 1e3 * np.finfo(float).eps):
         # disagreement beyond the h^2 error model: unstable sampling
         if abs(d2 - d1) > 0.5 * scale:
             raise ArithmeticError(
@@ -149,8 +152,7 @@ def _sphere_matrix(model: DiffusionModel, n: int, boundary: str):
 
 
 def solve_gain_diffusion_sphere(model: DiffusionModel, n_grid: int = 400,
-                                boundary: str = "absorbing",
-                                conv_rtol: float = 5e-3) -> GainMode:
+                                boundary: str = "absorbing") -> GainMode:
     """Dominant mode of dW/dt = D Lap W + (v/l_g - v(1-a)/l0) W on a sphere.
 
     Radial finite differences on u = r W with the regularity condition at
@@ -164,7 +166,7 @@ def solve_gain_diffusion_sphere(model: DiffusionModel, n_grid: int = 400,
     A2, _ = _sphere_matrix(model, n_grid // 2, boundary)
     lam2, _ = _dominant_eigenpair(A2)
     scale = max(abs(lam), model.v_bar / model.l0_bar)
-    if abs(lam - lam2) > conv_rtol * scale:
+    if abs(lam - lam2) > _GRID_RTOL * scale:
         raise ArithmeticError(
             f"gain-diffusion eigenvalue not grid-converged: {lam2} at "
             f"n={n_grid // 2} vs {lam} at n={n_grid}")

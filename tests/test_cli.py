@@ -118,6 +118,18 @@ def test_cbs_cone_on_rb85_fails_without_output(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_contact_floor_failure_is_a_numeric_error(tmp_path, capsys):
+    p = tmp_path / "c.ini"
+    p.write_text("[run]\nscenario = coupled-dipole-spectrum\n"
+                 "[dipole]\nn_atoms = 400\nradius = 0.3\n")
+    assert cli.main(["run", str(p), "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [coupled-dipole-spectrum]: ")
+    assert "contact floor" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_run_scenario_protocol_rows():
     record = run_scenario(cf.parse_text(MINIMAL))
     assert record.complete

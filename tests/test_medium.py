@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from coldscatter.angular import HalfInt, Level, LevelScheme
+from coldscatter.angular import (HalfInt, Level, LevelScheme,
+                                 dipole_matrix_element, spherical_unit_vectors)
 from coldscatter import medium as md
 
 
@@ -59,15 +60,94 @@ def test_susceptibility_isotropic_for_isotropic_population():
 
 
 def test_scattering_quadrature_matches_closed_form():
-    # integral of |P_perp A e|^2 over directions equals (8 pi/3)|A e|^2
+    # kinetic_lengths' closed-form sigma_sc equals the angular integral of
+    # sum_m' |P_perp alpha e|^2, averaged over e = x, y and the populations
     sch = LevelScheme.rb85_d2()
-    rng = np.random.default_rng(0)
-    A = md.scattering_tensor(sch, None, 3, 3, 0.5)
-    e = rng.normal(size=3) + 1j * rng.normal(size=3)
-    e /= np.linalg.norm(e)
-    closed = (8 * math.pi / 3) * np.vdot(A @ e, A @ e).real
-    quad = md._sigma_sc_quadrature({0: A}, e, 16)
-    assert quad == pytest.approx(closed, rel=1e-12)
+    g = md.GroundState.isotropic(sch, 6, n0=0.01)
+    omega = 0.5
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    phis = 2 * math.pi * np.arange(32) / 32
+    st = np.sqrt(1 - nodes ** 2)
+    dirs = np.stack([np.outer(st, np.cos(phis)).ravel(),
+                     np.outer(st, np.sin(phis)).ravel(),
+                     np.repeat(nodes, 32)], axis=1)
+    w = np.repeat(weights, 32) * (2 * math.pi / 32)
+    quad = 0.0
+    for m, p in enumerate(np.diag(g.rho)):
+        if p == 0:
+            continue
+        for A in md.scattering_tensors(sch, None, m, omega).values():
+            for e in np.eye(3)[:2]:
+                v = A @ e
+                dens = np.vdot(v, v).real - np.abs(dirs @ v) ** 2
+                quad += 0.5 * p * np.sum(w * dens)
+    kl = md.kinetic_lengths(sch, g, None, omega)
+    assert kl.sigma_sc == pytest.approx(quad, rel=1e-12)
+
+
+def _tensor_oracle(sch, ctrl, m_out, m_in, omega):
+    """alpha^{(m' m)} by an explicit loop over excited sublevels n, n'."""
+    exc = sch.excited_sublevels()
+    gnd = sch.ground_sublevels()
+    eq = spherical_unit_vectors()
+    G = md.excited_green(sch, ctrl, omega + sch.ground_energy(gnd[m_in][0]))
+    tF0p, tM0p = gnd[m_out]
+    tF0, tM0 = gnd[m_in]
+    alpha = np.zeros((3, 3), dtype=complex)
+    for n, (tF, tM) in enumerate(exc):
+        for n2, (tF2, tM2) in enumerate(exc):
+            if G[n, n2] == 0:
+                continue
+            for iq, q in enumerate((-1, 0, 1)):
+                dq = dipole_matrix_element(sch, tF / 2, tM / 2, tF0p / 2,
+                                           tM0p / 2, q)
+                for ip, p in enumerate((-1, 0, 1)):
+                    dp = dipole_matrix_element(sch, tF2 / 2, tM2 / 2,
+                                               tF0 / 2, tM0 / 2, p)
+                    alpha -= dq * G[n, n2] * dp * np.outer(eq[iq].conj(),
+                                                           eq[ip])
+    return alpha
+
+
+@pytest.mark.parametrize("dressed", [False, True])
+def test_scattering_tensors_match_explicit_sum(dressed):
+    if dressed:  # Lambda scheme with a control field on the upper level
+        sch = lambda_scheme()
+        ctrl = md.ControlField(rabi=1.3, omega_c=-sch.ground_energy(4) + 0.2,
+                               twice_F0=4, twice_F_ref=2, polarization_q=1)
+    else:
+        sch, ctrl = LevelScheme.rb87_d2(), None
+    n = len(sch.ground_sublevels())
+    for omega in (-0.7, 0.4):
+        for m in range(n):
+            tensors = md.scattering_tensors(sch, ctrl, m, omega)
+            assert sorted(tensors) == list(range(n))
+            for mp in range(n):
+                expect = _tensor_oracle(sch, ctrl, mp, m, omega)
+                assert np.max(np.abs(tensors[mp] - expect)) < 1e-13
+                single = md.scattering_tensor(sch, ctrl, mp, m, omega)
+                assert np.array_equal(single, tensors[mp])
+
+
+def test_susceptibility_is_population_weighted_tensor_sum():
+    # a non-isotropic rho with a Zeeman coherence in the upper rb87 level
+    sch = LevelScheme.rb87_d2()
+    gnd = sch.ground_sublevels()
+    i, j = gnd.index((4, -2)), gnd.index((4, 2))
+    k = gnd.index((2, 0))
+    rho = np.zeros((len(gnd), len(gnd)), dtype=complex)
+    rho[i, i], rho[j, j], rho[k, k] = 0.5, 0.3, 0.2
+    rho[i, j] = 0.1 + 0.2j
+    rho[j, i] = np.conj(rho[i, j])
+    g = md.GroundState(rho=rho, n0=0.03)
+    omega = 0.8
+    chi = md.susceptibility(sch, g, None, omega)
+    expect = np.zeros((3, 3), dtype=complex)
+    for mp, m in zip(*np.nonzero(rho)):
+        # alpha^{(m m')}; E_m = E_m' on every nonzero entry of this rho
+        expect += rho[mp, m] * _tensor_oracle(sch, None, m, mp, omega)
+    assert np.max(np.abs(chi - 0.03 * expect)) < 1e-15
+    assert np.max(np.abs(chi - chi[0, 0] * np.eye(3))) > 1e-6
 
 
 def test_optical_theorem_off_resonance():
