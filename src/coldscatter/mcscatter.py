@@ -8,9 +8,12 @@ and an optional stimulated-gain weight with an instability diagnostic.
 
 Free paths use the closed-form chord optical depth of the Gaussian cloud
 (error-function profile) inverted exactly, so no step-size bias enters.
-Trajectories draw from counter-based RNG streams keyed by (seed, index)
-and accumulators merge in fixed chunk order, making results bit-identical
-for any worker count.
+All trajectories of a chunk advance together as arrays, one scattering
+order per step.  Every draw comes from a counter-based Philox stream keyed
+by (seed, trajectory index) with one counter per (order, slot, retry), so
+a trajectory does not depend on the chunk it runs in, and accumulators
+merge in fixed chunk order, making results bit-identical for any worker
+count.
 
 Units: gamma = 1, k = 1, lengths in reduced wavelengths.
 """
@@ -86,99 +89,230 @@ class Cloud:
         return math.sqrt(2.0 * math.pi) * self.n0 * s * self.r0
 
 
-def _chord(cloud: Cloud, p, u, sigma: float):
+# ----------------------------------------------------------------------------
+# Counter-based random stream.
+# ----------------------------------------------------------------------------
+
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_SHIFT11 = np.uint64(11)
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157],
+                     dtype=np.uint64)
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
+                     dtype=np.uint64)
+_PHILOX_ROUNDS = 10
+
+# Draw slots of one order; each (order, slot, retry) owns one Philox counter
+# and so four uniforms.  Order 0 is the source: the beam entry (slot 0, one
+# retry per rejected impact point) or the volume source (slots 0 and 1).
+_SLOT_EVENT = 0    # order >= 1: sublevel, free path, channel
+_SLOT_SCATTER = 1  # one retry per direction try: direction (2), acceptance
+
+
+def _philox(key: np.ndarray, ctr: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 (Salmon et al., SC'11) in numpy uint64 arithmetic.
+
+    ``key`` (2, ...) and ``ctr`` (4, ...) broadcast to the four output
+    words (4, ...) of each block; this is the block that
+    ``np.random.Philox(key=key, counter=ctr - 1).random_raw(4)`` returns.
+    The 64 x 64 -> 128-bit products are formed from 32-bit halves.
+    """
+    even, odd = ctr[0::2], ctr[1::2]
+    shape = (2,) + (1,) * (ctr.ndim - 1)
+    m, w = _PHILOX_M.reshape(shape), _PHILOX_W.reshape(shape)
+    m_lo, m_hi = m & _MASK32, m >> _SHIFT32
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key = key + w
+        # high word of even * m by 32-bit halves (Hacker's Delight mulhu);
+        # no partial sum exceeds 64 bits
+        x_lo = even & _MASK32
+        x_hi = even >> _SHIFT32
+        t = x_hi * m_lo + ((x_lo * m_lo) >> _SHIFT32)
+        t2 = x_lo * m_hi + (t & _MASK32)
+        hi = x_hi * m_hi + (t >> _SHIFT32) + (t2 >> _SHIFT32)
+        lo = even * m
+        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+    return np.stack([even[0], odd[0], even[1], odd[1]])
+
+
+class _Stream:
+    """Uniform draws of a stack of trajectories, keyed by (seed, index).
+
+    Row i of every draw belongs to trajectory ``trajectories[i]``; the
+    counter words are (order, slot, retry, 0).  A draw depends only on its
+    key and counter, never on which other rows are drawn with it.
+    """
+
+    def __init__(self, seed: int, trajectories):
+        self.seed = seed
+        self.trajectories = np.asarray(trajectories, dtype=np.uint64)
+
+    def __len__(self) -> int:
+        return len(self.trajectories)
+
+    def take(self, rows) -> "_Stream":
+        return _Stream(self.seed, self.trajectories[rows])
+
+    def uniforms(self, order: int, slot: int, retry=0,
+                 rows=None) -> np.ndarray:
+        """Four uniforms in (0, 1) per row, ((x >> 11) + 0.5) 2^-53 of the
+        block words: shape (4, n), or (4, n, k) for k retries given as an
+        array.  ``rows`` selects a subset."""
+        traj = self.trajectories if rows is None else self.trajectories[rows]
+        retry = np.asarray(retry, dtype=np.uint64)
+        key = np.empty((2, len(traj)) + (1,) * retry.ndim, dtype=np.uint64)
+        key[0] = self.seed
+        key[1] = traj.reshape(key.shape[1:])
+        ctr = np.zeros((4, 1) + retry.shape, dtype=np.uint64)
+        ctr[0], ctr[1], ctr[2] = order, slot, retry
+        return ((_philox(key, ctr) >> _SHIFT11) + 0.5) * 2.0 ** -53
+
+    def accepted(self, order: int, slot: int, accept) -> np.ndarray:
+        """Uniforms (4, n) of each row's first accepted try.
+
+        Try r of a row is the block (order, slot, r).  Tries run in blocks
+        of 2, 4, 8, ... retries, and only rows without an accepted try draw
+        the next block; ``accept(x, rows)`` maps the uniforms (4, k, c) of
+        the given rows to their (k, c) acceptance mask.
+        """
+        out = np.empty((4, len(self)))
+        pending = np.arange(len(self))
+        start, count = 0, 2
+        while pending.size:
+            x = self.uniforms(order, slot, np.arange(start, start + count),
+                              pending)
+            ok = accept(x, pending)
+            hit = np.nonzero(ok.any(axis=1))[0]
+            out[:, pending[hit]] = x[:, hit, ok[hit].argmax(axis=1)]
+            pending = np.delete(pending, hit)
+            start, count = start + count, 2 * count
+        return out
+
+
+def _normals(u1, u2):
+    """Box-Muller: two independent standard normals from two uniforms."""
+    r = np.sqrt(-2.0 * np.log(u1))
+    return r * np.cos(2.0 * math.pi * u2), r * np.sin(2.0 * math.pi * u2)
+
+
+def _isotropic(u1, u2) -> np.ndarray:
+    """Uniform unit directions (n, 3) from two uniforms per row."""
+    cos_t = 1.0 - 2.0 * u1
+    sin_t = 2.0 * np.sqrt(u1 * (1.0 - u1))
+    phi = 2.0 * math.pi * u2
+    return np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t],
+                    axis=-1)
+
+
+# ----------------------------------------------------------------------------
+# Gaussian chords and the samplers.
+# ----------------------------------------------------------------------------
+
+def _chord(cloud: Cloud, p, u, sigma):
     """Closest-approach coordinate t0 = p.u and prefactor C of the chord
     through p along u; the optical depth from p + a u to p + b u is
-    C [erf((t0 + b)/(sqrt2 r0)) - erf((t0 + a)/(sqrt2 r0))].  ``u`` is one
-    unit direction (3,) or a stack (n, 3), giving t0 and C of shape (n,)."""
+    C [erf((t0 + b)/(sqrt2 r0)) - erf((t0 + a)/(sqrt2 r0))].  Points p,
+    unit directions u (..., 3) and ``sigma`` broadcast against each other."""
     p = np.asarray(p, dtype=float)
     u = np.asarray(u, dtype=float)
-    t0 = u.dot(p)
-    rho2 = p.dot(p) - t0 * t0
-    # one direction keeps libm's exp, whose last bit numpy's vectorised exp
-    # does not always match: the free paths, and so the RNG-driven
-    # trajectories, stay bit-identical
-    exp = np.exp if u.ndim > 1 else math.exp
+    t0 = np.sum(p * u, axis=-1)
+    rho2 = np.sum(p * p, axis=-1) - t0 * t0
     C = cloud.n0 * sigma * _SQRT_HALF_PI * cloud.r0 \
-        * exp(-rho2 / (2.0 * cloud.r0 ** 2))
+        * np.exp(-rho2 / (2.0 * cloud.r0 ** 2))
     return t0, C
 
 
-def chord_depth(cloud: Cloud, p, u, sigma: float,
-                s: float | None = None) -> float | np.ndarray:
+def chord_depth(cloud: Cloud, p, u, sigma, s=None):
     """Optical depth from p along unit direction u over length s (None: to
-    infinity), using the closed-form Gaussian chord integral.  A stack of
-    directions u (n, 3) gives the n depths."""
+    infinity), using the closed-form Gaussian chord integral.  Points and
+    directions (..., 3) broadcast: one point and a stack of n directions
+    give n depths, a stack of points (n, 1, 3) and m directions (m, 3) an
+    (n, m) array."""
     t0, C = _chord(cloud, p, u, sigma)
     sr2 = _SQRT2 * cloud.r0
     upper = 1.0 if s is None else erf((t0 + s) / sr2)
     return C * (upper - erf(t0 / sr2))
 
 
-def sample_free_path(cloud: Cloud, p, u, sigma: float, rng) -> float | None:
-    """Exact free-path draw along the chord; None means escape."""
+def sample_free_path(cloud: Cloud, p, u, sigma, xi) -> np.ndarray:
+    """Exact free-path draws along the chords of walkers at p (n, 3) moving
+    along u (n, 3), one uniform ``xi`` (n,) each; escapes are +inf."""
     t0, C = _chord(cloud, p, u, sigma)
     sr2 = _SQRT2 * cloud.r0
-    tau = rng.exponential()
+    t0, C, tau = np.broadcast_arrays(t0, C, -np.log(xi))
     base = erf(t0 / sr2)
-    if tau >= C * (1.0 - base):
-        return None
-    return sr2 * erfinv(base + tau / C) - t0
+    hit = tau < C * (1.0 - base)
+    s = np.full(tau.shape, np.inf)
+    s[hit] = sr2 * erfinv(base[hit] + tau[hit] / C[hit]) - t0[hit]
+    return s
 
 
-def sample_entry(cloud: Cloud, sigma: float, rng):
-    """First interaction point of an incident plane wave along +z.
+def sample_entry(cloud: Cloud, sigma: float, stream: _Stream) -> np.ndarray:
+    """First interaction points (n, 3) of an incident plane wave along +z,
+    one per trajectory of ``stream``.
 
     The transverse impact point is drawn proportional to the chord depth b
     and accepted with probability (1 - e^{-b})/b, which together weight
-    entries by the interaction probability 1 - e^{-b}.  The interaction
-    depth along the accepted chord is then drawn from the truncated
-    exponential and inverted in closed form.
+    entries by the interaction probability 1 - e^{-b}; only rejected rows
+    draw again.  The interaction depth along the accepted chord is then
+    drawn from the truncated exponential and inverted in closed form.
     """
-    p = np.zeros(3)  # impact point (x, y, 0), refilled by every try
-    while True:
-        p[:2] = rng.normal(scale=cloud.r0, size=2)
-        _, C = _chord(cloud, p, _K_IN, sigma)
-        b = 2.0 * C
-        if b < 1e-300:
-            continue
-        if rng.random() < -math.expm1(-b) / b:
-            break
-    tau = -math.log1p(rng.random() * math.expm1(-b))
-    p[2] = _SQRT2 * cloud.r0 * erfinv(tau / C - 1.0)
+    def impact(x):  # (x, y, 0) from two normals
+        p = np.zeros(x.shape[1:] + (3,))
+        p[..., 0], p[..., 1] = _normals(x[0], x[1])
+        return cloud.r0 * p
+
+    def accept(x, rows):
+        b = 2.0 * _chord(cloud, impact(x), _K_IN, sigma)[1]
+        big = b >= 1e-300
+        return big & (x[2] * np.where(big, b, 1.0) < -np.expm1(-b))
+
+    x = stream.accepted(0, 0, accept)
+    p = impact(x)
+    _, C = _chord(cloud, p, _K_IN, sigma)
+    tau = -np.log1p(x[3] * np.expm1(-2.0 * C))
+    p[:, 2] = _SQRT2 * cloud.r0 * erfinv(tau / C - 1.0)
     return p
 
 
-def scatter_event(tensors: dict, e_in, rng):
-    """Sample the outgoing channel, direction and polarization of one event.
+def scatter_event(tensors: np.ndarray, e_in: np.ndarray, xi: np.ndarray,
+                  stream: _Stream, order: int):
+    """Sample the outgoing channel, direction and polarization of one event
+    for each walker of ``stream``.
 
-    ``tensors`` maps the outgoing ground-channel label to its 3x3
-    scattering tensor.  The channel is drawn proportional to its total
-    scattered power (8 pi/3)|A e|^2, the direction from the exact dipole
-    density |v|^2 - |n.v|^2 with v = A e by rejection, and the outgoing
-    polarization is the transverse projection of v.  Returns
-    ``(channel, direction, polarization, W_sc)`` where W_sc is the total
-    scattering cross section of this event, used for the albedo weight.
+    ``tensors`` (n, n_out, 3, 3) stacks each walker's scattering tensors
+    over the outgoing ground channels and ``e_in`` (n, 3) its polarization.
+    The channel is drawn with the uniform ``xi`` (n,) proportional to its
+    total scattered power (8 pi/3)|A e|^2, the direction from the exact
+    dipole density |v|^2 - |n.v|^2 with v = A e by rejection (only rejected
+    rows draw again), and the outgoing polarization is the transverse
+    projection of v.  Returns ``(channel, direction, polarization, W_sc)``
+    arrays, where W_sc is the total scattering cross section of each event,
+    used for the albedo weight.
     """
-    keys = list(tensors.keys())
-    vs = [tensors[k] @ e_in for k in keys]
-    powers = np.array([_EIGHT_PI_3 * float(np.vdot(v, v).real) for v in vs])
-    W_sc = float(powers.sum())
-    if len(keys) == 1:
-        idx = 0
+    vs = (tensors @ e_in[:, None, :, None])[..., 0]
+    powers = _EIGHT_PI_3 * np.sum(vs.real ** 2 + vs.imag ** 2, axis=-1)
+    W_sc = powers.sum(axis=1)
+    n, n_out = powers.shape
+    if n_out == 1:
+        channel = np.zeros(n, dtype=np.intp)
     else:
-        idx = rng.choice(len(keys), p=powers / W_sc)
-    v = vs[idx]
-    v2 = float(np.vdot(v, v).real)
-    while True:
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n)
-        proj = abs(np.vdot(n, v)) ** 2
-        if rng.random() * v2 < v2 - proj:
-            break
-    e_out = v - n * (n @ v)
-    e_out = e_out / np.linalg.norm(e_out)
-    return keys[idx], n, e_out, W_sc
+        cum = np.cumsum(powers, axis=1)
+        channel = np.minimum(
+            np.sum(cum <= xi[:, None] * cum[:, -1:], axis=1), n_out - 1)
+    v = vs[np.arange(n), channel]
+    v2 = np.sum(v.real ** 2 + v.imag ** 2, axis=-1)
+
+    def accept(x, rows):
+        proj = np.abs(np.sum(_isotropic(x[0], x[1]) * v[rows, None], -1)) ** 2
+        return x[2] * v2[rows, None] < v2[rows, None] - proj
+
+    x = stream.accepted(order, _SLOT_SCATTER, accept)
+    dirs = _isotropic(x[0], x[1])
+    e_out = v - dirs * np.sum(dirs * v, axis=-1)[:, None]
+    e_out /= np.linalg.norm(e_out, axis=-1)[:, None]
+    return channel, dirs, e_out, W_sc
 
 
 def _transverse_projector(u) -> np.ndarray:
@@ -284,41 +418,77 @@ class CbsResult:
 # ----------------------------------------------------------------------------
 
 class _MediumTables:
-    """Caches sigma_ex(omega) and scattering tensors per (m, omega)."""
+    """Extinction per frequency and scattering-tensor stacks per
+    (frequency, sublevel), addressed by frequency id and filled on first
+    use."""
 
     def __init__(self, cloud: Cloud):
         self.cloud = cloud
-        self._sigma = {}
-        self._tensors = {}
+        scheme = cloud.scheme
+        self.n_ground = n = len(scheme.ground_sublevels())
+        # shifts[m', m]: Raman shift omega' - omega of the channel m -> m'
+        self.shifts = np.array([[raman_shift(scheme, mp, m)
+                                 for m in range(n)] for mp in range(n)])
         self.populations = np.diag(cloud.ground.rho).real
         self._pop_idx = np.nonzero(self.populations > 0)[0]
-        self._pop_p = self.populations[self._pop_idx]
+        self._pop_cum = np.cumsum(self.populations[self._pop_idx])
+        self.omegas = []          # frequency id -> omega
+        self.sigma = np.empty(0)  # frequency id -> unit-density sigma_ex
+        self._ids = {}
+        self._channels = {}       # f * n_ground + m -> (stack, out ids)
 
-    def sigma_ex(self, omega: float) -> float:
-        val = self._sigma.get(omega)
-        if val is None:
+    def freq_ids(self, omegas) -> np.ndarray:
+        """Frequency ids of ``omegas``, registering new frequencies."""
+        uniq, inv = np.unique(omegas, return_inverse=True)
+        return np.array([self._freq_id(w) for w in uniq])[inv]
+
+    def _freq_id(self, omega: float) -> int:
+        omega = float(omega)
+        f = self._ids.get(omega)
+        if f is None:
             val = extinction_cross_section(self.cloud.scheme,
                                            self.cloud.ground,
                                            self.cloud.control, omega)
             if val <= 0:
                 raise ArithmeticError(
                     f"non-positive extinction at omega={omega}")
-            self._sigma[omega] = val
-        return val
+            f = self._ids[omega] = len(self.omegas)
+            self.omegas.append(omega)
+            self.sigma = np.append(self.sigma, val)
+        return f
 
-    def tensors(self, m: int, omega: float) -> dict:
-        key = (m, omega)
-        val = self._tensors.get(key)
-        if val is None:
-            val = scattering_tensors(self.cloud.scheme, self.cloud.control,
-                                     m, omega)
-            self._tensors[key] = val
-        return val
-
-    def sample_sublevel(self, rng) -> int:
+    def sublevels(self, xi) -> np.ndarray:
+        """Ground sublevels drawn from the populations, one uniform each."""
         if len(self._pop_idx) == 1:
-            return int(self._pop_idx[0])
-        return int(rng.choice(self._pop_idx, p=self._pop_p))
+            return np.full(len(xi), self._pop_idx[0])
+        k = np.searchsorted(self._pop_cum, xi * self._pop_cum[-1], "right")
+        return self._pop_idx[np.minimum(k, len(self._pop_idx) - 1)]
+
+    def channels(self, f, m):
+        """Tensor stacks (n, n_ground, 3, 3) of every outgoing channel of the
+        walkers at frequency ids f in sublevels m, and the frequency ids
+        (n, n_ground) each channel scatters into."""
+        keys = f * self.n_ground + m
+        if np.all(keys == keys[0]):
+            stack, out = self._channel(int(keys[0]))
+            n = len(keys)
+            return (np.broadcast_to(stack, (n,) + stack.shape),
+                    np.broadcast_to(out, (n,) + out.shape))
+        uniq, inv = np.unique(keys, return_inverse=True)
+        stacks, outs = zip(*(self._channel(int(k)) for k in uniq))
+        return np.stack(stacks)[inv], np.stack(outs)[inv]
+
+    def _channel(self, key: int):
+        val = self._channels.get(key)
+        if val is None:
+            f, m = divmod(key, self.n_ground)
+            omega = self.omegas[f]
+            tensors = scattering_tensors(self.cloud.scheme,
+                                         self.cloud.control, m, omega)
+            stack = np.array([tensors[mp] for mp in range(self.n_ground)])
+            val = self._channels[key] = (
+                stack, self.freq_ids(omega + self.shifts[:, m]))
+        return val
 
 
 # ----------------------------------------------------------------------------
@@ -327,130 +497,137 @@ class _MediumTables:
 
 def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
                lo: int, hi: int):
+    """Advance the trajectories [lo, hi) together, one order per step.
+
+    Each step does next-event estimation toward every detector, the crossed
+    bookkeeping, the scattering event and the free path for all live
+    walkers; escaped and truncated walkers are then compacted out.  Walker
+    state is kept as arrays over the live rows, and ``rows`` maps them back
+    to their trajectory rows for the per-trajectory sums of squares.
+    """
     tab = _MediumTables(cloud)
-    n_ground = len(cloud.scheme.ground_sublevels())
-    # shifts[m'][m]: Raman shift omega' - omega of the channel m -> m'
-    shifts = [[raman_shift(cloud.scheme, mp, m) for m in range(n_ground)]
-              for mp in range(n_ground)]
     n_det = len(detectors)
     det_dirs = np.array([d.direction for d in detectors])
-    det_pols_c = np.conj(np.array([d.polarization for d in detectors]))
+    det_pols_h = np.conj(np.array([d.polarization for d in detectors])).T
     e_in0 = np.asarray(params.e_in, dtype=complex)
-    k_sum = _K_IN + det_dirs  # rows k_in + k_out for the interference phase
+    k_sum = (_K_IN + det_dirs).T  # columns k_in + k_out: interference phase
+    crossed_on = params.include_crossed
 
     ladder = np.zeros((n_det, params.max_order + 1))
     crossed = np.zeros((n_det, params.max_order + 1))
-    ladder_tot_sq = np.zeros(n_det)   # per-trajectory sum of squares
-    crossed_tot_sq = np.zeros(n_det)
+    traj_l = np.zeros((hi - lo, n_det))  # per-trajectory totals
+    traj_c = np.zeros((hi - lo, n_det))
     escaped = 0.0
     truncated_w = 0.0
     n_trunc = 0
 
-    for idx in range(lo, hi):
-        rng = np.random.Generator(np.random.Philox(key=[params.seed, idx]))
-        omega = params.detuning
-        sigma = tab.sigma_ex(omega)
-        if params.source == "beam":
-            p = sample_entry(cloud, sigma, rng)
-            u = _K_IN.copy()
-            e = e_in0.copy()
-        elif params.source == "volume":
-            p = rng.normal(scale=cloud.r0, size=3)
-            u = rng.normal(size=3)
-            u /= np.linalg.norm(u)
-            phi = 2.0 * math.pi * rng.random()
-            frame = _transverse_projector(u)
-            ref = frame @ (np.array([1.0, 0, 0]) if abs(u[0]) < 0.9
-                           else np.array([0, 1.0, 0]))
-            ref /= np.linalg.norm(ref)
-            e = math.cos(phi) * ref + math.sin(phi) * np.cross(u, ref)
-            e = e.astype(complex)
-            s0 = sample_free_path(cloud, p, u, sigma, rng)
-            if s0 is None:
-                escaped += 1.0
-                continue
-            p = p + s0 * u
-        else:
-            raise ValueError(f"unknown source {params.source!r}")
+    stream = _Stream(params.seed, np.arange(lo, hi))
+    rows = np.arange(hi - lo)
+    f0 = tab.freq_ids([params.detuning])[0]
+    sigma0 = tab.sigma[f0]
+    if params.source == "beam":
+        p = sample_entry(cloud, sigma0, stream)
+        e = np.broadcast_to(e_in0, p.shape)
+    elif params.source == "volume":
+        x = stream.uniforms(0, 0)
+        p = cloud.r0 * np.stack(_normals(x[0], x[1])
+                                + _normals(x[2], x[3])[:1], axis=-1)
+        x = stream.uniforms(0, 1)
+        u = _isotropic(x[0], x[1])
+        ref = np.where(np.abs(u[:, :1]) < 0.9, [1.0, 0.0, 0.0],
+                       [0.0, 1.0, 0.0])
+        ref -= u * np.sum(u * ref, axis=-1)[:, None]
+        ref /= np.linalg.norm(ref, axis=-1)[:, None]
+        phi = 2.0 * math.pi * x[2][:, None]
+        e = (np.cos(phi) * ref + np.sin(phi) * np.cross(u, ref)) \
+            .astype(complex)
+        s0 = sample_free_path(cloud, p, u, sigma0, x[3])
+        live = np.isfinite(s0)
+        escaped += float(np.count_nonzero(~live))
+        p = p[live] + s0[live, None] * u[live]
+        e, rows, stream = e[live], rows[live], stream.take(live)
+    else:
+        raise ValueError(f"unknown source {params.source!r}")
 
-        w = 1.0
-        traj_l = np.zeros(n_det)
-        traj_c = np.zeros(n_det)
-        M_dir = np.eye(3, dtype=complex)    # product up to previous vertex
-        M_revpre = np.eye(3, dtype=complex)
-        r_first = p.copy()
-        tau_in_first = chord_depth(cloud, r_first, -_K_IN, sigma)
-        tau_out_first = None
-        order = 0
-        while True:
-            order += 1
-            m = tab.sample_sublevel(rng)
-            tensors = tab.tensors(m, omega)
+    n = len(rows)
+    w = np.ones(n)
+    f = np.full(n, f0)
+    sigma = tab.sigma[f]
+    if crossed_on:
+        M_dir = np.broadcast_to(np.eye(3, dtype=complex), (n, 3, 3))
+        M_revpre = M_dir  # products up to the previous vertex
+        r_first = p
+        tau_in_first = chord_depth(cloud, p, -_K_IN, sigma)[:, None]
+    order = 0
+    while len(rows):
+        order += 1
+        n = len(rows)
+        ix = np.arange(n)
+        x = stream.uniforms(order, _SLOT_EVENT)
+        m = tab.sublevels(x[0])
+        tensors, out_f = tab.channels(f, m)
 
-            # next-event estimation toward every detector
-            depths = chord_depth(cloud, p, det_dirs, sigma)
-            nee = np.zeros(n_det)
-            for mp, A in tensors.items():
-                amp = det_pols_c @ (A @ e)
-                shift = shifts[mp][m]
-                if shift == 0.0:
-                    d_out = depths
-                else:
-                    d_out = chord_depth(cloud, p, det_dirs,
-                                        tab.sigma_ex(omega - shift))
-                nee += np.abs(amp) ** 2 * np.exp(-d_out)
-            contrib = w * nee
-            ladder[:, order] += contrib
-            traj_l += contrib
+        # next-event estimation toward every detector; the chord depth is
+        # linear in sigma, so one unit-sigma depth serves every channel
+        depth1 = chord_depth(cloud, p[:, None, :], det_dirs, 1.0)
+        amp = (tensors @ e[:, None, :, None])[..., 0] @ det_pols_h
+        att = np.exp(-tab.sigma[out_f][:, :, None] * depth1[:, None, :])
+        contrib = w[:, None] * np.sum(
+            (amp.real ** 2 + amp.imag ** 2) * att, axis=1)
+        ladder[:, order] += contrib.sum(axis=0)
+        traj_l[rows] += contrib
 
-            if params.include_crossed and order >= 2:
-                A = tensors[m]  # the one ground sublevel: elastic vertex
+        if crossed_on:
+            depths = sigma[:, None] * depth1
+            if order == 1:
+                tau_out_first = depths
+            else:
+                A = tensors[:, 0]  # the one ground sublevel: elastic vertex
                 chain_in = M_dir @ e_in0
-                amp_dir = det_pols_c @ (A @ chain_in)
-                amp_rev = (det_pols_c @ (M_revpre @ A)) @ e_in0
-                dphi = k_sum @ (p - r_first)
-                tau_in_here = chord_depth(cloud, p, -_K_IN, sigma)
+                amp_dir = (A @ chain_in[..., None])[..., 0] @ det_pols_h
+                amp_rev = (M_revpre @ (A @ e_in0)[..., None])[..., 0] \
+                    @ det_pols_h
+                dphi = (p - r_first) @ k_sum
+                tau_in_here = chord_depth(cloud, p, -_K_IN, sigma)[:, None]
                 att = np.exp(-0.5 * (tau_in_here + tau_out_first
                                      - tau_in_first - depths))
                 ratio = (amp_dir * np.conj(amp_rev)
                          * np.exp(1j * dphi)).real * att
-                denom = np.abs(amp_dir) ** 2
+                denom = amp_dir.real ** 2 + amp_dir.imag ** 2
                 ok = denom > 1e-300
-                cc = np.zeros(n_det)
-                cc[ok] = contrib[ok] * ratio[ok] / denom[ok]
-                crossed[:, order] += cc
-                traj_c += cc
+                cc = np.where(ok, contrib * ratio / np.where(ok, denom, 1.0),
+                              0.0)
+                crossed[:, order] += cc.sum(axis=0)
+                traj_c[rows] += cc
 
-            # continue the chain
-            mp, u_new, e_new, W_sc = scatter_event(tensors, e, rng)
-            if order == 1:
-                tau_out_first = chord_depth(cloud, r_first, det_dirs, sigma)
-            w *= (W_sc + params.extra_gain_sigma) / sigma
-            shift = shifts[mp][m]
-            if shift != 0.0:
-                omega = omega - shift
-                sigma = tab.sigma_ex(omega)
-            if params.include_crossed:
-                A = tensors[mp]
-                P = _transverse_projector(u_new)
-                M_dir = P @ A @ M_dir
-                M_revpre = M_revpre @ A @ P
-            e = e_new
-            u = u_new
-            s = sample_free_path(cloud, p, u, sigma, rng)
-            if s is None:
-                escaped += w
-                break
-            p = p + s * u
-            if order >= params.max_order or not math.isfinite(w):
-                truncated_w += w
-                n_trunc += 1
-                break
-        ladder_tot_sq += traj_l ** 2
-        crossed_tot_sq += traj_c ** 2
+        # continue the chain
+        mp, u, e, W_sc = scatter_event(tensors, e, x[2], stream, order)
+        w = w * (W_sc + params.extra_gain_sigma) / sigma
+        f = out_f[ix, mp]
+        sigma = tab.sigma[f]
+        if crossed_on:
+            A = tensors[ix, mp]
+            AM = A @ M_dir  # M_dir <- P A M_dir, P = 1 - u u^T
+            M_dir = AM - u[:, :, None] * (u[:, None, :] @ AM)
+            MA = M_revpre @ A  # M_revpre <- M_revpre A P
+            M_revpre = MA - (MA @ u[:, :, None]) * u[:, None, :]
+        s = sample_free_path(cloud, p, u, sigma, x[1])
+        gone = np.isinf(s)
+        escaped += float(w[gone].sum())
+        trunc = ~gone & ((order >= params.max_order) | ~np.isfinite(w))
+        truncated_w += float(w[trunc].sum())
+        n_trunc += int(np.count_nonzero(trunc))
+        keep = ~(gone | trunc)
+        p = p[keep] + s[keep, None] * u[keep]
+        e, w, f, sigma = e[keep], w[keep], f[keep], sigma[keep]
+        rows, stream = rows[keep], stream.take(keep)
+        if crossed_on:
+            M_dir, M_revpre = M_dir[keep], M_revpre[keep]
+            r_first, tau_in_first = r_first[keep], tau_in_first[keep]
+            tau_out_first = tau_out_first[keep]
 
-    return (ladder, crossed, ladder_tot_sq, crossed_tot_sq, escaped,
-            truncated_w, n_trunc)
+    return (ladder, crossed, np.sum(traj_l ** 2, axis=0),
+            np.sum(traj_c ** 2, axis=0), escaped, truncated_w, n_trunc)
 
 
 def _chunk_worker(args):
@@ -461,13 +638,20 @@ def simulate_ladder(cloud: Cloud, detectors: list[Detector],
                     params: MCParams, n_workers: int = 1) -> LadderResult:
     """Run the order-resolved ladder (and optional crossed) accumulation.
 
-    Trajectory RNG streams depend only on (seed, trajectory index) and
-    chunk results merge in fixed order, so the output is bit-identical
-    for any ``n_workers``.  ``extra_gain_sigma`` adds a stimulated-gain
-    albedo excess; the ``unstable`` flag reports a growing order-resolved
-    tail.  The crossed term is implemented for a non-degenerate ground
-    state only; ``include_crossed`` on any other scheme raises ValueError.
+    Every draw is keyed by (seed, trajectory index), so a trajectory does
+    not depend on ``n_workers`` or ``chunk_size``; chunk results merge in
+    fixed order, so the output is bit-identical for any ``n_workers``.
+    ``extra_gain_sigma`` adds a stimulated-gain albedo excess; the
+    ``unstable`` flag reports a growing order-resolved tail.  The crossed
+    term is implemented for a non-degenerate ground state only;
+    ``include_crossed`` on any other scheme raises ValueError.  Free paths
+    use the +z extinction in every direction, which holds only in an
+    isotropic medium, so a cloud with a control field raises ValueError.
     """
+    if cloud.control is not None:
+        raise ValueError(
+            "the Monte-Carlo transport assumes an isotropic medium; a "
+            "control field makes the extinction depend on direction")
     n_ground = len(cloud.scheme.ground_sublevels())
     if params.include_crossed and n_ground > 1:
         raise ValueError(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,42 +117,54 @@ class GroundState:
 # Dressed excited-state propagator.
 # ----------------------------------------------------------------------------
 
-def _block_green(scheme: LevelScheme, control: ControlField | None,
-                 E: complex, excited_idx: list[int]) -> np.ndarray:
-    """G over one same-M excited block, rank-1 control self-energy."""
+@lru_cache(maxsize=32)
+def _excited_levels(scheme: LevelScheme):
+    """Read-only excited-sublevel energies and the same-M blocks as
+    ``(twice_M, indices)`` pairs in increasing M."""
     exc = scheme.excited_sublevels()
-    gamma = scheme.gamma
-    diag = np.array([E - scheme.excited_energy(exc[i][0]) + 0.5j * gamma
-                     for i in excited_idx], dtype=complex)
-    a_inv = 1.0 / diag
+    energies = np.array([scheme.excited_energy(tf) for tf, _ in exc])
+    energies.flags.writeable = False
+    blocks = tuple((tM, tuple(i for i, (_, tm) in enumerate(exc) if tm == tM))
+                   for tM in sorted({tm for _, tm in exc}))
+    return energies, blocks
 
+
+@lru_cache(maxsize=32)
+def _dressed_blocks(scheme: LevelScheme, control: ControlField | None):
+    """``(indices, v)`` of every same-M excited block the control couples,
+    with its read-only coupling vector v; blocks without a ground partner
+    M - q in the control's level, or with v = 0, stay undressed."""
     if control is None or control.rabi == 0.0:
-        return np.diag(a_inv)
-
-    tM = exc[excited_idx[0]][1]
-    tM0 = tM - 2 * control.polarization_q
+        return ()
     gnd = scheme.ground_sublevels()
-    try:
-        ig = gnd.index((control.twice_F0, tM0))
-    except ValueError:
-        return np.diag(a_inv)  # no coupled ground sublevel: block undressed
+    dressed = []
+    for tM, idx in _excited_levels(scheme)[1]:
+        partner = (control.twice_F0, tM - 2 * control.polarization_q)
+        if partner not in gnd:
+            continue
+        v = control.coupling_vector(scheme, list(idx), gnd.index(partner))
+        if np.any(v):
+            v = v.astype(complex)
+            v.flags.writeable = False
+            dressed.append((list(idx), v))
+    return tuple(dressed)
 
-    v = control.coupling_vector(scheme, excited_idx, ig).astype(complex)
-    if not np.any(v):
-        return np.diag(a_inv)
 
+def _block_green(scheme: LevelScheme, control: ControlField, E: complex,
+                 a_inv: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """G over one dressed same-M block from its undressed inverse diagonal
+    a_inv and its coupling vector v: the rank-1 control self-energy."""
     delta2 = E - control.omega_c - scheme.ground_energy(control.twice_F0)
     # (A - v v^H / delta2)^{-1} by Sherman-Morrison; the closed form below
     # is continuous at the two-photon resonance delta2 = 0.
     u = a_inv * v
     vAv = np.vdot(v, u)  # v^H A^{-1} v
     denom = delta2 - vAv
-    scale = max(abs(delta2), abs(vAv), gamma)
+    scale = max(abs(delta2), abs(vAv), scheme.gamma)
     if abs(denom) < 1e-12 * scale:
         raise PoleProximityError(
             "dressed propagator pole at E=%r" % (E,), abs(denom) / scale)
-    G = np.diag(a_inv) + np.outer(u, a_inv * v.conj()) / denom
-    return G
+    return np.diag(a_inv) + np.outer(u, a_inv * v.conj()) / denom
 
 
 def dressed_propagator_block(scheme: LevelScheme, control: ControlField | None,
@@ -162,21 +175,23 @@ def dressed_propagator_block(scheme: LevelScheme, control: ControlField | None,
     :meth:`LevelScheme.excited_sublevels` and ``G`` solves
     ``[(E - E_n + i gamma/2) delta - V V*/(E - omega_c - E_m')] G = 1``.
     """
-    exc = scheme.excited_sublevels()
-    idx = [i for i, (_, tm) in enumerate(exc) if tm == twice_M]
-    if not idx:
+    idx = dict(_excited_levels(scheme)[1]).get(twice_M)
+    if idx is None:
         raise ValueError(f"no excited sublevels with M = {twice_M / 2}")
-    return idx, _block_green(scheme, control, E, idx)
+    idx = list(idx)
+    return idx, excited_green(scheme, control, E)[np.ix_(idx, idx)]
 
 
 def excited_green(scheme: LevelScheme, control: ControlField | None,
                   E: complex) -> np.ndarray:
-    """Full excited-manifold Green's function (block-diagonal in M)."""
-    exc = scheme.excited_sublevels()
-    G = np.zeros((len(exc), len(exc)), dtype=complex)
-    for tM in sorted({tm for _, tm in exc}):
-        idx, g = dressed_propagator_block(scheme, control, E, tM)
-        G[np.ix_(idx, idx)] = g
+    """Full excited-manifold Green's function (block-diagonal in M): the
+    undressed diagonal 1/(E - E_n + i gamma/2), with the blocks the control
+    couples replaced by their dressed inverses."""
+    energies, _ = _excited_levels(scheme)
+    a_inv = 1.0 / (E - energies + 0.5j * scheme.gamma)
+    G = np.diag(a_inv)
+    for idx, v in _dressed_blocks(scheme, control):
+        G[np.ix_(idx, idx)] = _block_green(scheme, control, E, a_inv[idx], v)
     return G
 
 

@@ -1,12 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
+from scipy.special import exp1
 from scipy.stats import kstest
 
-from coldscatter.angular import LevelScheme
-from coldscatter.medium import GroundState, kinetic_lengths
+from coldscatter.angular import HalfInt, Level, LevelScheme
+from coldscatter.medium import (ControlField, GroundState,
+                                extinction_cross_section, kinetic_lengths,
+                                raman_shift, scattering_tensors)
 from coldscatter import mcscatter as mc
 
 
@@ -14,6 +18,31 @@ def two_level_cloud(b0=5.0, r0=8.0):
     sch = LevelScheme.simple()
     n0 = b0 / (math.sqrt(2 * math.pi) * 6 * math.pi * r0)
     return mc.Cloud(scheme=sch, n0=n0, r0=r0)
+
+
+@pytest.mark.parametrize("key", [(0, 0), (10, 3999), (2 ** 64 - 1, 12345),
+                                 (123456789, 2 ** 63 + 7)])
+def test_philox_matches_numpy_bit_for_bit(key):
+    counters = [(0, 0, 0, 0), (1, 0, 0, 0), (7, 3, 2, 0),
+                (2 ** 64 - 1, 0, 0, 0), (2 ** 64 - 1, 2 ** 64 - 1, 5, 9),
+                (11, 22, 33, 2 ** 64 - 1)]
+    for c in counters:
+        # numpy's generator steps its counter by one before each block
+        c_int = sum(w << (64 * i) for i, w in enumerate(c))
+        ref = np.random.Philox(key=np.array(key, dtype=np.uint64),
+                               counter=np.array(c, dtype=np.uint64)
+                               ).random_raw(4)
+        nxt = [(c_int + 1) >> (64 * i) & (2 ** 64 - 1) for i in range(4)]
+        ours = mc._philox(np.array(key, dtype=np.uint64)[:, None],
+                          np.array(nxt, dtype=np.uint64)[:, None])
+        assert np.array_equal(ours[:, 0], ref)
+    # the stream's uniforms are ((x >> 11) + 0.5) 2^-53 of those words
+    stream = mc._Stream(key[0], [key[1]])
+    raw = np.random.Philox(key=np.array(key, dtype=np.uint64),
+                           counter=np.array([4, 1, 2, 0], dtype=np.uint64)
+                           ).random_raw(4)
+    expect = ((raw >> np.uint64(11)) + 0.5) * 2.0 ** -53
+    assert np.array_equal(stream.uniforms(5, 1, 2)[:, 0], expect)
 
 
 def test_cloud_b0():
@@ -50,12 +79,16 @@ def test_chord_depth_stack_matches_single_directions():
         np.testing.assert_allclose(stacked, single, rtol=1e-14, atol=0)
 
 
+def _uniforms(seed, n):
+    """One uniform per trajectory 0..n-1 from the engine's stream."""
+    return mc._Stream(seed, np.arange(n)).uniforms(1, mc._SLOT_EVENT)[1]
+
+
 def test_free_path_zero_cross_section_escapes():
     cloud = two_level_cloud()
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        assert mc.sample_free_path(cloud, [0, 0, 0], [0, 0, 1.0], 0.0,
-                                   rng) is None
+    s = mc.sample_free_path(cloud, np.zeros((20, 3)), [0, 0, 1.0], 0.0,
+                            _uniforms(1, 20))
+    assert np.all(s == np.inf)
 
 
 def test_free_path_exponential_in_homogeneous_core():
@@ -64,24 +97,22 @@ def test_free_path_exponential_in_homogeneous_core():
     sch = LevelScheme.simple()
     cloud = mc.Cloud(scheme=sch, n0=1e-2, r0=1e5)
     l_ex = 1.0 / (1e-2 * 6 * math.pi)
-    rng = np.random.default_rng(2)
-    draws = np.array([mc.sample_free_path(cloud, [0, 0, 0], [0, 0, 1.0],
-                                          6 * math.pi, rng)
-                      for _ in range(20000)])
-    assert np.all(draws != None)  # noqa: E711 - no escapes from the core
-    stat = kstest(draws.astype(float), "expon", args=(0, l_ex))
+    n = 20000
+    draws = mc.sample_free_path(cloud, np.zeros((n, 3)), [0, 0, 1.0],
+                                6 * math.pi, _uniforms(2, n))
+    assert np.all(np.isfinite(draws))  # no escapes from the core
+    stat = kstest(draws, "expon", args=(0, l_ex))
     assert stat.pvalue > 0.01
 
 
 def test_escape_probability_matches_chord_depth():
     cloud = two_level_cloud(b0=2.0)
-    rng = np.random.default_rng(3)
     p0 = np.array([1.0, -2.0, -10 * cloud.r0])
     u = np.array([0.0, 0.0, 1.0])
     b = mc.chord_depth(cloud, p0, u, 6 * math.pi)
     n = 40000
-    escapes = sum(mc.sample_free_path(cloud, p0, u, 6 * math.pi, rng) is None
-                  for _ in range(n))
+    escapes = np.count_nonzero(np.isinf(mc.sample_free_path(
+        cloud, np.tile(p0, (n, 1)), u, 6 * math.pi, _uniforms(3, n))))
     expect = math.exp(-b)
     sigma = math.sqrt(expect * (1 - expect) / n)
     assert abs(escapes / n - expect) < 3 * sigma + 1e-9
@@ -89,11 +120,8 @@ def test_escape_probability_matches_chord_depth():
 
 def test_entry_sampler_impact_parameter_distribution():
     cloud = two_level_cloud(b0=3.0)
-    rng = np.random.default_rng(4)
-    rho = []
-    for _ in range(20000):
-        p = mc.sample_entry(cloud, 6 * math.pi, rng)
-        rho.append(math.hypot(p[0], p[1]))
+    p = mc.sample_entry(cloud, 6 * math.pi, mc._Stream(4, np.arange(20000)))
+    rho = np.hypot(p[:, 0], p[:, 1])
     # marginal density prop. to rho (1 - e^{-b(rho)})
     grid = np.linspace(0, 6 * cloud.r0, 4000)
     b = cloud.b0() * np.exp(-grid ** 2 / (2 * cloud.r0 ** 2))
@@ -106,16 +134,14 @@ def test_entry_sampler_impact_parameter_distribution():
 
 def test_scatter_event_dipole_pattern_chi2():
     alpha = -(0.75) / 0.5j
-    tensors = {0: alpha * np.eye(3)}
-    e = np.array([1.0, 0, 0], dtype=complex)
-    rng = np.random.default_rng(5)
     n = 100000
-    cos_x = np.empty(n)
-    for i in range(n):
-        _, u, e_out, _ = mc.scatter_event(tensors, e, rng)
-        cos_x[i] = u[0]
-        # outgoing polarization is transverse and lies along P_perp v
-        assert abs(u @ e_out) < 1e-12
+    tensors = np.broadcast_to(alpha * np.eye(3), (n, 1, 3, 3))
+    e = np.broadcast_to(np.array([1.0, 0, 0], dtype=complex), (n, 3))
+    _, u, e_out, _ = mc.scatter_event(tensors, e, _uniforms(5, n),
+                                      mc._Stream(5, np.arange(n)), 1)
+    cos_x = u[:, 0]
+    # outgoing polarization is transverse and lies along P_perp v
+    assert np.max(np.abs(np.sum(u * e_out, axis=1))) < 1e-12
     # chi^2 against the dipole density p(t) = (3/8)(1 - t^2) * 2
     edges = np.linspace(-1, 1, 21)
     counts, _ = np.histogram(cos_x, edges)
@@ -132,16 +158,13 @@ def test_scatter_event_total_weight_matches_kinetic_lengths():
     kl = kinetic_lengths(sch, gs, None, omega)
     cloud = mc.Cloud(scheme=sch, n0=1e-3, r0=10.0, ground=gs)
     tab = mc._MediumTables(cloud)
-    rng = np.random.default_rng(6)
     # population-averaged scattered power equals sigma_sc analytically
-    e = np.array([1.0, 0, 0], dtype=complex)
-    total = 0.0
-    for m, p in enumerate(tab.populations):
-        if p == 0:
-            continue
-        tensors = tab.tensors(m, omega)
-        _, _, _, w_sc = mc.scatter_event(tensors, e, rng)
-        total += p * w_sc
+    m = np.nonzero(tab.populations)[0]
+    tensors, _ = tab.channels(tab.freq_ids(np.full(len(m), omega)), m)
+    e = np.broadcast_to(np.array([1.0, 0, 0], dtype=complex), (len(m), 3))
+    _, _, _, w_sc = mc.scatter_event(tensors, e, _uniforms(6, len(m)),
+                                     mc._Stream(6, np.arange(len(m))), 1)
+    total = np.dot(tab.populations[m], w_sc)
     assert total == pytest.approx(kl.sigma_sc, rel=1e-3)
 
 
@@ -198,6 +221,12 @@ def test_determinism_across_workers():
     assert np.array_equal(r1.per_order, r3.per_order)
     assert np.array_equal(r1.crossed_per_order, r3.crossed_per_order)
     assert r1.escaped_weight == r3.escaped_weight
+    # the same trajectories in one chunk: sums differ only by rounding
+    one = mc.simulate_ladder(cloud, dets, replace(params, chunk_size=4000))
+    for a, b in ((one.per_order, r1.per_order),
+                 (one.crossed_per_order, r1.crossed_per_order)):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+    assert one.escaped_weight == pytest.approx(r1.escaped_weight, rel=1e-12)
 
 
 def test_variance_scaling():
@@ -324,3 +353,55 @@ def test_volume_source_runs_and_conserves():
         max_order=100000))
     assert res.escaped_weight / res.injected_weight == \
         pytest.approx(1.0, abs=1e-6)
+
+
+def test_monte_carlo_refuses_a_control_field():
+    sch = LevelScheme.rb87_d2()
+    ctrl = ControlField(rabi=1.0, omega_c=-sch.ground_energy(2),
+                        twice_F0=2, twice_F_ref=4)
+    cloud = mc.Cloud(scheme=sch, n0=0.02, r0=8.0, control=ctrl)
+    dets = mc.backscatter_detectors([0.0], np.array([1.0, 0, 0]))
+    with pytest.raises(ValueError, match="isotropic medium"):
+        mc.simulate_ladder(cloud, dets, mc.MCParams(n_traj=10))
+
+
+def test_raman_photon_frequency_and_extinction():
+    # Lambda atom with a 3 gamma ground splitting, F0 = 1 populated, probe
+    # 3 gamma above its line: the Raman photon of F0 = 1 -> 2 lands at
+    # omega + E_m - E_m' = 0, on resonance, and leaves the cloud strongly
+    # attenuated.  Single scattering toward exact backscattering has the
+    # closed form sum_m p_m sum_m' |e* A e|^2 sigma/(sigma + sigma'_m')
+    # Ein((sigma + sigma'_m') D0) / Ein(sigma D0), with D0 the unit-sigma
+    # column through the centre and Ein(z) = gamma_E + ln z + E1(z).
+    sch = LevelScheme(ground=(Level(2, 0.0), Level(4, 3.0)),
+                      excited=(Level(2, 0.0),),
+                      J=HalfInt.of(1.5), I=HalfInt.of(1.5))
+    cloud = mc.Cloud(scheme=sch, n0=0.1, r0=8.0)
+    omega = 3.0
+    e = np.array([1.0, 0, 0], dtype=complex)
+    d0 = cloud.n0 * math.sqrt(2 * math.pi) * cloud.r0
+
+    def ein(z):
+        return np.euler_gamma + math.log(z) + exp1(z)
+
+    def single(sign):
+        sig = extinction_cross_section(sch, cloud.ground, None, omega)
+        pops = np.diag(cloud.ground.rho).real
+        total = 0.0
+        for m in np.nonzero(pops)[0]:
+            for mp, A in scattering_tensors(sch, None, m, omega).items():
+                sig_p = extinction_cross_section(
+                    sch, cloud.ground, None,
+                    omega + sign * raman_shift(sch, mp, m))
+                total += pops[m] * abs(e.conj() @ A @ e) ** 2 \
+                    * sig / (sig + sig_p) * ein((sig + sig_p) * d0) \
+                    / ein(sig * d0)
+        return total
+
+    res = mc.simulate_ladder(
+        cloud, mc.backscatter_detectors([0.0], e),
+        mc.MCParams(detuning=omega, n_traj=20000, seed=19, max_order=1))
+    mean = res.ladder_total[0] / res.injected_weight
+    err = res.stat_err[0] / res.injected_weight
+    assert abs(mean - single(+1)) < 4 * err
+    assert abs(single(-1) - single(+1)) > 20 * err  # the sign is resolved

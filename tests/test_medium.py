@@ -159,6 +159,56 @@ def test_optical_theorem_off_resonance():
         assert kl.albedo == pytest.approx(1.0, abs=1e-7)
 
 
+def _green_per_block(sch, ctrl, E):
+    """Excited-state G assembled block by block over M: each block's
+    undressed diagonal, dressed by Sherman-Morrison where the control
+    couples it."""
+    exc = sch.excited_sublevels()
+    gnd = sch.ground_sublevels()
+    G = np.zeros((len(exc), len(exc)), dtype=complex)
+    for tM in sorted({tm for _, tm in exc}):
+        idx = [i for i, (_, tm) in enumerate(exc) if tm == tM]
+        a_inv = 1.0 / np.array([E - sch.excited_energy(exc[i][0])
+                                + 0.5j * sch.gamma for i in idx])
+        g = np.diag(a_inv)
+        partner = None if ctrl is None else \
+            (ctrl.twice_F0, tM - 2 * ctrl.polarization_q)
+        if partner in gnd and ctrl.rabi != 0.0:
+            v = ctrl.coupling_vector(sch, idx, gnd.index(partner))
+            v = v.astype(complex)
+            if np.any(v):
+                d2 = E - ctrl.omega_c - sch.ground_energy(ctrl.twice_F0)
+                u = a_inv * v
+                g = np.diag(a_inv) + np.outer(u, a_inv * v.conj()) \
+                    / (d2 - np.vdot(v, u))
+        G[np.ix_(idx, idx)] = g
+    return G
+
+
+@pytest.mark.parametrize("kind", ["two-level", "rb85", "rb87",
+                                  "lambda-rb87"])
+def test_excited_green_matches_per_block_assembly(kind):
+    sch, ctrl = {
+        "two-level": (LevelScheme.simple(), md.ControlField(
+            rabi=0.8, omega_c=0.3, twice_F0=0, twice_F_ref=2)),
+        "rb85": (LevelScheme.rb85_d2(), md.ControlField(
+            rabi=1.5, omega_c=-LevelScheme.rb85_d2().ground_energy(4),
+            twice_F0=4, twice_F_ref=6, polarization_q=1)),
+        "rb87": (LevelScheme.rb87_d2(), md.ControlField(
+            rabi=2.0, omega_c=-LevelScheme.rb87_d2().ground_energy(2),
+            twice_F0=2, twice_F_ref=4, polarization_q=0)),
+        "lambda-rb87": (lambda_scheme(), md.ControlField(
+            rabi=1.3, omega_c=-lambda_scheme().ground_energy(4) + 0.2,
+            twice_F0=4, twice_F_ref=2, polarization_q=1)),
+    }[kind]
+    for c in (None, ctrl):
+        for E in (-0.7, 0.37, 2.5, -3.1 + 0.2j):
+            G = md.excited_green(sch, c, E)
+            assert np.array_equal(G, _green_per_block(sch, c, E))
+            if c is not None:
+                assert not np.array_equal(G, md.excited_green(sch, None, E))
+
+
 def test_dressed_block_reduces_to_bare():
     sch = LevelScheme.rb87_d2()
     ctrl = md.ControlField(rabi=0.0, omega_c=0.0, twice_F0=4, twice_F_ref=2)
