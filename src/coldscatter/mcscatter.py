@@ -276,31 +276,26 @@ def sample_entry(cloud: Cloud, sigma: float, stream: _Stream) -> np.ndarray:
     return p
 
 
-def scatter_event(tensors: np.ndarray, e_in: np.ndarray, xi: np.ndarray,
-                  stream: _Stream, order: int):
+def scatter_event(vs: np.ndarray, xi: np.ndarray, stream: _Stream,
+                  order: int):
     """Sample the outgoing channel, direction and polarization of one event
     for each walker of ``stream``.
 
-    ``tensors`` (n, n_out, 3, 3) stacks each walker's scattering tensors
-    over the outgoing ground channels and ``e_in`` (n, 3) its polarization.
-    The channel is drawn with the uniform ``xi`` (n,) proportional to its
-    total scattered power (8 pi/3)|A e|^2, the direction from the exact
-    dipole density |v|^2 - |n.v|^2 with v = A e by rejection (only rejected
-    rows draw again), and the outgoing polarization is the transverse
-    projection of v.  Returns ``(channel, direction, polarization, W_sc)``
-    arrays, where W_sc is the total scattering cross section of each event,
-    used for the albedo weight.
+    ``vs`` (n, n_out, 3) stacks each walker's scattered fields v = A e over
+    the outgoing ground channels.  The channel is drawn with the uniform
+    ``xi`` (n,) proportional to its total scattered power (8 pi/3)|v|^2,
+    the direction from the exact dipole density |v|^2 - |n.v|^2 by
+    rejection (only rejected rows draw again), and the outgoing
+    polarization is the transverse projection of v.  Returns ``(channel,
+    direction, polarization, W_sc)`` arrays, where W_sc is the total
+    scattering cross section of each event, used for the albedo weight.
     """
-    vs = (tensors @ e_in[:, None, :, None])[..., 0]
     powers = _EIGHT_PI_3 * np.sum(vs.real ** 2 + vs.imag ** 2, axis=-1)
     W_sc = powers.sum(axis=1)
     n, n_out = powers.shape
-    if n_out == 1:
-        channel = np.zeros(n, dtype=np.intp)
-    else:
-        cum = np.cumsum(powers, axis=1)
-        channel = np.minimum(
-            np.sum(cum <= xi[:, None] * cum[:, -1:], axis=1), n_out - 1)
+    cum = np.cumsum(powers, axis=1)
+    channel = np.minimum(
+        np.sum(cum <= xi[:, None] * cum[:, -1:], axis=1), n_out - 1)
     v = vs[np.arange(n), channel]
     v2 = np.sum(v.real ** 2 + v.imag ** 2, axis=-1)
 
@@ -418,9 +413,10 @@ class CbsResult:
 # ----------------------------------------------------------------------------
 
 class _MediumTables:
-    """Extinction per frequency and scattering-tensor stacks per
-    (frequency, sublevel), addressed by frequency id and filled on first
-    use."""
+    """Extinction per frequency and, per (frequency, sublevel) key, the
+    scattering-tensor stack of every outgoing channel with the frequency
+    ids it scatters into.  Frequencies and keys are numbered and filled on
+    first use; walkers carry only their ids."""
 
     def __init__(self, cloud: Cloud):
         self.cloud = cloud
@@ -435,7 +431,9 @@ class _MediumTables:
         self.omegas = []          # frequency id -> omega
         self.sigma = np.empty(0)  # frequency id -> unit-density sigma_ex
         self._ids = {}
-        self._channels = {}       # f * n_ground + m -> (stack, out ids)
+        self._keys = {}           # f * n_ground + m -> key id
+        self.stacks = np.empty((0, n, 3, 3), dtype=complex)  # key id -> A
+        self.out_ids = np.empty((0, n), dtype=np.intp)  # key id -> f'
 
     def freq_ids(self, omegas) -> np.ndarray:
         """Frequency ids of ``omegas``, registering new frequencies."""
@@ -459,36 +457,38 @@ class _MediumTables:
 
     def sublevels(self, xi) -> np.ndarray:
         """Ground sublevels drawn from the populations, one uniform each."""
-        if len(self._pop_idx) == 1:
-            return np.full(len(xi), self._pop_idx[0])
         k = np.searchsorted(self._pop_cum, xi * self._pop_cum[-1], "right")
         return self._pop_idx[np.minimum(k, len(self._pop_idx) - 1)]
 
-    def channels(self, f, m):
-        """Tensor stacks (n, n_ground, 3, 3) of every outgoing channel of the
-        walkers at frequency ids f in sublevels m, and the frequency ids
-        (n, n_ground) each channel scatters into."""
-        keys = f * self.n_ground + m
-        if np.all(keys == keys[0]):
-            stack, out = self._channel(int(keys[0]))
-            n = len(keys)
-            return (np.broadcast_to(stack, (n,) + stack.shape),
-                    np.broadcast_to(out, (n,) + out.shape))
-        uniq, inv = np.unique(keys, return_inverse=True)
-        stacks, outs = zip(*(self._channel(int(k)) for k in uniq))
-        return np.stack(stacks)[inv], np.stack(outs)[inv]
+    def keys(self, f, m) -> np.ndarray:
+        """Key ids of walkers at frequency ids f in sublevels m."""
+        uniq, inv = np.unique(f * self.n_ground + m, return_inverse=True)
+        return np.array([self._key_id(int(k)) for k in uniq],
+                        dtype=np.intp)[inv]
 
-    def _channel(self, key: int):
-        val = self._channels.get(key)
-        if val is None:
+    def _key_id(self, key: int) -> int:
+        kid = self._keys.get(key)
+        if kid is None:
             f, m = divmod(key, self.n_ground)
             omega = self.omegas[f]
             tensors = scattering_tensors(self.cloud.scheme,
                                          self.cloud.control, m, omega)
             stack = np.array([tensors[mp] for mp in range(self.n_ground)])
-            val = self._channels[key] = (
-                stack, self.freq_ids(omega + self.shifts[:, m]))
-        return val
+            out = self.freq_ids(omega + self.shifts[:, m])
+            kid = self._keys[key] = len(self.stacks)
+            self.stacks = np.concatenate([self.stacks, stack[None]])
+            self.out_ids = np.concatenate([self.out_ids, out[None]])
+        return kid
+
+    def fields(self, kid, e) -> np.ndarray:
+        """Scattered fields A e (n, n_ground, 3) of every outgoing channel
+        for walkers with key ids ``kid`` and polarizations e (n, 3), one
+        product per distinct key, so no per-walker tensor is formed."""
+        vs = np.empty((len(kid), self.n_ground, 3), dtype=complex)
+        for k in np.unique(kid):
+            rows = kid == k
+            vs[rows] = np.einsum("cij,nj->nci", self.stacks[k], e[rows])
+        return vs
 
 
 # ----------------------------------------------------------------------------
@@ -561,17 +561,16 @@ def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
     order = 0
     while len(rows):
         order += 1
-        n = len(rows)
-        ix = np.arange(n)
         x = stream.uniforms(order, _SLOT_EVENT)
-        m = tab.sublevels(x[0])
-        tensors, out_f = tab.channels(f, m)
+        kid = tab.keys(f, tab.sublevels(x[0]))
+        vs = tab.fields(kid, e)
 
         # next-event estimation toward every detector; the chord depth is
         # linear in sigma, so one unit-sigma depth serves every channel
         depth1 = chord_depth(cloud, p[:, None, :], det_dirs, 1.0)
-        amp = (tensors @ e[:, None, :, None])[..., 0] @ det_pols_h
-        att = np.exp(-tab.sigma[out_f][:, :, None] * depth1[:, None, :])
+        amp = vs @ det_pols_h
+        att = np.exp(-tab.sigma[tab.out_ids[kid]][:, :, None]
+                     * depth1[:, None, :])
         contrib = w[:, None] * np.sum(
             (amp.real ** 2 + amp.imag ** 2) * att, axis=1)
         ladder[:, order] += contrib.sum(axis=0)
@@ -582,7 +581,7 @@ def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
             if order == 1:
                 tau_out_first = depths
             else:
-                A = tensors[:, 0]  # the one ground sublevel: elastic vertex
+                A = tab.stacks[kid, 0]  # one ground sublevel: elastic
                 chain_in = M_dir @ e_in0
                 amp_dir = (A @ chain_in[..., None])[..., 0] @ det_pols_h
                 amp_rev = (M_revpre @ (A @ e_in0)[..., None])[..., 0] \
@@ -601,16 +600,16 @@ def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
                 traj_c[rows] += cc
 
         # continue the chain
-        mp, u, e, W_sc = scatter_event(tensors, e, x[2], stream, order)
+        mp, u, e, W_sc = scatter_event(vs, x[2], stream, order)
         w = w * (W_sc + params.extra_gain_sigma) / sigma
-        f = out_f[ix, mp]
+        f = tab.out_ids[kid, mp]
         sigma = tab.sigma[f]
         if crossed_on:
-            A = tensors[ix, mp]
-            AM = A @ M_dir  # M_dir <- P A M_dir, P = 1 - u u^T
-            M_dir = AM - u[:, :, None] * (u[:, None, :] @ AM)
-            MA = M_revpre @ A  # M_revpre <- M_revpre A P
-            M_revpre = MA - (MA @ u[:, :, None]) * u[:, None, :]
+            A = tab.stacks[kid, mp]
+            M_dir = A @ M_dir  # M_dir <- P A M_dir, P = 1 - u u^T
+            M_dir -= u[:, :, None] * (u[:, None, :] @ M_dir)
+            M_revpre = M_revpre @ A  # M_revpre <- M_revpre A P
+            M_revpre -= (M_revpre @ u[:, :, None]) * u[:, None, :]
         s = sample_free_path(cloud, p, u, sigma, x[1])
         gone = np.isinf(s)
         escaped += float(w[gone].sum())

@@ -174,12 +174,18 @@ def dressed_propagator_block(scheme: LevelScheme, control: ControlField | None,
     Returns ``(indices, G)`` where ``indices`` are positions into
     :meth:`LevelScheme.excited_sublevels` and ``G`` solves
     ``[(E - E_n + i gamma/2) delta - V V*/(E - omega_c - E_m')] G = 1``.
+    Only this block is computed, so a pole in another block does not raise.
     """
-    idx = dict(_excited_levels(scheme)[1]).get(twice_M)
+    energies, blocks = _excited_levels(scheme)
+    idx = dict(blocks).get(twice_M)
     if idx is None:
         raise ValueError(f"no excited sublevels with M = {twice_M / 2}")
     idx = list(idx)
-    return idx, excited_green(scheme, control, E)[np.ix_(idx, idx)]
+    a_inv = 1.0 / (E - energies[idx] + 0.5j * scheme.gamma)
+    for d_idx, v in _dressed_blocks(scheme, control):
+        if d_idx == idx:
+            return idx, _block_green(scheme, control, E, a_inv, v)
+    return idx, np.diag(a_inv)
 
 
 def excited_green(scheme: LevelScheme, control: ControlField | None,

@@ -135,9 +135,8 @@ def test_entry_sampler_impact_parameter_distribution():
 def test_scatter_event_dipole_pattern_chi2():
     alpha = -(0.75) / 0.5j
     n = 100000
-    tensors = np.broadcast_to(alpha * np.eye(3), (n, 1, 3, 3))
-    e = np.broadcast_to(np.array([1.0, 0, 0], dtype=complex), (n, 3))
-    _, u, e_out, _ = mc.scatter_event(tensors, e, _uniforms(5, n),
+    vs = np.broadcast_to(alpha * np.array([1.0, 0, 0]), (n, 1, 3))
+    _, u, e_out, _ = mc.scatter_event(vs, _uniforms(5, n),
                                       mc._Stream(5, np.arange(n)), 1)
     cos_x = u[:, 0]
     # outgoing polarization is transverse and lies along P_perp v
@@ -160,9 +159,10 @@ def test_scatter_event_total_weight_matches_kinetic_lengths():
     tab = mc._MediumTables(cloud)
     # population-averaged scattered power equals sigma_sc analytically
     m = np.nonzero(tab.populations)[0]
-    tensors, _ = tab.channels(tab.freq_ids(np.full(len(m), omega)), m)
+    kid = tab.keys(tab.freq_ids(np.full(len(m), omega)), m)
     e = np.broadcast_to(np.array([1.0, 0, 0], dtype=complex), (len(m), 3))
-    _, _, _, w_sc = mc.scatter_event(tensors, e, _uniforms(6, len(m)),
+    vs = tab.fields(kid, e)
+    _, _, _, w_sc = mc.scatter_event(vs, _uniforms(6, len(m)),
                                      mc._Stream(6, np.arange(len(m))), 1)
     total = np.dot(tab.populations[m], w_sc)
     assert total == pytest.approx(kl.sigma_sc, rel=1e-3)

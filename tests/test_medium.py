@@ -207,6 +207,9 @@ def test_excited_green_matches_per_block_assembly(kind):
             assert np.array_equal(G, _green_per_block(sch, c, E))
             if c is not None:
                 assert not np.array_equal(G, md.excited_green(sch, None, E))
+            for tM in sorted({tm for _, tm in sch.excited_sublevels()}):
+                idx, Gb = md.dressed_propagator_block(sch, c, E, tM)
+                assert np.array_equal(Gb, G[np.ix_(idx, idx)])
 
 
 def test_dressed_block_reduces_to_bare():
@@ -266,6 +269,12 @@ def test_pole_proximity_raises():
     vmag = abs(ctrl.coupling_vector(bad, idx, ig)[0])
     with pytest.raises(md.PoleProximityError):
         md.dressed_propagator_block(bad, ctrl, vmag, 0)
+    with pytest.raises(md.PoleProximityError):
+        md.excited_green(bad, ctrl, vmag)
+    # the M = +-1 blocks have no pole there and are computed alone
+    for tM in (-2, 2):
+        _, G = md.dressed_propagator_block(bad, ctrl, vmag, tM)
+        assert np.all(np.isfinite(G))
 
 
 def test_eit_transparency_dip():
