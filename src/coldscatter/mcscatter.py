@@ -21,6 +21,7 @@ Units: gamma = 1, k = 1, lengths in reduced wavelengths.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
 
@@ -633,6 +634,13 @@ def _chunk_worker(args):
     return _run_chunk(*args)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def simulate_ladder(cloud: Cloud, detectors: list[Detector],
                     params: MCParams, n_workers: int = 1) -> LadderResult:
     """Run the order-resolved ladder (and optional crossed) accumulation.
@@ -660,7 +668,10 @@ def simulate_ladder(cloud: Cloud, detectors: list[Detector],
     edges = list(range(0, params.n_traj, params.chunk_size)) + [params.n_traj]
     jobs = [(cloud, params, detectors, lo, hi)
             for lo, hi in zip(edges[:-1], edges[1:])]
-    if n_workers > 1 and len(jobs) > 1:
+    # a worker holds all walkers of its chunk at once, so workers beyond
+    # the jobs or the usable CPUs add memory but no speed
+    n_workers = min(n_workers, len(jobs), _usable_cpus())
+    if n_workers > 1:
         with Pool(n_workers) as pool:
             results = pool.map(_chunk_worker, jobs)
     else:

@@ -33,6 +33,7 @@ __all__ = [
     "scattering_tensor",
     "scattering_tensors",
     "local_frame",
+    "BEAM_FRAME",
     "transverse_decompose",
     "extinction_cross_section",
     "kinetic_lengths",
@@ -284,6 +285,11 @@ def local_frame(direction: np.ndarray) -> np.ndarray:
     return np.array([x, y, u])
 
 
+# Frame of a beam along lab +z (the identity), built once and shared.
+BEAM_FRAME = local_frame((0.0, 0.0, 1.0))
+BEAM_FRAME.flags.writeable = False
+
+
 @dataclass
 class TransverseChi:
     """Pauli expansion of the susceptibility projected on a ray."""
@@ -345,7 +351,7 @@ def extinction_cross_section(scheme: LevelScheme, ground: GroundState,
     """Unit-density extinction sigma_ex = 4 pi Im chi0 for a beam along +z."""
     unit_ground = GroundState(rho=ground.rho, n0=1.0)
     chi1 = susceptibility(scheme, unit_ground, control, omega)
-    tc = transverse_decompose(chi1, (0.0, 0.0, 1.0))
+    tc = transverse_decompose(chi1, (0.0, 0.0, 1.0), frame=BEAM_FRAME)
     return 4.0 * math.pi * tc.chi0.imag
 
 

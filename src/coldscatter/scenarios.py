@@ -10,8 +10,8 @@ import numpy as np
 from . import __version__
 from .angular import HalfInt, Level, LevelScheme
 from .config import ScenarioConfig, config_hash
-from .medium import ControlField, GroundState, susceptibility, \
-    transverse_decompose
+from .medium import BEAM_FRAME, ControlField, GroundState, \
+    susceptibility, transverse_decompose
 from .microdipole import DipoleSolver, RunningAverage, \
     gaussian_configuration, random_ball_configuration, \
     self_consistent_epsilon, slab_transmission
@@ -136,7 +136,7 @@ def _run_eit_spectrum(cfg, record, progress):
                                n0=cfg["cloud"]["n0"])
     for delta in _sweep_grid(cfg):
         chi = susceptibility(sch, gs, ctrl, float(delta))
-        tc = transverse_decompose(chi, [0.0, 0.0, 1.0])
+        tc = transverse_decompose(chi, [0.0, 0.0, 1.0], frame=BEAM_FRAME)
         record.rows.append(ResultRow("detuning", float(tc.chi0.imag),
                                      channel="im_chi",
                                      sweep_value=float(delta)))

@@ -3,8 +3,8 @@
 The Monte-Carlo engine is the faithful solver of the full transport
 problem; this module carries the reduced diffusion description used for
 estimates and cross-checks: the dispersive group velocity, the diffusion
-constant, the gain-diffusion eigenmode on a sphere with its random-lasing
-instability threshold, and a continuity-relation diagnostic.
+constant and the gain-diffusion eigenmode on a sphere with its
+random-lasing instability threshold.
 
 Units: lengths in reduced wavelengths, rates in gamma, speeds in c.
 """
@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import eigh_tridiagonal
+# unused here; perfbench/spans.py traces transport.lu_factor/lu_solve by name
+from scipy.linalg import lu_factor, lu_solve  # noqa: F401
 
 __all__ = [
     "DiffusionModel",
@@ -24,7 +26,6 @@ __all__ = [
     "diffusion_constant",
     "solve_gain_diffusion_sphere",
     "letokhov_threshold",
-    "continuity_residual",
 ]
 
 _DERIVATIVE_RTOL = 1e-6  # Richardson consistency of the dispersion slope
@@ -94,46 +95,18 @@ class GainMode:
     W: np.ndarray
 
 
-def _dominant_eigenpair(A: np.ndarray, tol: float = 1e-11,
-                        max_iter: int = 200):
-    """Largest-real eigenpair by shifted inverse-power iteration.
-
-    Starts from a Gershgorin shift guaranteed above the spectrum, then
-    tightens the shift to the running Rayleigh quotient for fast
-    convergence when the spectral gap is small.
-    """
-    n = len(A)
-    # Gershgorin upper bound guarantees the shift sits above the spectrum
-    shift = float(np.max(A.diagonal() + np.sum(np.abs(A), axis=1)
-                         - np.abs(A.diagonal()))) + 1.0
-    lu = lu_factor(shift * np.eye(n) - A)
-    x = np.ones(n) / math.sqrt(n)
-    scale = max(1.0, float(np.max(np.abs(A))))
-    for it in range(max_iter):
-        y = lu_solve(lu, x)
-        x = y / np.linalg.norm(y)
-        lam = float(x @ A @ x)
-        resid = float(np.linalg.norm(A @ x - lam * x))
-        if resid < tol * scale:
-            return lam, x
-        if it >= 4 and it % 5 == 4:
-            # Rayleigh-quotient refinement: keep the shift a hair above
-            # lam so the iteration stays locked on the top of the spectrum
-            shift = lam + max(resid, tol * scale)
-            lu = lu_factor(shift * np.eye(n) - A)
-    raise ArithmeticError("inverse-power iteration did not converge")
-
-
 def _sphere_matrix(model: DiffusionModel, n: int, boundary: str):
-    """FD matrix for u = r W on (0, r0]: du/dt = D u'' + g u."""
+    """Tridiagonal FD operator for u = r W on (0, r0]: du/dt = D u'' + g u.
+
+    Returns ``(diag, offdiag, r)`` of the symmetric tridiagonal matrix.
+    """
     D, l_tr = diffusion_constant(model)
     v = model.v_bar
     g = v / model.l_g - v * (1.0 - model.albedo) / model.l0_bar
     h = model.r0 / (n + 1)
     r = h * np.arange(1, n + 1)
-    main = np.full(n, -2.0)
-    A = (np.diag(main) + np.diag(np.ones(n - 1), 1)
-         + np.diag(np.ones(n - 1), -1)) * (D / h ** 2)
+    diag = np.full(n, g - 2.0 * D / h ** 2)
+    offdiag = np.full(n - 1, D / h ** 2)
     # regularity u(0) = 0 is already built in at the first node
     if boundary == "absorbing":
         pass  # u(r0) = 0: ghost value zero
@@ -141,14 +114,13 @@ def _sphere_matrix(model: DiffusionModel, n: int, boundary: str):
         # outward flux J = -D dW/dr = (v/2) W at r0, i.e.
         # u'(r0) = u(r0) (D/r0 - v/2)/D; ghost node eliminated to
         # u_{n+1} = u_n (1 + h (D/r0 - v/2)/D)
-        A[n - 1, n - 1] += (D / h ** 2) * (1.0 + h * (D / model.r0 - v / 2) / D)
+        diag[-1] += (D / h ** 2) * (1.0 + h * (D / model.r0 - v / 2) / D)
     elif boundary == "reflecting":
         # J = 0: u'(r0) = u(r0)/r0
-        A[n - 1, n - 1] += (D / h ** 2) * (1.0 + h / model.r0)
+        diag[-1] += (D / h ** 2) * (1.0 + h / model.r0)
     else:
         raise ValueError(f"unknown boundary {boundary!r}")
-    A += g * np.eye(n)
-    return A, r
+    return diag, offdiag, r
 
 
 def solve_gain_diffusion_sphere(model: DiffusionModel, n_grid: int = 400,
@@ -157,19 +129,24 @@ def solve_gain_diffusion_sphere(model: DiffusionModel, n_grid: int = 400,
 
     Radial finite differences on u = r W with the regularity condition at
     the origin; the boundary is absorbing (W(r0)=0), mixed (free escape
-    through the surface) or reflecting.  The dominant eigenvalue is found
-    by shifted inverse-power iteration and validated against a half-
-    resolution grid; non-convergence raises with both values reported.
+    through the surface) or reflecting.  The operator is symmetric
+    tridiagonal, so LAPACK's tridiagonal eigensolver gives its top
+    eigenpair directly; the eigenvalue is validated against a half-
+    resolution grid, and disagreement raises with both values reported.
     """
-    A, r = _sphere_matrix(model, n_grid, boundary)
-    lam, u = _dominant_eigenpair(A)
-    A2, _ = _sphere_matrix(model, n_grid // 2, boundary)
-    lam2, _ = _dominant_eigenpair(A2)
+    d, e, r = _sphere_matrix(model, n_grid, boundary)
+    lam, u = eigh_tridiagonal(d, e, select="i",
+                              select_range=(n_grid - 1, n_grid - 1))
+    lam, u = float(lam[0]), u[:, 0]
+    n2 = n_grid // 2
+    d2, e2, _ = _sphere_matrix(model, n2, boundary)
+    lam2 = float(eigh_tridiagonal(d2, e2, eigvals_only=True, select="i",
+                                  select_range=(n2 - 1, n2 - 1))[0])
     scale = max(abs(lam), model.v_bar / model.l0_bar)
     if abs(lam - lam2) > _GRID_RTOL * scale:
         raise ArithmeticError(
             f"gain-diffusion eigenvalue not grid-converged: {lam2} at "
-            f"n={n_grid // 2} vs {lam} at n={n_grid}")
+            f"n={n2} vs {lam} at n={n_grid}")
     W = u / r
     if W.sum() < 0:
         W = -W
@@ -181,26 +158,3 @@ def letokhov_threshold(l_tr: float, l_g: float) -> float:
     if l_tr <= 0 or l_g <= 0:
         raise ValueError("lengths must be positive")
     return math.pi * math.sqrt(l_tr * l_g / 3.0)
-
-
-def continuity_residual(W: np.ndarray, J: np.ndarray, model: DiffusionModel,
-                        r: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Residual of dW/dt + div J + v(1-a)/l0 W on an (nt, nr) grid.
-
-    ``J`` holds the radial flux component; the divergence uses the
-    spherical form (1/r^2) d(r^2 J)/dr.  A vanishing residual (within the
-    discretization order) validates MC moment estimates against the
-    continuity relation.
-    """
-    W = np.asarray(W, dtype=float)
-    J = np.asarray(J, dtype=float)
-    r = np.asarray(r, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if W.shape != J.shape or W.shape != (len(t), len(r)):
-        raise ValueError(
-            f"incompatible grids: W{W.shape}, J{J.shape}, "
-            f"expected ({len(t)}, {len(r)})")
-    dWdt = np.gradient(W, t, axis=0)
-    divJ = np.gradient(r[None, :] ** 2 * J, r, axis=1) / r[None, :] ** 2
-    loss = model.v_bar * (1.0 - model.albedo) / model.l0_bar
-    return dWdt + divJ + loss * W

@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -227,6 +228,34 @@ def test_determinism_across_workers():
                  (one.crossed_per_order, r1.crossed_per_order)):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
     assert one.escaped_weight == pytest.approx(r1.escaped_weight, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_chunks", [3, 12])
+def test_pool_size_capped_by_jobs_and_cpus(monkeypatch, n_chunks):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs):
+            return [func(j) for j in jobs]
+
+    monkeypatch.setattr(mc, "Pool", RecordingPool)
+    cloud = two_level_cloud(b0=1.0)
+    dets = mc.backscatter_detectors([0.0], np.array([1.0, 0.0, 0.0]))
+    params = mc.MCParams(n_traj=20 * n_chunks, seed=3, chunk_size=20)
+    mc.simulate_ladder(cloud, dets, params, n_workers=64)
+    cpus = mc._usable_cpus()
+    assert 1 <= cpus <= os.cpu_count()
+    expect = min(64, n_chunks, cpus)
+    assert sizes == ([expect] if expect > 1 else [])
 
 
 def test_variance_scaling():

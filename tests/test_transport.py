@@ -153,37 +153,58 @@ def test_eigenvalue_grid_convergence():
     assert abs(g1 - g2) / abs(g2) < 5e-3
 
 
-def test_continuity_residual_static_uniform():
-    m = tr.DiffusionModel(albedo=1.0)
-    r = np.linspace(0.5, 10, 40)
-    t = np.linspace(0, 1, 5)
-    W = np.ones((5, 40))
-    J = np.zeros((5, 40))
-    res = tr.continuity_residual(W, J, m, r, t)
-    assert np.max(np.abs(res)) < 1e-12
+def _dense_sphere_operator(m, n, boundary):
+    """Reference dense FD operator on u = r W, built from the ghost node."""
+    D, _ = tr.diffusion_constant(m)
+    v = m.v_bar
+    g = v / m.l_g - v * (1.0 - m.albedo) / m.l0_bar
+    h = m.r0 / (n + 1)
+    A = (np.diag(np.full(n, g - 2 * D / h ** 2))
+         + np.diag(np.full(n - 1, D / h ** 2), 1)
+         + np.diag(np.full(n - 1, D / h ** 2), -1))
+    # ghost node u_{n+1} = c u_n
+    c = {"absorbing": 0.0,
+         "mixed": 1.0 + h * (D / m.r0 - v / 2) / D,
+         "reflecting": 1.0 + h / m.r0}[boundary]
+    A[-1, -1] += c * D / h ** 2
+    return A, h * np.arange(1, n + 1)
 
 
-def test_continuity_residual_manufactured():
-    # W = e^{-t} sin(pi r/R)/r with J chosen from the exact balance
-    R = 10.0
-    m = tr.DiffusionModel(albedo=0.8, v_bar=1.0, l0_bar=2.0)
-    loss = m.v_bar * (1 - m.albedo) / m.l0_bar
-    r = np.linspace(0.2, R, 400)
-    t = np.linspace(0, 0.5, 200)
-    tt, rr = np.meshgrid(t, r, indexing="ij")
-    W = np.exp(-tt) * np.sin(math.pi * rr / R) / rr
-    # solve (1/r^2)(r^2 J)' = (1 - loss) W for J analytically:
-    # integral of r sin(ar) dr = (sin(ar) - ar cos(ar))/a^2
-    a = math.pi / R
-    anti = (np.sin(a * rr) - a * rr * np.cos(a * rr)) / a ** 2
-    J = (1 - loss) * np.exp(-tt) * anti / rr ** 2
-    res = tr.continuity_residual(W, J, m, r, t)
-    # interior points are second-order; the gradient edges are first-order
-    assert np.max(np.abs(res[1:-1, 1:-1])) < 5e-3
+def test_sphere_absorbing_matches_exact_discrete_eigenvalue():
+    n = 400
+    # strong gain keeps the eigenvalue well away from the cancellation
+    # floor eps * |A| of any eigensolver
+    m = tr.DiffusionModel(v_bar=1.0, l0_bar=1.5, albedo=0.9, l_g=0.5,
+                          r0=12.0)
+    D, _ = tr.diffusion_constant(m)
+    g = m.v_bar / m.l_g - m.v_bar * (1 - m.albedo) / m.l0_bar
+    h = m.r0 / (n + 1)
+    # top eigenvalue of tridiag(1, -2, 1): 2 cos(pi/(n+1)) - 2
+    exact = g - (D / h ** 2) * 4 * math.sin(math.pi / (2 * (n + 1))) ** 2
+    got = tr.solve_gain_diffusion_sphere(m, n_grid=n).growth_rate
+    assert got == pytest.approx(exact, rel=1e-12, abs=0)
 
 
-def test_continuity_residual_shape_mismatch():
-    m = tr.DiffusionModel()
-    with pytest.raises(ValueError):
-        tr.continuity_residual(np.ones((3, 4)), np.ones((3, 5)), m,
-                               np.linspace(1, 2, 4), np.linspace(0, 1, 3))
+@pytest.mark.parametrize("boundary", ["absorbing", "mixed", "reflecting"])
+@pytest.mark.parametrize("r0", [5.0, 20.0])
+def test_sphere_mode_matches_dense_eigensolve(boundary, r0):
+    n = 300
+    m = tr.DiffusionModel(v_bar=0.8, l0_bar=1.0, albedo=0.95, l_g=12.0,
+                          r0=r0)
+    A, r = _dense_sphere_operator(m, n, boundary)
+    scale = np.max(np.abs(A).sum(axis=1))
+    mode = tr.solve_gain_diffusion_sphere(m, n_grid=n, boundary=boundary)
+    lam = mode.growth_rate
+    assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= 1e-12 * scale
+    assert np.array_equal(mode.r, r)
+    # the returned W is the eigenvector u = r W, positive by convention
+    u = r * mode.W
+    assert mode.W.sum() > 0
+    resid = np.linalg.norm(A @ u - lam * u) / np.linalg.norm(u)
+    assert resid <= 1e-10 * scale
+
+
+def test_sphere_coarse_grid_raises():
+    m = tr.DiffusionModel(v_bar=1.0, l0_bar=1.0, l_g=9.5, r0=5.6)
+    with pytest.raises(ArithmeticError, match="not grid-converged"):
+        tr.solve_gain_diffusion_sphere(m, n_grid=4)
