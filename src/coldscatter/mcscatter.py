@@ -8,12 +8,13 @@ and an optional stimulated-gain weight with an instability diagnostic.
 
 Free paths use the closed-form chord optical depth of the Gaussian cloud
 (error-function profile) inverted exactly, so no step-size bias enters.
-All trajectories of a chunk advance together as arrays, one scattering
-order per step.  Every draw comes from a counter-based Philox stream keyed
-by (seed, trajectory index) with one counter per (order, slot, retry), so
-a trajectory does not depend on the chunk it runs in, and accumulators
-merge in fixed chunk order, making results bit-identical for any worker
-count.
+The walkers of a chunk, every sweep point of its trajectories, advance
+together as arrays, one scattering order per step.  Every draw comes from
+a counter-based Philox stream keyed by (seed, trajectory index) with one
+counter per (order, slot, retry), so a trajectory sees the same draws at
+every sweep point and does not depend on the chunk it runs in, and
+accumulators merge in fixed chunk order, making results bit-identical for
+any worker count.
 
 Units: gamma = 1, k = 1, lengths in reduced wavelengths.
 """
@@ -106,8 +107,11 @@ _PHILOX_ROUNDS = 10
 # Draw slots of one order; each (order, slot, retry) owns one Philox counter
 # and so four uniforms.  Order 0 is the source: the beam entry (slot 0, one
 # retry per rejected impact point) or the volume source (slots 0 and 1).
+# An order >= 1 draws its event block and first two direction tries in one
+# call, as the (slot, retry) pairs of _ORDER_BLOCKS.
 _SLOT_EVENT = 0    # order >= 1: sublevel, free path, channel
 _SLOT_SCATTER = 1  # one retry per direction try: direction (2), acceptance
+_ORDER_BLOCKS = ((_SLOT_EVENT, _SLOT_SCATTER, _SLOT_SCATTER), (0, 0, 1))
 
 
 def _philox(key: np.ndarray, ctr: np.ndarray) -> np.ndarray:
@@ -155,13 +159,13 @@ class _Stream:
     def take(self, rows) -> "_Stream":
         return _Stream(self.seed, self.trajectories[rows])
 
-    def uniforms(self, order: int, slot: int, retry=0,
-                 rows=None) -> np.ndarray:
+    def uniforms(self, order: int, slot, retry=0, rows=None) -> np.ndarray:
         """Four uniforms in (0, 1) per row, ((x >> 11) + 0.5) 2^-53 of the
-        block words: shape (4, n), or (4, n, k) for k retries given as an
-        array.  ``rows`` selects a subset."""
+        block words: shape (4, n), or (4, n, k) for k (slot, retry) pairs
+        given as broadcasting arrays.  ``rows`` selects a subset."""
         traj = self.trajectories if rows is None else self.trajectories[rows]
-        retry = np.asarray(retry, dtype=np.uint64)
+        slot, retry = np.broadcast_arrays(np.asarray(slot, dtype=np.uint64),
+                                          np.asarray(retry, dtype=np.uint64))
         key = np.empty((2, len(traj)) + (1,) * retry.ndim, dtype=np.uint64)
         key[0] = self.seed
         key[1] = traj.reshape(key.shape[1:])
@@ -169,25 +173,29 @@ class _Stream:
         ctr[0], ctr[1], ctr[2] = order, slot, retry
         return ((_philox(key, ctr) >> _SHIFT11) + 0.5) * 2.0 ** -53
 
-    def accepted(self, order: int, slot: int, accept) -> np.ndarray:
+    def accepted(self, order: int, slot: int, accept,
+                 first=None) -> np.ndarray:
         """Uniforms (4, n) of each row's first accepted try.
 
         Try r of a row is the block (order, slot, r).  Tries run in blocks
         of 2, 4, 8, ... retries, and only rows without an accepted try draw
         the next block; ``accept(x, rows)`` maps the uniforms (4, k, c) of
-        the given rows to their (k, c) acceptance mask.
+        the given rows to their (k, c) acceptance mask.  ``first`` (4, n, 2)
+        holds tries 0 and 1 of every row when the caller drew them already.
         """
         out = np.empty((4, len(self)))
         pending = np.arange(len(self))
         start, count = 0, 2
+        x = first
         while pending.size:
-            x = self.uniforms(order, slot, np.arange(start, start + count),
-                              pending)
+            if x is None:
+                x = self.uniforms(order, slot,
+                                  np.arange(start, start + count), pending)
             ok = accept(x, pending)
             hit = np.nonzero(ok.any(axis=1))[0]
             out[:, pending[hit]] = x[:, hit, ok[hit].argmax(axis=1)]
             pending = np.delete(pending, hit)
-            start, count = start + count, 2 * count
+            start, count, x = start + count, 2 * count, None
         return out
 
 
@@ -249,9 +257,9 @@ def sample_free_path(cloud: Cloud, p, u, sigma, xi) -> np.ndarray:
     return s
 
 
-def sample_entry(cloud: Cloud, sigma: float, stream: _Stream) -> np.ndarray:
+def sample_entry(cloud: Cloud, sigma, stream: _Stream) -> np.ndarray:
     """First interaction points (n, 3) of an incident plane wave along +z,
-    one per trajectory of ``stream``.
+    one per row of ``stream``, with extinction ``sigma`` (scalar or (n,)).
 
     The transverse impact point is drawn proportional to the chord depth b
     and accepted with probability (1 - e^{-b})/b, which together weight
@@ -264,8 +272,10 @@ def sample_entry(cloud: Cloud, sigma: float, stream: _Stream) -> np.ndarray:
         p[..., 0], p[..., 1] = _normals(x[0], x[1])
         return cloud.r0 * p
 
+    sigma = np.broadcast_to(sigma, (len(stream),))
+
     def accept(x, rows):
-        b = 2.0 * _chord(cloud, impact(x), _K_IN, sigma)[1]
+        b = 2.0 * _chord(cloud, impact(x), _K_IN, sigma[rows, None])[1]
         big = b >= 1e-300
         return big & (x[2] * np.where(big, b, 1.0) < -np.expm1(-b))
 
@@ -278,7 +288,7 @@ def sample_entry(cloud: Cloud, sigma: float, stream: _Stream) -> np.ndarray:
 
 
 def scatter_event(vs: np.ndarray, xi: np.ndarray, stream: _Stream,
-                  order: int):
+                  order: int, tries=None):
     """Sample the outgoing channel, direction and polarization of one event
     for each walker of ``stream``.
 
@@ -287,9 +297,11 @@ def scatter_event(vs: np.ndarray, xi: np.ndarray, stream: _Stream,
     ``xi`` (n,) proportional to its total scattered power (8 pi/3)|v|^2,
     the direction from the exact dipole density |v|^2 - |n.v|^2 by
     rejection (only rejected rows draw again), and the outgoing
-    polarization is the transverse projection of v.  Returns ``(channel,
-    direction, polarization, W_sc)`` arrays, where W_sc is the total
-    scattering cross section of each event, used for the albedo weight.
+    polarization is the transverse projection of v.  ``tries`` (4, n, 2)
+    are the first two direction tries when the caller drew them already.
+    Returns ``(channel, direction, polarization, W_sc)`` arrays, where W_sc
+    is the total scattering cross section of each event, used for the
+    albedo weight.
     """
     powers = _EIGHT_PI_3 * np.sum(vs.real ** 2 + vs.imag ** 2, axis=-1)
     W_sc = powers.sum(axis=1)
@@ -297,6 +309,7 @@ def scatter_event(vs: np.ndarray, xi: np.ndarray, stream: _Stream,
     cum = np.cumsum(powers, axis=1)
     channel = np.minimum(
         np.sum(cum <= xi[:, None] * cum[:, -1:], axis=1), n_out - 1)
+    del powers, cum
     v = vs[np.arange(n), channel]
     v2 = np.sum(v.real ** 2 + v.imag ** 2, axis=-1)
 
@@ -304,7 +317,7 @@ def scatter_event(vs: np.ndarray, xi: np.ndarray, stream: _Stream,
         proj = np.abs(np.sum(_isotropic(x[0], x[1]) * v[rows, None], -1)) ** 2
         return x[2] * v2[rows, None] < v2[rows, None] - proj
 
-    x = stream.accepted(order, _SLOT_SCATTER, accept)
+    x = stream.accepted(order, _SLOT_SCATTER, accept, tries)
     dirs = _isotropic(x[0], x[1])
     e_out = v - dirs * np.sum(dirs * v, axis=-1)[:, None]
     e_out /= np.linalg.norm(e_out, axis=-1)[:, None]
@@ -496,16 +509,30 @@ class _MediumTables:
 # Core trajectory loop.
 # ----------------------------------------------------------------------------
 
-def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
-               lo: int, hi: int):
-    """Advance the trajectories [lo, hi) together, one order per step.
+def _point_sums(pt, values, n_points: int) -> np.ndarray:
+    """Sums of the rows of ``values`` (n, ...) over the walkers of each
+    point, given the point index ``pt`` (n,) of every row."""
+    out = np.zeros((n_points,) + values.shape[1:])
+    np.add.at(out, pt, values)
+    return out
 
+
+def _run_chunk(cloud: Cloud, points: list[MCParams],
+               detectors: list[Detector], lo: int, hi: int):
+    """Advance the trajectories [lo, hi) of every point together, one order
+    per step.
+
+    Walker i is trajectory lo + i mod (hi - lo) of point i div (hi - lo);
+    the walkers of one trajectory draw the same uniforms at every point.
     Each step does next-event estimation toward every detector, the crossed
     bookkeeping, the scattering event and the free path for all live
     walkers; escaped and truncated walkers are then compacted out.  Walker
-    state is kept as arrays over the live rows, and ``rows`` maps them back
-    to their trajectory rows for the per-trajectory sums of squares.
+    state is kept as arrays over the live walkers, and ``rows`` maps them
+    back to their walker index for the per-trajectory sums of squares.
+    Every accumulator has the point as its first axis.
     """
+    params = points[0]
+    n_pt, n_tr = len(points), hi - lo
     tab = _MediumTables(cloud)
     n_det = len(detectors)
     det_dirs = np.array([d.direction for d in detectors])
@@ -513,21 +540,22 @@ def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
     e_in0 = np.asarray(params.e_in, dtype=complex)
     k_sum = (_K_IN + det_dirs).T  # columns k_in + k_out: interference phase
     crossed_on = params.include_crossed
+    gains = np.array([q.extra_gain_sigma for q in points])
 
-    ladder = np.zeros((n_det, params.max_order + 1))
-    crossed = np.zeros((n_det, params.max_order + 1))
-    traj_l = np.zeros((hi - lo, n_det))  # per-trajectory totals
-    traj_c = np.zeros((hi - lo, n_det))
-    escaped = 0.0
-    truncated_w = 0.0
-    n_trunc = 0
+    ladder = np.zeros((n_pt, n_det, params.max_order + 1))
+    crossed = np.zeros_like(ladder)
+    traj_l = np.zeros((n_pt * n_tr, n_det))  # per-walker totals
+    traj_c = np.zeros_like(traj_l)
+    escaped = np.zeros(n_pt)
+    truncated_w = np.zeros(n_pt)
+    n_trunc = np.zeros(n_pt, dtype=np.int64)
 
-    stream = _Stream(params.seed, np.arange(lo, hi))
-    rows = np.arange(hi - lo)
-    f0 = tab.freq_ids([params.detuning])[0]
-    sigma0 = tab.sigma[f0]
+    rows = np.arange(n_pt * n_tr)
+    stream = _Stream(params.seed, lo + rows % n_tr)
+    f = tab.freq_ids([q.detuning for q in points])[rows // n_tr]
+    sigma = tab.sigma[f]
     if params.source == "beam":
-        p = sample_entry(cloud, sigma0, stream)
+        p = sample_entry(cloud, sigma, stream)
         e = np.broadcast_to(e_in0, p.shape)
     elif params.source == "volume":
         x = stream.uniforms(0, 0)
@@ -542,18 +570,17 @@ def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
         phi = 2.0 * math.pi * x[2][:, None]
         e = (np.cos(phi) * ref + np.sin(phi) * np.cross(u, ref)) \
             .astype(complex)
-        s0 = sample_free_path(cloud, p, u, sigma0, x[3])
+        s0 = sample_free_path(cloud, p, u, sigma, x[3])
         live = np.isfinite(s0)
-        escaped += float(np.count_nonzero(~live))
+        escaped += np.bincount(rows[~live] // n_tr, minlength=n_pt)
         p = p[live] + s0[live, None] * u[live]
-        e, rows, stream = e[live], rows[live], stream.take(live)
+        e, f, sigma = e[live], f[live], sigma[live]
+        rows, stream = rows[live], stream.take(live)
     else:
         raise ValueError(f"unknown source {params.source!r}")
 
     n = len(rows)
     w = np.ones(n)
-    f = np.full(n, f0)
-    sigma = tab.sigma[f]
     if crossed_on:
         M_dir = np.broadcast_to(np.eye(3, dtype=complex), (n, 3, 3))
         M_revpre = M_dir  # products up to the previous vertex
@@ -562,8 +589,10 @@ def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
     order = 0
     while len(rows):
         order += 1
-        x = stream.uniforms(order, _SLOT_EVENT)
-        kid = tab.keys(f, tab.sublevels(x[0]))
+        pt = rows // n_tr
+        # event block and the first two direction tries: (4, n, 3)
+        x = stream.uniforms(order, *_ORDER_BLOCKS)
+        kid = tab.keys(f, tab.sublevels(x[0, :, 0]))
         vs = tab.fields(kid, e)
 
         # next-event estimation toward every detector; the chord depth is
@@ -574,7 +603,7 @@ def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
                      * depth1[:, None, :])
         contrib = w[:, None] * np.sum(
             (amp.real ** 2 + amp.imag ** 2) * att, axis=1)
-        ladder[:, order] += contrib.sum(axis=0)
+        ladder[:, :, order] += _point_sums(pt, contrib, n_pt)
         traj_l[rows] += contrib
 
         if crossed_on:
@@ -597,12 +626,14 @@ def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
                 ok = denom > 1e-300
                 cc = np.where(ok, contrib * ratio / np.where(ok, denom, 1.0),
                               0.0)
-                crossed[:, order] += cc.sum(axis=0)
+                crossed[:, :, order] += _point_sums(pt, cc, n_pt)
                 traj_c[rows] += cc
+        del amp, att, contrib, depth1
 
         # continue the chain
-        mp, u, e, W_sc = scatter_event(vs, x[2], stream, order)
-        w = w * (W_sc + params.extra_gain_sigma) / sigma
+        mp, u, e, W_sc = scatter_event(vs, x[2, :, 0], stream, order,
+                                       x[:, :, 1:])
+        w = w * (W_sc + gains[pt]) / sigma
         f = tab.out_ids[kid, mp]
         sigma = tab.sigma[f]
         if crossed_on:
@@ -611,12 +642,12 @@ def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
             M_dir -= u[:, :, None] * (u[:, None, :] @ M_dir)
             M_revpre = M_revpre @ A  # M_revpre <- M_revpre A P
             M_revpre -= (M_revpre @ u[:, :, None]) * u[:, None, :]
-        s = sample_free_path(cloud, p, u, sigma, x[1])
+        s = sample_free_path(cloud, p, u, sigma, x[1, :, 0])
         gone = np.isinf(s)
-        escaped += float(w[gone].sum())
+        escaped += _point_sums(pt[gone], w[gone], n_pt)
         trunc = ~gone & ((order >= params.max_order) | ~np.isfinite(w))
-        truncated_w += float(w[trunc].sum())
-        n_trunc += int(np.count_nonzero(trunc))
+        truncated_w += _point_sums(pt[trunc], w[trunc], n_pt)
+        n_trunc += np.bincount(pt[trunc], minlength=n_pt)
         keep = ~(gone | trunc)
         p = p[keep] + s[keep, None] * u[keep]
         e, w, f, sigma = e[keep], w[keep], f[keep], sigma[keep]
@@ -626,8 +657,11 @@ def _run_chunk(cloud: Cloud, params: MCParams, detectors: list[Detector],
             r_first, tau_in_first = r_first[keep], tau_in_first[keep]
             tau_out_first = tau_out_first[keep]
 
-    return (ladder, crossed, np.sum(traj_l ** 2, axis=0),
-            np.sum(traj_c ** 2, axis=0), escaped, truncated_w, n_trunc)
+    def sq(traj):
+        return np.sum(traj.reshape(n_pt, n_tr, n_det) ** 2, axis=1)
+
+    return (ladder, crossed, sq(traj_l), sq(traj_c), escaped, truncated_w,
+            n_trunc)
 
 
 def _chunk_worker(args):
@@ -641,13 +675,19 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def simulate_ladder(cloud: Cloud, detectors: list[Detector],
-                    params: MCParams, n_workers: int = 1) -> LadderResult:
-    """Run the order-resolved ladder (and optional crossed) accumulation.
+def simulate_ladder(cloud: Cloud, detectors: list[Detector], points,
+                    n_workers: int = 1) -> list[LadderResult]:
+    """Run the order-resolved ladder (and optional crossed) accumulation of
+    every point of a sweep; one ``LadderResult`` per point, in order.
 
-    Every draw is keyed by (seed, trajectory index), so a trajectory does
-    not depend on ``n_workers`` or ``chunk_size``; chunk results merge in
-    fixed order, so the output is bit-identical for any ``n_workers``.
+    ``points`` is a sequence of ``MCParams`` that differ only in
+    ``detuning`` and ``extra_gain_sigma``; any other difference raises
+    ValueError.  The walkers of all points advance as one batch, and a
+    chunk holds at most ``chunk_size`` walkers (trajectories x points).
+    Every draw is keyed by (seed, trajectory index), so a trajectory sees
+    the same draws at every point and does not depend on ``n_workers``,
+    ``chunk_size`` or the other points; chunk results merge in fixed order,
+    so the output is bit-identical for any ``n_workers``.
     ``extra_gain_sigma`` adds a stimulated-gain albedo excess; the
     ``unstable`` flag reports a growing order-resolved tail.  The crossed
     term is implemented for a non-degenerate ground state only;
@@ -655,6 +695,15 @@ def simulate_ladder(cloud: Cloud, detectors: list[Detector],
     use the +z extinction in every direction, which holds only in an
     isotropic medium, so a cloud with a control field raises ValueError.
     """
+    points = list(points)
+    if not points:
+        raise ValueError("simulate_ladder needs at least one point")
+    params = points[0]
+    shared = replace(params, detuning=0.0, extra_gain_sigma=0.0)
+    for q in points[1:]:
+        if replace(q, detuning=0.0, extra_gain_sigma=0.0) != shared:
+            raise ValueError("the points of one sweep may differ only in "
+                             "detuning and extra_gain_sigma")
     if cloud.control is not None:
         raise ValueError(
             "the Monte-Carlo transport assumes an isotropic medium; a "
@@ -665,8 +714,9 @@ def simulate_ladder(cloud: Cloud, detectors: list[Detector],
             "the crossed (CBS) term is implemented only for a "
             f"non-degenerate ground state; this atom has {n_ground} ground "
             "sublevels")
-    edges = list(range(0, params.n_traj, params.chunk_size)) + [params.n_traj]
-    jobs = [(cloud, params, detectors, lo, hi)
+    step = max(params.chunk_size // len(points), 1)
+    edges = list(range(0, params.n_traj, step)) + [params.n_traj]
+    jobs = [(cloud, points, detectors, lo, hi)
             for lo, hi in zip(edges[:-1], edges[1:])]
     # a worker holds all walkers of its chunk at once, so workers beyond
     # the jobs or the usable CPUs add memory but no speed
@@ -677,38 +727,28 @@ def simulate_ladder(cloud: Cloud, detectors: list[Detector],
     else:
         results = [_run_chunk(*j) for j in jobs]
 
-    n_det = len(detectors)
-    ladder = np.zeros((n_det, params.max_order + 1))
-    crossed = np.zeros_like(ladder)
-    l_sq = np.zeros(n_det)
-    c_sq = np.zeros(n_det)
-    escaped = 0.0
-    trunc_w = 0.0
-    n_trunc = 0
-    for res in results:  # fixed chunk order
-        ladder += res[0]
-        crossed += res[1]
-        l_sq += res[2]
-        c_sq += res[3]
-        escaped += res[4]
-        trunc_w += res[5]
-        n_trunc += res[6]
+    # fixed chunk order
+    ladder, crossed, l_sq, c_sq, escaped, trunc_w, n_trunc = (
+        sum(parts[1:], parts[0]) for parts in zip(*results))
 
     n = params.n_traj
-    l_tot = ladder.sum(axis=1)
-    c_tot = crossed.sum(axis=1)
-    l_err = np.sqrt(np.maximum(l_sq / n - (l_tot / n) ** 2, 0.0) / n) * n
-    c_err = np.sqrt(np.maximum(c_sq / n - (c_tot / n) ** 2, 0.0) / n) * n
-
-    totals = ladder.sum(axis=0)
-    unstable = _detect_instability(totals, _INSTABILITY_RUN)
-    if trunc_w > 1e-3 * max(escaped, 1.0):
-        unstable = True
-    return LadderResult(per_order=ladder, crossed_per_order=crossed,
-                        stat_err=l_err, crossed_err=c_err,
-                        escaped_weight=escaped, injected_weight=float(n),
-                        truncated_weight=trunc_w, n_truncated=n_trunc,
-                        unstable=unstable)
+    l_err = np.sqrt(np.maximum(l_sq / n - (ladder.sum(axis=2) / n) ** 2,
+                               0.0) / n) * n
+    c_err = np.sqrt(np.maximum(c_sq / n - (crossed.sum(axis=2) / n) ** 2,
+                               0.0) / n) * n
+    out = []
+    for i in range(len(points)):
+        unstable = _detect_instability(ladder[i].sum(axis=0),
+                                       _INSTABILITY_RUN)
+        if trunc_w[i] > 1e-3 * max(escaped[i], 1.0):
+            unstable = True
+        out.append(LadderResult(
+            per_order=ladder[i], crossed_per_order=crossed[i],
+            stat_err=l_err[i], crossed_err=c_err[i],
+            escaped_weight=float(escaped[i]), injected_weight=float(n),
+            truncated_weight=float(trunc_w[i]), n_truncated=int(n_trunc[i]),
+            unstable=unstable))
+    return out
 
 
 def _detect_instability(order_totals: np.ndarray, run: int) -> bool:
@@ -755,7 +795,9 @@ def cbs_enhancement(cloud: Cloud, thetas, params: MCParams,
     ``channel`` selects the analyzer: helicity preserving ("hel_par"),
     helicity reversing ("hel_perp"), or linear parallel/perpendicular.
     ``eta_multiple`` excludes single scattering, which carries no
-    reciprocal partner.
+    reciprocal partner.  An enhancement whose denominator is zero is NaN:
+    ``eta`` (and ``stat_err``) where S + L = 0, ``eta_multiple`` where
+    L = 0.
     """
     e_hel, e_hel_det = helicity_vectors()
     if channel == "hel_par":
@@ -774,18 +816,17 @@ def cbs_enhancement(cloud: Cloud, thetas, params: MCParams,
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     dets = backscatter_detectors(thetas, e_det)
     run = replace(params, include_crossed=True, e_in=tuple(e_in))
-    raw = simulate_ladder(cloud, dets, run, n_workers=n_workers)
+    raw = simulate_ladder(cloud, dets, [run], n_workers=n_workers)[0]
 
     S = raw.per_order[:, 1]
     L = raw.per_order[:, 2:].sum(axis=1)
     C = raw.crossed_per_order[:, 2:].sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        eta = np.where(S + L > 0, (S + L + C) / (S + L), 1.0)
-        eta_m = np.where(L > 0, 1.0 + C / L, 1.0)
-    err = np.zeros_like(eta)
-    ok = (S + L) > 0
-    err[ok] = np.sqrt(raw.stat_err[ok] ** 2 + raw.crossed_err[ok] ** 2) \
-        / (S + L)[ok]
+        eta = np.where(S + L > 0, (S + L + C) / (S + L), np.nan)
+        eta_m = np.where(L > 0, 1.0 + C / L, np.nan)
+        err = np.where(S + L > 0, np.sqrt(raw.stat_err ** 2
+                                          + raw.crossed_err ** 2) / (S + L),
+                       np.nan)
     return CbsResult(thetas=thetas, single=S, ladder=L, crossed=C,
                      eta=eta, eta_multiple=eta_m, stat_err=err, raw=raw)
 

@@ -83,6 +83,11 @@ def _run_cbs_cone(cfg, record, progress):
     res = mc.cbs_enhancement(cloud, thetas, _mc_params(cfg),
                              channel=det["channel"],
                              n_workers=cfg["run"]["workers"])
+    if np.isnan(res.eta).any():
+        raise ArithmeticError(
+            "no scattered light of any order reaches the detectors at "
+            f"theta = {thetas[np.isnan(res.eta)].tolist()}, so the CBS "
+            "enhancement is undefined there")
     for i, th in enumerate(thetas):
         record.rows.append(ResultRow("theta", float(res.eta[i]),
                                      float(res.stat_err[i]),
@@ -94,10 +99,11 @@ def _run_cbs_cone(cfg, record, progress):
 def _run_ladder_spectrum(cfg, record, progress):
     cloud = _cloud(cfg)
     dets = mc.backscatter_detectors([0.0], np.array([1.0, 0.0, 0.0]))
-    for delta in _sweep_grid(cfg):
-        res = mc.simulate_ladder(cloud, dets,
-                                 _mc_params(cfg, detuning=float(delta)),
-                                 n_workers=cfg["run"]["workers"])
+    grid = _sweep_grid(cfg)
+    results = mc.simulate_ladder(
+        cloud, dets, [_mc_params(cfg, detuning=float(d)) for d in grid],
+        n_workers=cfg["run"]["workers"])
+    for delta, res in zip(grid, results):
         record.rows.append(ResultRow(
             "detuning", float(res.ladder_total[0]), float(res.stat_err[0]),
             channel="ladder", sweep_value=float(delta)))
@@ -108,11 +114,12 @@ def _run_gain_transport(cfg, record, progress):
     cloud = _cloud(cfg)
     dets = mc.backscatter_detectors([0.0], np.array([1.0, 0.0, 0.0]))
     sigma0 = cloud.sigma0()
-    for g in _sweep_grid(cfg):
-        res = mc.simulate_ladder(
-            cloud, dets,
-            _mc_params(cfg, extra_gain_sigma=float(g) * sigma0),
-            n_workers=cfg["run"]["workers"])
+    grid = _sweep_grid(cfg)
+    results = mc.simulate_ladder(
+        cloud, dets,
+        [_mc_params(cfg, extra_gain_sigma=float(g) * sigma0) for g in grid],
+        n_workers=cfg["run"]["workers"])
+    for g, res in zip(grid, results):
         record.rows.append(ResultRow(
             "gain", float(res.escaped_weight / res.injected_weight),
             channel="escaped_fraction", sweep_value=float(g)))

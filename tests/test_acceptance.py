@@ -130,8 +130,8 @@ def test_criterion_05_energy_conservation():
             scheme=LevelScheme.simple(),
             n0=b0 / (math.sqrt(2 * math.pi) * 6 * math.pi * r0), r0=r0)
         dets = mc.backscatter_detectors([0.0], np.array([1.0, 0.0, 0.0]))
-        res = mc.simulate_ladder(cloud, dets, mc.MCParams(
-            n_traj=20000, seed=5, chunk_size=10000, max_order=1_000_000))
+        res = mc.simulate_ladder(cloud, dets, [mc.MCParams(
+            n_traj=20000, seed=5, chunk_size=10000, max_order=1_000_000)])[0]
         worst = max(worst, abs(res.escaped_weight / res.injected_weight - 1))
     dt = time.perf_counter() - t0
     _report(5, "ladder transport escapes all injected weight at b0 in "
@@ -344,9 +344,9 @@ def test_criterion_11_gain_transport_instability():
     flags = []
     for rabi in (0.0, 300.0, 500.0, 800.0, 1200.0):
         sigma_g = md.raman_gain_cross_section(rabi, hpf)
-        res = mc.simulate_ladder(cloud, dets, mc.MCParams(
+        res = mc.simulate_ladder(cloud, dets, [mc.MCParams(
             n_traj=4000, seed=11, chunk_size=2000, max_order=400,
-            extra_gain_sigma=sigma_g))
+            extra_gain_sigma=sigma_g)])[0]
         flags.append(res.unstable)
     monotone = flags == sorted(flags)
     dt = time.perf_counter() - t0

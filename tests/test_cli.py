@@ -118,6 +118,19 @@ def test_cbs_cone_on_rb85_fails_without_output(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_cbs_cone_with_undefined_eta_fails_without_output(tmp_path, capsys):
+    # max_order = 1 in the helicity-preserving channel: no light reaches
+    # the detectors, so eta = (S + L + C)/(S + L) is 0/0
+    p = tmp_path / "c.ini"
+    p.write_text("[run]\nscenario = cbs-cone\n[detection]\nn_theta = 3\n"
+                 "[mc]\ntrajectories = 200\nmax_order = 1\n")
+    assert cli.main(["run", str(p), "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [cbs-cone]: ")
+    assert "undefined" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_contact_floor_failure_is_a_numeric_error(tmp_path, capsys):
     p = tmp_path / "c.ini"
     p.write_text("[run]\nscenario = coupled-dipole-spectrum\n"

@@ -46,6 +46,17 @@ def test_philox_matches_numpy_bit_for_bit(key):
     assert np.array_equal(stream.uniforms(5, 1, 2)[:, 0], expect)
 
 
+def test_order_block_matches_separate_draws():
+    # one call per order draws the event block and the first two direction
+    # tries; each block depends only on its counter
+    stream = mc._Stream(21, np.arange(50))
+    fused = stream.uniforms(4, *mc._ORDER_BLOCKS)
+    assert fused.shape == (4, 50, 3)
+    assert np.array_equal(fused[:, :, 0], stream.uniforms(4, mc._SLOT_EVENT))
+    assert np.array_equal(fused[:, :, 1:],
+                          stream.uniforms(4, mc._SLOT_SCATTER, np.arange(2)))
+
+
 def test_cloud_b0():
     cloud = two_level_cloud(b0=5.0)
     assert cloud.b0() == pytest.approx(5.0, rel=1e-12)
@@ -178,8 +189,8 @@ def test_elastic_channel_keeps_frequency():
 def test_energy_conservation_closed_transition():
     cloud = two_level_cloud(b0=5.0)
     dets = mc.backscatter_detectors([0.0], np.array([1.0, 0, 0]))
-    res = mc.simulate_ladder(cloud, dets, mc.MCParams(
-        n_traj=3000, seed=7, max_order=100000, chunk_size=1000))
+    res = mc.simulate_ladder(cloud, dets, [mc.MCParams(
+        n_traj=3000, seed=7, max_order=100000, chunk_size=1000)])[0]
     assert res.escaped_weight / res.injected_weight == \
         pytest.approx(1.0, abs=1e-6)
     assert res.n_truncated == 0
@@ -190,8 +201,8 @@ def test_thin_limit_order_ratio_slope():
     ratios = []
     for b0 in (0.05, 0.1):
         cloud = two_level_cloud(b0=b0, r0=8.0)
-        res = mc.simulate_ladder(cloud, dets, mc.MCParams(
-            n_traj=60000, seed=8, chunk_size=20000))
+        res = mc.simulate_ladder(cloud, dets, [mc.MCParams(
+            n_traj=60000, seed=8, chunk_size=20000)])[0]
         po = res.per_order.sum(axis=0)
         ratios.append(po[2] / po[1])
     assert ratios[1] / ratios[0] == pytest.approx(2.0, rel=0.10)
@@ -200,8 +211,8 @@ def test_thin_limit_order_ratio_slope():
 def test_order_distribution_unimodal_decay():
     cloud = two_level_cloud(b0=5.0)
     dets = mc.backscatter_detectors([0.0], np.array([1.0, 0, 0]))
-    res = mc.simulate_ladder(cloud, dets, mc.MCParams(
-        n_traj=40000, seed=9, chunk_size=20000))
+    res = mc.simulate_ladder(cloud, dets, [mc.MCParams(
+        n_traj=40000, seed=9, chunk_size=20000)])[0]
     po = res.per_order.sum(axis=0)[1:]
     po = po[po > 0]
     peak = int(np.argmax(po))
@@ -217,17 +228,98 @@ def test_determinism_across_workers():
     dets = mc.backscatter_detectors([0.0, 0.1], e_det)
     params = mc.MCParams(n_traj=4000, seed=10, chunk_size=500,
                          include_crossed=True, e_in=tuple(e_hel))
-    r1 = mc.simulate_ladder(cloud, dets, params, n_workers=1)
-    r3 = mc.simulate_ladder(cloud, dets, params, n_workers=3)
+    r1 = mc.simulate_ladder(cloud, dets, [params], n_workers=1)[0]
+    r3 = mc.simulate_ladder(cloud, dets, [params], n_workers=3)[0]
     assert np.array_equal(r1.per_order, r3.per_order)
     assert np.array_equal(r1.crossed_per_order, r3.crossed_per_order)
     assert r1.escaped_weight == r3.escaped_weight
     # the same trajectories in one chunk: sums differ only by rounding
-    one = mc.simulate_ladder(cloud, dets, replace(params, chunk_size=4000))
+    one = mc.simulate_ladder(cloud, dets,
+                             [replace(params, chunk_size=4000)])[0]
     for a, b in ((one.per_order, r1.per_order),
                  (one.crossed_per_order, r1.crossed_per_order)):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
     assert one.escaped_weight == pytest.approx(r1.escaped_weight, rel=1e-12)
+
+
+def _rb85_sweep():
+    cloud = mc.Cloud(scheme=LevelScheme.rb85_d2(), n0=0.0387, r0=8.0)
+    base = mc.MCParams(n_traj=120, seed=22, chunk_size=20000)
+    return cloud, [replace(base, detuning=d) for d in (-2.0, 0.0, 0.5, 3.0)]
+
+
+def _gain_sweep():
+    # crossed bookkeeping on, so the crossed accumulators are compared too
+    cloud = two_level_cloud(b0=4.0)
+    e_hel, _ = mc.helicity_vectors()
+    base = mc.MCParams(n_traj=400, seed=23, chunk_size=20000, max_order=300,
+                       include_crossed=True, e_in=tuple(e_hel))
+    return cloud, [replace(base, extra_gain_sigma=g * 6 * math.pi)
+                   for g in (0.0, 0.2, 0.5)]
+
+
+def _assert_results_close(got, ref, rtol):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        for name in ("per_order", "crossed_per_order", "stat_err",
+                     "crossed_err"):
+            np.testing.assert_allclose(getattr(a, name), getattr(b, name),
+                                       rtol=rtol, atol=0)
+        for name in ("escaped_weight", "truncated_weight"):
+            assert getattr(a, name) == pytest.approx(getattr(b, name),
+                                                     rel=rtol, abs=0)
+        assert a.injected_weight == b.injected_weight
+        assert a.n_truncated == b.n_truncated
+        assert a.unstable == b.unstable
+
+
+@pytest.mark.parametrize("sweep", [_rb85_sweep, _gain_sweep])
+def test_sweep_matches_per_point_runs(sweep):
+    cloud, points = sweep()
+    e_det = np.conj(np.asarray(points[0].e_in, dtype=complex))
+    dets = mc.backscatter_detectors([0.0, 0.2], e_det)
+    together = mc.simulate_ladder(cloud, dets, points)
+    alone = [mc.simulate_ladder(cloud, dets, [q])[0] for q in points]
+    _assert_results_close(together, alone, 1e-12)
+    # the points differ, so the comparison is not between equal results
+    assert together[0].per_order.sum() != together[-1].per_order.sum()
+
+
+@pytest.mark.parametrize("sweep", [_rb85_sweep, _gain_sweep])
+def test_sweep_deterministic_across_workers_and_chunks(sweep):
+    cloud, points = sweep()
+    dets = mc.backscatter_detectors([0.0], np.conj(
+        np.asarray(points[0].e_in, dtype=complex)))
+    # 100 walkers a chunk: 25 or 33 trajectories of the sweep
+    small = [replace(q, chunk_size=100) for q in points]
+    r1 = mc.simulate_ladder(cloud, dets, small, n_workers=1)
+    r3 = mc.simulate_ladder(cloud, dets, small, n_workers=3)
+    for a, b in zip(r1, r3):
+        assert np.array_equal(a.per_order, b.per_order)
+        assert np.array_equal(a.crossed_per_order, b.crossed_per_order)
+        assert np.array_equal(a.stat_err, b.stat_err)
+        assert a.escaped_weight == b.escaped_weight
+        assert a.truncated_weight == b.truncated_weight
+    for size in (7, 1000):
+        other = mc.simulate_ladder(
+            cloud, dets, [replace(q, chunk_size=size) for q in points])
+        _assert_results_close(other, r1, 1e-12)
+
+
+@pytest.mark.parametrize("change", [
+    {"n_traj": 11}, {"seed": 1}, {"max_order": 7}, {"include_crossed": True},
+    {"source": "volume"}, {"e_in": (0.0, 1.0, 0.0)}, {"chunk_size": 10},
+])
+def test_sweep_points_differ_only_in_detuning_and_gain(change):
+    cloud = two_level_cloud(b0=1.0)
+    dets = mc.backscatter_detectors([0.0], np.array([1.0, 0, 0]))
+    base = mc.MCParams(n_traj=10, seed=3)
+    ok = [base, replace(base, detuning=1.0, extra_gain_sigma=0.5)]
+    assert len(mc.simulate_ladder(cloud, dets, ok)) == 2
+    with pytest.raises(ValueError, match="may differ only in"):
+        mc.simulate_ladder(cloud, dets, ok + [replace(base, **change)])
+    with pytest.raises(ValueError, match="at least one point"):
+        mc.simulate_ladder(cloud, dets, [])
 
 
 @pytest.mark.parametrize("n_chunks", [3, 12])
@@ -251,7 +343,7 @@ def test_pool_size_capped_by_jobs_and_cpus(monkeypatch, n_chunks):
     cloud = two_level_cloud(b0=1.0)
     dets = mc.backscatter_detectors([0.0], np.array([1.0, 0.0, 0.0]))
     params = mc.MCParams(n_traj=20 * n_chunks, seed=3, chunk_size=20)
-    mc.simulate_ladder(cloud, dets, params, n_workers=64)
+    mc.simulate_ladder(cloud, dets, [params], n_workers=64)
     cpus = mc._usable_cpus()
     assert 1 <= cpus <= os.cpu_count()
     expect = min(64, n_chunks, cpus)
@@ -264,8 +356,8 @@ def test_variance_scaling():
     errs = []
     ns = [4000, 8000, 16000, 32000]
     for i, n in enumerate(ns):
-        res = mc.simulate_ladder(cloud, dets, mc.MCParams(
-            n_traj=n, seed=100 + i, chunk_size=2000))
+        res = mc.simulate_ladder(cloud, dets, [mc.MCParams(
+            n_traj=n, seed=100 + i, chunk_size=2000)])[0]
         # stderr of the mean intensity
         errs.append(res.stat_err[0] / n)
     slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
@@ -316,6 +408,23 @@ def test_eta_at_least_one_all_channels():
         assert cbs.eta[0] >= 1.0 - 3 * cbs.stat_err[0] - 0.01
 
 
+def test_eta_is_nan_without_multiple_scattering():
+    # helicity preserving with single scattering only: S = L = 0 at every
+    # angle, so neither enhancement has a denominator
+    cloud = two_level_cloud(b0=3.0)
+    cbs = mc.cbs_enhancement(cloud, [0.0, 0.1, 0.3], mc.MCParams(
+        n_traj=2000, seed=24, max_order=1), channel="hel_par")
+    assert np.all(cbs.single == 0.0) and np.all(cbs.ladder == 0.0)
+    assert np.all(np.isnan(cbs.eta))
+    assert np.all(np.isnan(cbs.eta_multiple))
+    assert np.all(np.isnan(cbs.stat_err))
+    # with single scattering, eta is defined and eta_multiple is not
+    lin = mc.cbs_enhancement(cloud, [0.0], mc.MCParams(
+        n_traj=2000, seed=24, max_order=1), channel="lin_par")
+    assert lin.single[0] > 0 and lin.eta[0] == 1.0
+    assert np.isnan(lin.eta_multiple[0])
+
+
 def test_crossed_term_refused_for_degenerate_ground_state():
     # the crossed term is implemented for one ground sublevel only; Rb must
     # not silently report eta = 1
@@ -325,7 +434,7 @@ def test_crossed_term_refused_for_degenerate_ground_state():
     dets = mc.backscatter_detectors([0.0], np.array([1.0, 0, 0]))
     with pytest.raises(ValueError, match="non-degenerate ground state"):
         mc.simulate_ladder(cloud, dets,
-                           mc.MCParams(n_traj=10, include_crossed=True))
+                           [mc.MCParams(n_traj=10, include_crossed=True)])
 
 
 def test_gain_weight_bookkeeping():
@@ -337,11 +446,11 @@ def test_gain_weight_bookkeeping():
     cloud = two_level_cloud(b0=4.0)
     dets = mc.backscatter_detectors([0.0], np.array([1.0, 0, 0]))
     sigma_g = g * 6 * math.pi
-    res = mc.simulate_ladder(cloud, dets, mc.MCParams(
+    res = mc.simulate_ladder(cloud, dets, [mc.MCParams(
         n_traj=5000, seed=16, chunk_size=2500, extra_gain_sigma=sigma_g,
-        max_order=10000))
-    res0 = mc.simulate_ladder(cloud, dets, mc.MCParams(
-        n_traj=5000, seed=16, chunk_size=2500, max_order=10000))
+        max_order=10000)])[0]
+    res0 = mc.simulate_ladder(cloud, dets, [mc.MCParams(
+        n_traj=5000, seed=16, chunk_size=2500, max_order=10000)])[0]
     # escaped weight exceeds unity under gain, and the per-order mean
     # amplification matches (1+g)^order on the order-resolved ratios
     assert res.escaped_weight > res0.escaped_weight
@@ -358,9 +467,9 @@ def test_instability_flag_monotone_in_gain():
     dets = mc.backscatter_detectors([0.0], np.array([1.0, 0, 0]))
     flags = []
     for g in (0.0, 0.1, 0.3, 0.6):
-        res = mc.simulate_ladder(cloud, dets, mc.MCParams(
+        res = mc.simulate_ladder(cloud, dets, [mc.MCParams(
             n_traj=4000, seed=17, chunk_size=2000,
-            extra_gain_sigma=g * 6 * math.pi, max_order=400))
+            extra_gain_sigma=g * 6 * math.pi, max_order=400)])[0]
         flags.append(res.unstable)
     assert flags == sorted(flags)  # once unstable, stays unstable
     assert not flags[0]
@@ -377,9 +486,9 @@ def test_instability_detector_unit():
 def test_volume_source_runs_and_conserves():
     cloud = two_level_cloud(b0=3.0)
     dets = mc.backscatter_detectors([0.0], np.array([1.0, 0, 0]))
-    res = mc.simulate_ladder(cloud, dets, mc.MCParams(
+    res = mc.simulate_ladder(cloud, dets, [mc.MCParams(
         n_traj=2000, seed=18, chunk_size=1000, source="volume",
-        max_order=100000))
+        max_order=100000)])[0]
     assert res.escaped_weight / res.injected_weight == \
         pytest.approx(1.0, abs=1e-6)
 
@@ -391,7 +500,7 @@ def test_monte_carlo_refuses_a_control_field():
     cloud = mc.Cloud(scheme=sch, n0=0.02, r0=8.0, control=ctrl)
     dets = mc.backscatter_detectors([0.0], np.array([1.0, 0, 0]))
     with pytest.raises(ValueError, match="isotropic medium"):
-        mc.simulate_ladder(cloud, dets, mc.MCParams(n_traj=10))
+        mc.simulate_ladder(cloud, dets, [mc.MCParams(n_traj=10)])
 
 
 def test_raman_photon_frequency_and_extinction():
@@ -429,7 +538,7 @@ def test_raman_photon_frequency_and_extinction():
 
     res = mc.simulate_ladder(
         cloud, mc.backscatter_detectors([0.0], e),
-        mc.MCParams(detuning=omega, n_traj=20000, seed=19, max_order=1))
+        [mc.MCParams(detuning=omega, n_traj=20000, seed=19, max_order=1)])[0]
     mean = res.ladder_total[0] / res.injected_weight
     err = res.stat_err[0] / res.injected_weight
     assert abs(mean - single(+1)) < 4 * err
