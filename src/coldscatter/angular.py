@@ -1,9 +1,8 @@
 r"""Angular-momentum algebra and atomic matrix elements.
 
-Clebsch-Gordan coefficients, Wigner 6j symbols, rank-1 Wigner rotation
-matrices, spherical-basis conversions, electric-dipole and magnetic-moment
-matrix elements for alkali hyperfine structure, and the spontaneous-emission
-repopulation matrix.
+Clebsch-Gordan coefficients, Wigner 6j symbols, the spherical unit
+vectors, electric-dipole matrix elements for alkali hyperfine structure,
+and the spontaneous-emission repopulation matrix.
 
 Conventions
 -----------
@@ -13,13 +12,12 @@ Conventions
 * Units: the natural decay rate ``gamma = 1`` and ``k0 = omega0/c = 1``
   (lengths in reduced wavelengths).  Dipole matrix elements are normalized
   so that the total spontaneous decay rate of every excited sublevel is
-  ``gamma``; magnetic moments are in units of the Bohr magneton.
+  ``gamma``.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -31,13 +29,9 @@ __all__ = [
     "LevelScheme",
     "clebsch_gordan",
     "wigner_6j",
-    "wigner_rotation_rank1",
-    "to_spherical",
-    "from_spherical",
     "spherical_unit_vectors",
     "dipole_matrix_element",
     "dipole_q_array",
-    "magnetic_matrix_element",
     "repopulation_matrix",
 ]
 
@@ -125,11 +119,7 @@ def _ln_delta(ta: int, tb: int, tc: int) -> float:
     )
 
 
-_cg_cache: dict[tuple, float] = {}
-_sixj_cache: dict[tuple, float] = {}
-_cache_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def _cg_doubled(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> float:
     if abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tM) > tJ:
         return 0.0
@@ -137,12 +127,6 @@ def _cg_doubled(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> flo
         raise ValueError("projection and momentum differ by a non-integer")
     if tM != tm1 + tm2 or not _triangle_ok(tj1, tj2, tJ):
         return 0.0
-
-    key = (tj1, tm1, tj2, tm2, tJ)
-    with _cache_lock:
-        cached = _cg_cache.get(key)
-    if cached is not None:
-        return cached
 
     # Racah's closed form for <j1 m1 j2 m2 | J M>.
     ln_pref = 0.5 * (
@@ -170,23 +154,15 @@ def _cg_doubled(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int) -> flo
         )
         term = math.exp(ln_pref - ln_den)
         total += -term if k % 2 else term
-
-    with _cache_lock:
-        _cg_cache[key] = total
     return total
 
 
+@lru_cache(maxsize=None)
 def _sixj_doubled(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> float:
     triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
     for tri in triads:
         if not _triangle_ok(*tri):
             return 0.0
-
-    key = (ta, tb, tc, td, te, tf)
-    with _cache_lock:
-        cached = _sixj_cache.get(key)
-    if cached is not None:
-        return cached
 
     ln_pref = (
         _ln_delta(ta, tb, tc)
@@ -218,9 +194,6 @@ def _sixj_doubled(ta: int, tb: int, tc: int, td: int, te: int, tf: int) -> float
         )
         term = math.exp(ln_pref + _lnfac(t + 1) - ln_den)
         total += -term if t % 2 else term
-
-    with _cache_lock:
-        _sixj_cache[key] = total
     return total
 
 
@@ -242,29 +215,8 @@ def wigner_6j(a, b, c, d, e, f) -> float:
 
 
 # ----------------------------------------------------------------------------
-# Rank-1 rotations and the spherical basis.
+# The spherical basis.
 # ----------------------------------------------------------------------------
-
-def wigner_rotation_rank1(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Wigner rotation matrix ``D^1_{q'q}(alpha, beta, gamma)``.
-
-    z-y-z Euler angles; rows and columns are ordered q = (-1, 0, +1).
-    ``D^1_{q'q} = exp(-i q' alpha) d^1_{q'q}(beta) exp(-i q gamma)``.
-    """
-    c, s = math.cos(beta), math.sin(beta)
-    r2 = math.sqrt(2.0)
-    # Reduced d^1 matrix with indices in (+1, 0, -1) order (standard table).
-    d_desc = np.array([
-        [(1 + c) / 2, -s / r2, (1 - c) / 2],
-        [s / r2, c, -s / r2],
-        [(1 - c) / 2, s / r2, (1 + c) / 2],
-    ])
-    d = d_desc[::-1, ::-1]  # reorder to ascending q = (-1, 0, +1)
-    q = np.array([-1.0, 0.0, 1.0])
-    phase_rows = np.exp(-1j * q * alpha)
-    phase_cols = np.exp(-1j * q * gamma)
-    return phase_rows[:, None] * d * phase_cols[None, :]
-
 
 def spherical_unit_vectors() -> np.ndarray:
     """Rows are the spherical unit vectors e_q, q = (-1, 0, +1), Cartesian."""
@@ -274,19 +226,6 @@ def spherical_unit_vectors() -> np.ndarray:
         [0, 0, 1],                 # e_0 = ez
         [-1 / r2, -1j / r2, 0],    # e_{+1} = -(ex + i ey)/sqrt(2)
     ], dtype=complex)
-
-
-_EQ = spherical_unit_vectors()
-
-
-def to_spherical(v: np.ndarray) -> np.ndarray:
-    """Spherical components v_q = e_q^dagger . v, ordered q = (-1, 0, +1)."""
-    return _EQ.conj() @ np.asarray(v, dtype=complex)
-
-
-def from_spherical(vq: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`to_spherical`: v = sum_q v_q e_q."""
-    return np.asarray(vq, dtype=complex) @ _EQ
 
 
 # ----------------------------------------------------------------------------
@@ -440,17 +379,6 @@ class LevelScheme:
         return (sign * math.sqrt((twice_F + 1.0) * (twice_F0 + 1.0)) * six
                 * red_JS)
 
-    def reduced_magnetic(self, twice_F0p: int, twice_F0: int) -> float:
-        """<F0' || m || F0> within the ground manifold, in Bohr magnetons."""
-        tS, tI = self.S.twice, self.I.twice
-        if not _triangle_ok(twice_F0, 2, twice_F0p):
-            return 0.0
-        exponent = (twice_F0 + tS + tI) // 2 - 1
-        sign = -1.0 if exponent % 2 else 1.0
-        six = _sixj_doubled(tS, tI, twice_F0, twice_F0p, 2, tS)
-        return (sign * math.sqrt((twice_F0p + 1.0) * (twice_F0 + 1.0)) * six
-                * math.sqrt(6.0))
-
 
 def dipole_matrix_element(scheme: LevelScheme, F, M, F0, M0, q) -> float:
     """<F, M | d_q | F0, M0> via the Wigner-Eckart theorem.
@@ -485,22 +413,6 @@ def dipole_q_array(scheme: LevelScheme) -> np.ndarray:
                     d[iq, ie, ig] = dipole_matrix_element(
                         scheme, tF / 2, tM / 2, tF0 / 2, tM0 / 2, q)
     return d
-
-
-def magnetic_matrix_element(scheme: LevelScheme, F0p, M0p, F0, M0, q) -> float:
-    """<F0', M0' | m_q | F0, M0> within the ground manifold (Bohr magnetons)."""
-    tF0p, tM0p = _twice(F0p), _twice(M0p)
-    tF0, tM0 = _twice(F0), _twice(M0)
-    tq = _twice(q)
-    if tq not in (-2, 0, 2):
-        raise ValueError("q must be -1, 0 or +1")
-    if tM0p != tM0 + tq:
-        return 0.0
-    red = scheme.reduced_magnetic(tF0p, tF0)
-    if red == 0.0:
-        return 0.0
-    cg = _cg_doubled(tF0, tM0, 2, tq, tF0p, tM0p)
-    return red / math.sqrt(tF0p + 1.0) * cg
 
 
 def repopulation_matrix(scheme: LevelScheme, rho_excited: np.ndarray) -> np.ndarray:

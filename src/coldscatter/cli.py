@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig, canonical_text, \
-    config_hash, parse_config, to_json_dict
+    config_hash, override_run, parse_config, to_json_dict
 from .scenarios import ResultRecord, run_scenario
 
 __all__ = ["main", "emit_results"]
@@ -85,15 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load(path, overrides) -> ScenarioConfig:
-    cfg = parse_config(path)
-    values = {s: dict(kv) for s, kv in cfg.values.items()}
-    for key, val in overrides.items():
-        if val is not None:
-            values["run"][key] = val
-    return ScenarioConfig(scenario=cfg.scenario, values=values)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -103,8 +94,8 @@ def main(argv=None) -> int:
             print(canonical_text(cfg), end="")
             return 0
 
-        cfg = _load(args.config, {"seed": args.seed, "workers": args.workers,
-                                  "out": args.out})
+        cfg = override_run(parse_config(args.config), seed=args.seed,
+                           workers=args.workers, out=args.out)
         out_dir = os.environ.get("COLDSCATTER_OUT") or cfg["run"]["out"]
         progress = (lambda msg: None) if args.quiet else \
             (lambda msg: print(f"[{cfg.scenario}] {msg}", file=sys.stderr))

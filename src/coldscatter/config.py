@@ -15,7 +15,7 @@ import io
 from dataclasses import dataclass, field
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "parse_text",
-           "canonical_text", "config_hash", "SCENARIOS"]
+           "override_run", "canonical_text", "config_hash", "SCENARIOS"]
 
 SCENARIOS = (
     "cbs-cone", "ladder-spectrum", "gain-transport", "eit-spectrum",
@@ -211,6 +211,20 @@ def parse_text(text: str) -> ScenarioConfig:
 def parse_config(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_text(fh.read())
+
+
+def override_run(config: ScenarioConfig, **overrides) -> ScenarioConfig:
+    """``config`` with the given [run] keys replaced (None keeps a key).
+    Each value must pass the check the key has in a config file; every
+    failure is reported in one ConfigError."""
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    schema = _SCHEMA["run"]
+    errors = [f"run.{key}: {val!r} violates: {schema[key][3]}"
+              for key, val in overrides.items() if not schema[key][2](val)]
+    if errors:
+        raise ConfigError(errors)
+    run = {**config["run"], **overrides}
+    return ScenarioConfig(config.scenario, {**config.values, "run": run})
 
 
 def canonical_text(config: ScenarioConfig) -> str:

@@ -76,9 +76,6 @@ class Cloud:
                 GroundState.isotropic(self.scheme,
                                       self.scheme.ground[0].twice_F))
 
-    def density(self, p) -> float:
-        return self.n0 * math.exp(-float(np.dot(p, p)) / (2 * self.r0 ** 2))
-
     def sigma0(self) -> float:
         """Resonant cross section 2 pi (2F+1)/(2F0+1) for the main line."""
         tF = self.scheme.excited[0].twice_F
@@ -105,8 +102,8 @@ _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
 _PHILOX_ROUNDS = 10
 
 # Draw slots of one order; each (order, slot, retry) owns one Philox counter
-# and so four uniforms.  Order 0 is the source: the beam entry (slot 0, one
-# retry per rejected impact point) or the volume source (slots 0 and 1).
+# and so four uniforms.  Order 0 is the beam entry (slot 0, one retry per
+# rejected impact point).
 # An order >= 1 draws its event block and first two direction tries in one
 # call, as the (slot, retry) pairs of _ORDER_BLOCKS.
 _SLOT_EVENT = 0    # order >= 1: sublevel, free path, channel
@@ -381,7 +378,6 @@ class MCParams:
     seed: int = 0
     max_order: int = 50
     include_crossed: bool = False
-    source: str = "beam"             # "beam" or "volume" (pumped subvolume)
     extra_gain_sigma: float = 0.0    # stimulated-gain cross section per atom
     e_in: tuple = (1.0, 0.0, 0.0)
     chunk_size: int = 20000
@@ -404,10 +400,6 @@ class LadderResult:
     @property
     def ladder_total(self):
         return self.per_order.sum(axis=1)
-
-    @property
-    def crossed_total(self):
-        return self.crossed_per_order.sum(axis=1)
 
 
 @dataclass
@@ -485,9 +477,8 @@ class _MediumTables:
         if kid is None:
             f, m = divmod(key, self.n_ground)
             omega = self.omegas[f]
-            tensors = scattering_tensors(self.cloud.scheme,
-                                         self.cloud.control, m, omega)
-            stack = np.array([tensors[mp] for mp in range(self.n_ground)])
+            stack = scattering_tensors(self.cloud.scheme,
+                                       self.cloud.control, m, omega)
             out = self.freq_ids(omega + self.shifts[:, m])
             kid = self._keys[key] = len(self.stacks)
             self.stacks = np.concatenate([self.stacks, stack[None]])
@@ -554,30 +545,8 @@ def _run_chunk(cloud: Cloud, points: list[MCParams],
     stream = _Stream(params.seed, lo + rows % n_tr)
     f = tab.freq_ids([q.detuning for q in points])[rows // n_tr]
     sigma = tab.sigma[f]
-    if params.source == "beam":
-        p = sample_entry(cloud, sigma, stream)
-        e = np.broadcast_to(e_in0, p.shape)
-    elif params.source == "volume":
-        x = stream.uniforms(0, 0)
-        p = cloud.r0 * np.stack(_normals(x[0], x[1])
-                                + _normals(x[2], x[3])[:1], axis=-1)
-        x = stream.uniforms(0, 1)
-        u = _isotropic(x[0], x[1])
-        ref = np.where(np.abs(u[:, :1]) < 0.9, [1.0, 0.0, 0.0],
-                       [0.0, 1.0, 0.0])
-        ref -= u * np.sum(u * ref, axis=-1)[:, None]
-        ref /= np.linalg.norm(ref, axis=-1)[:, None]
-        phi = 2.0 * math.pi * x[2][:, None]
-        e = (np.cos(phi) * ref + np.sin(phi) * np.cross(u, ref)) \
-            .astype(complex)
-        s0 = sample_free_path(cloud, p, u, sigma, x[3])
-        live = np.isfinite(s0)
-        escaped += np.bincount(rows[~live] // n_tr, minlength=n_pt)
-        p = p[live] + s0[live, None] * u[live]
-        e, f, sigma = e[live], f[live], sigma[live]
-        rows, stream = rows[live], stream.take(live)
-    else:
-        raise ValueError(f"unknown source {params.source!r}")
+    p = sample_entry(cloud, sigma, stream)
+    e = np.broadcast_to(e_in0, p.shape)
 
     n = len(rows)
     w = np.ones(n)

@@ -2,9 +2,9 @@ r"""Dressed-medium optics: propagators, susceptibility and scattering tensors.
 
 Builds the excited-state Green's function dressed by a control field
 (Autler-Townes blocks), the sample susceptibility tensor, the single-atom
-scattering tensor, the Pauli-matrix transverse decomposition used by the
-ray propagator, kinetic lengths (extinction / scattering / loss-or-gain),
-and the saturation intensity fractions.
+scattering tensors, the Pauli-matrix transverse decomposition used by the
+ray propagator, kinetic lengths (extinction / scattering / loss-or-gain)
+and the effective Raman gain cross section.
 
 All frequencies are in units of gamma, measured in the rotating frame so
 that a bare transition m -> n resonates at ``omega = E_n - E_m``.
@@ -27,18 +27,14 @@ __all__ = [
     "GroundState",
     "TransverseChi",
     "KineticLengths",
-    "dressed_propagator_block",
     "excited_green",
     "susceptibility",
-    "scattering_tensor",
     "scattering_tensors",
     "local_frame",
     "BEAM_FRAME",
     "transverse_decompose",
     "extinction_cross_section",
     "kinetic_lengths",
-    "saturation_and_intensities",
-    "doppler_dephasing",
     "raman_gain_cross_section",
 ]
 
@@ -168,27 +164,6 @@ def _block_green(scheme: LevelScheme, control: ControlField, E: complex,
     return np.diag(a_inv) + np.outer(u, a_inv * v.conj()) / denom
 
 
-def dressed_propagator_block(scheme: LevelScheme, control: ControlField | None,
-                             E: complex, twice_M: int):
-    """Dressed Green's function block for excited sublevels with given M.
-
-    Returns ``(indices, G)`` where ``indices`` are positions into
-    :meth:`LevelScheme.excited_sublevels` and ``G`` solves
-    ``[(E - E_n + i gamma/2) delta - V V*/(E - omega_c - E_m')] G = 1``.
-    Only this block is computed, so a pole in another block does not raise.
-    """
-    energies, blocks = _excited_levels(scheme)
-    idx = dict(blocks).get(twice_M)
-    if idx is None:
-        raise ValueError(f"no excited sublevels with M = {twice_M / 2}")
-    idx = list(idx)
-    a_inv = 1.0 / (E - energies[idx] + 0.5j * scheme.gamma)
-    for d_idx, v in _dressed_blocks(scheme, control):
-        if d_idx == idx:
-            return idx, _block_green(scheme, control, E, a_inv, v)
-    return idx, np.diag(a_inv)
-
-
 def excited_green(scheme: LevelScheme, control: ControlField | None,
                   E: complex) -> np.ndarray:
     """Full excited-manifold Green's function (block-diagonal in M): the
@@ -236,23 +211,16 @@ def susceptibility(scheme: LevelScheme, ground: GroundState,
     return ground.n0 * chi
 
 
-def scattering_tensor(scheme: LevelScheme, control: ControlField | None,
-                      m_out: int, m_in: int, omega: float) -> np.ndarray:
-    """Single-atom scattering tensor alpha^{(m' m)}_{mu' mu} (3x3 Cartesian).
-
-    ``m_in``/``m_out`` index :meth:`LevelScheme.ground_sublevels`; rows are
-    the outgoing Cartesian index mu', columns the incoming mu.
-    """
-    return scattering_tensors(scheme, control, m_in, omega)[m_out]
-
-
 def scattering_tensors(scheme: LevelScheme, control: ControlField | None,
-                       m_in: int, omega: float) -> dict[int, np.ndarray]:
-    """All outgoing-channel tensors m_in -> m' at input frequency omega."""
+                       m_in: int, omega: float) -> np.ndarray:
+    """Single-atom scattering tensors alpha^{(m' m_in)}_{mu' mu} of every
+    outgoing channel m' at input frequency omega: an (n_ground, 3, 3)
+    stack indexed by :meth:`LevelScheme.ground_sublevels`, rows the
+    outgoing Cartesian index mu', columns the incoming mu."""
     gnd = scheme.ground_sublevels()
     G = excited_green(scheme, control,
                       omega + scheme.ground_energy(gnd[m_in][0]))
-    return dict(enumerate(_tensor_stack(scheme, G, m_in)))
+    return _tensor_stack(scheme, G, m_in)
 
 
 def raman_shift(scheme: LevelScheme, m_out: int, m_in: int) -> float:
@@ -298,12 +266,6 @@ class TransverseChi:
     chi_len: complex             # principal sqrt(chi_x^2+chi_y^2+chi_z^2)
     director: np.ndarray | None  # chivec / chi_len, None when isotropic
     frame: np.ndarray            # rows: local x, y, z axes
-
-    def reconstruct(self) -> np.ndarray:
-        """2x2 transverse tensor chi0*I + chivec . sigma."""
-        cx, cy, cz = self.chivec
-        return np.array([[self.chi0 + cz, cx - 1j * cy],
-                         [cx + 1j * cy, self.chi0 - cz]])
 
 
 def transverse_decompose(chi_lab: np.ndarray, ray_direction,
@@ -371,8 +333,7 @@ def kinetic_lengths(scheme: LevelScheme, ground: GroundState,
     pops = np.diag(ground.rho).real
     sigma_sc = 0.0
     for m in np.nonzero(pops > 0.0)[0]:
-        tensors = scattering_tensors(scheme, control, m, omega)
-        transverse = np.array(list(tensors.values()))[:, :, :2]
+        transverse = scattering_tensors(scheme, control, m, omega)[:, :, :2]
         sigma_sc += pops[m] * float(np.sum(np.abs(transverse) ** 2))
     sigma_sc = (8.0 * math.pi / 3.0) * 0.5 * sigma_sc + extra_gain_sigma
 
@@ -390,26 +351,8 @@ def kinetic_lengths(scheme: LevelScheme, ground: GroundState,
 
 
 # ----------------------------------------------------------------------------
-# Saturation fractions, Doppler dephasing, effective Raman gain.
+# Effective Raman gain.
 # ----------------------------------------------------------------------------
-
-def saturation_and_intensities(rabi: float, detuning: float,
-                               gamma: float = 1.0) -> dict[str, float]:
-    """Saturation parameter and coherent/incoherent intensity fractions."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    s = (rabi ** 2 / 2.0) / (detuning ** 2 + gamma ** 2 / 4.0)
-    return {
-        "s": s,
-        "I_coh": s / (2.0 * (1.0 + s) ** 2),
-        "I_incoh": s ** 2 / (2.0 * (1.0 + s) ** 2),
-    }
-
-
-def doppler_dephasing(k: float, v_bar: float, gamma: float = 1.0) -> float:
-    """Order-of-magnitude interference phase spread from residual motion."""
-    return k * v_bar / gamma
-
 
 def raman_gain_cross_section(rabi_bar: float, hpf_splitting: float,
                              detuning: float = 0.0, sigma0: float = 6 * math.pi,

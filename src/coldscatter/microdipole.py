@@ -191,23 +191,6 @@ class DipoleSolver:
         f = self.scattering_amplitude(k_in, e_in, k_in, e_in)
         return 4.0 * math.pi * f.imag
 
-    def differential_cross_section(self, k_in, e_in, k_out,
-                                   e_out=None) -> float:
-        """dsigma/dOmega; with ``e_out=None`` summed over exit polarizations."""
-        if self.config.model == "scalar":
-            return abs(self.scattering_amplitude(k_in, None, k_out)) ** 2
-        if e_out is not None:
-            return abs(self.scattering_amplitude(k_in, e_in, k_out, e_out)) ** 2
-        ko = np.asarray(k_out, dtype=float)
-        ko = ko / np.linalg.norm(ko)
-        e1 = np.zeros(3)
-        e1[np.argmin(np.abs(ko))] = 1.0
-        e1 = e1 - (e1 @ ko) * ko
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(ko, e1)
-        return sum(abs(self.scattering_amplitude(k_in, e_in, k_out, e)) ** 2
-                   for e in (e1, e2))
-
 
 # ----------------------------------------------------------------------------
 # Self-consistent macroscopic dielectric response.

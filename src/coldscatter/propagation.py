@@ -1,10 +1,10 @@
 """Long-range ray propagation through an anisotropic dressed medium.
 
-Between scattering events the field propagates as a spherical-wave
-asymptote dressed by phase integrals of the transverse susceptibility
-along the straight ray.  The 2x2 amplitude matrix X acts on the local
-transverse polarization components; for an isotropic lossless medium it
-is a pure phase, for a dichroic medium it mixes and attenuates them.
+Between scattering events the field is carried along the straight ray
+by phase integrals of the transverse susceptibility.  The 2x2 amplitude
+matrix X they build acts on the local transverse polarization components;
+for an isotropic lossless medium it is a pure phase, for a dichroic medium
+it mixes and attenuates them.
 """
 
 from __future__ import annotations
@@ -23,13 +23,8 @@ __all__ = [
     "phase_integrals",
     "amplitude_matrix",
     "director_components",
-    "green_asymptote",
     "propagate_path",
-    "track_branch",
 ]
-
-MIN_SEPARATION = 1.0  # far-field validity radius, reduced wavelengths
-
 
 class QuadratureError(ArithmeticError):
     """Adaptive quadrature failed to converge to the requested tolerance."""
@@ -134,26 +129,6 @@ def amplitude_matrix(phi0: complex, phi: complex,
     ])
 
 
-def green_asymptote(r1, r2, X: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Far-field Green's-function tensor -X e^{ikR}/R embedded in 3x3 form.
-
-    ``frame`` holds the local (x, y, z) axes of the ray as rows; the 2x2
-    amplitude matrix acts on the two transverse axes.  Raises ValueError
-    below the far-field validity radius, where a microscopic treatment is
-    required instead.
-    """
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    R = float(np.linalg.norm(r2 - r1))
-    if R < MIN_SEPARATION:
-        raise ValueError(
-            f"separation {R} below far-field radius {MIN_SEPARATION}")
-    pref = -cmath.exp(1j * R) / R
-    ex, ey = frame[0], frame[1]
-    basis = np.array([ex, ey])
-    return pref * np.einsum('am,ab,bn->mn', basis, X, basis)
-
-
 def propagate_path(chi_sampler, start, direction, length: float,
                    max_segment: float | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -192,17 +167,3 @@ def propagate_path(chi_sampler, start, direction, length: float,
         X = amplitude_matrix(phi0, phi, director_components(tc_mid)) @ X
         s += step
     return X, frame
-
-
-def track_branch(values: np.ndarray) -> np.ndarray:
-    """Fix square-root branch flips along a sweep of chi_len values.
-
-    Flips the sign of each successive value when that keeps the sequence
-    continuous; use on the anisotropy lengths of a frequency sweep before
-    plotting or differentiating.
-    """
-    out = np.array(values, dtype=complex)
-    for i in range(1, len(out)):
-        if abs(out[i] - out[i - 1]) > abs(out[i] + out[i - 1]):
-            out[i] = -out[i]
-    return out

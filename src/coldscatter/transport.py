@@ -1,10 +1,9 @@
-"""Diffusive radiative transport: group velocity, diffusion modes, thresholds.
+"""Diffusive radiative transport: diffusion modes and thresholds.
 
 The Monte-Carlo engine is the faithful solver of the full transport
 problem; this module carries the reduced diffusion description used for
-estimates and cross-checks: the dispersive group velocity, the diffusion
-constant and the gain-diffusion eigenmode on a sphere with its
-random-lasing instability threshold.
+estimates and cross-checks: the diffusion constant and the gain-diffusion
+eigenmode on a sphere with its random-lasing instability threshold.
 
 Units: lengths in reduced wavelengths, rates in gamma, speeds in c.
 """
@@ -22,13 +21,11 @@ from scipy.linalg import lu_factor, lu_solve  # noqa: F401
 __all__ = [
     "DiffusionModel",
     "GainMode",
-    "group_velocity",
     "diffusion_constant",
     "solve_gain_diffusion_sphere",
     "letokhov_threshold",
 ]
 
-_DERIVATIVE_RTOL = 1e-6  # Richardson consistency of the dispersion slope
 _GRID_RTOL = 5e-3  # eigenvalue agreement with the half-resolution grid
 
 
@@ -47,37 +44,6 @@ class DiffusionModel:
             raise ValueError("albedo must lie in [0, 1]")
         if self.l0_bar <= 0 or self.v_bar <= 0 or self.r0 <= 0:
             raise ValueError("lengths and speeds must be positive")
-
-
-def group_velocity(chi_real, omega: float, omega_bar: float,
-                   h: float = 1e-3) -> float:
-    """Group speed v_g/c from the dispersion slope of Re(chi).
-
-    1/v_g = 1/c [1 + 2 pi omega_bar dchi'/domega]; ``chi_real`` is a
-    callable returning Re(chi) at a detuning, ``omega_bar`` the optical
-    carrier in gamma units.  Central differences at steps h and h/2 with a
-    Richardson consistency check; raises on derivative instability.
-    """
-
-    def central(step):
-        return (chi_real(omega + step) - chi_real(omega - step)) / (2 * step)
-
-    d1 = central(h)
-    d2 = central(h / 2)
-    richardson = (4.0 * d2 - d1) / 3.0
-    scale = max(abs(richardson), abs(d1), 1e-30)
-    if abs(d2 - d1) > max(_DERIVATIVE_RTOL * scale, 1e3 * np.finfo(float).eps):
-        # disagreement beyond the h^2 error model: unstable sampling
-        if abs(d2 - d1) > 0.5 * scale:
-            raise ArithmeticError(
-                f"unstable dispersion derivative at omega={omega}: "
-                f"D(h)={d1}, D(h/2)={d2}")
-    inv = 1.0 + 2.0 * math.pi * omega_bar * richardson
-    if inv <= 0:
-        raise ArithmeticError(
-            f"anomalous dispersion gives unphysical 1/v_g={inv} at "
-            f"omega={omega}; outside the diffusion description")
-    return 1.0 / inv
 
 
 def diffusion_constant(model: DiffusionModel) -> tuple[float, float]:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -12,13 +10,8 @@ from coldscatter.angular import (
     LevelScheme,
     clebsch_gordan,
     dipole_matrix_element,
-    from_spherical,
-    magnetic_matrix_element,
     repopulation_matrix,
-    spherical_unit_vectors,
-    to_spherical,
     wigner_6j,
-    wigner_rotation_rank1,
 )
 
 
@@ -104,36 +97,6 @@ def test_clebsch_gordan_selection_rules():
         clebsch_gordan(1, 0.5, 1, 0, 2, 0.5)
 
 
-def test_rotation_matrix_matches_cartesian_rotation():
-    """D^1(alpha,beta,gamma) must equal the Cartesian rotation conjugated
-    into the spherical basis."""
-    eq = spherical_unit_vectors()
-    rng = np.random.default_rng(3)
-
-    def rz(a):
-        return np.array([[math.cos(a), -math.sin(a), 0],
-                         [math.sin(a), math.cos(a), 0], [0, 0, 1]])
-
-    def ry(b):
-        return np.array([[math.cos(b), 0, math.sin(b)], [0, 1, 0],
-                         [-math.sin(b), 0, math.cos(b)]])
-
-    for _ in range(50):
-        al, be, ga = rng.uniform(0, 2 * math.pi, 3)
-        D = wigner_rotation_rank1(al, be, ga)
-        R = rz(al) @ ry(be) @ rz(ga)
-        oracle = eq.conj() @ R @ eq.T
-        assert np.max(np.abs(D - oracle)) < 1e-12
-        assert np.max(np.abs(D @ D.conj().T - np.eye(3))) < 1e-12
-
-
-def test_spherical_roundtrip():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        v = rng.normal(size=3) + 1j * rng.normal(size=3)
-        assert np.allclose(from_spherical(to_spherical(v)), v, atol=1e-14)
-
-
 @pytest.mark.parametrize("scheme", [
     LevelScheme.simple(),
     LevelScheme.rb85_d2(),
@@ -174,13 +137,6 @@ def test_repopulation_rates_two_level():
     out = repopulation_matrix(scheme, rho_e)
     assert out.shape == (1, 1)
     assert out[0, 0] == pytest.approx(scheme.gamma, abs=1e-14)
-
-
-def test_magnetic_element_scale():
-    scheme = LevelScheme.rb87_d2()
-    # ground-state magnetic elements obey the same triangle rules
-    val = magnetic_matrix_element(scheme, 2, 0, 1, 0, 0)
-    assert np.isfinite(val)
 
 
 def test_halfint_identities():

@@ -242,3 +242,20 @@ def test_seed_override_changes_hashed_config(tmp_path, capsys):
     d2 = json.loads((out2 / "protocol-utils.json").read_text())
     assert d2["seed"] == 7
     assert d1["config_hash"] != d2["config_hash"]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "run.seed: -1 violates: >= 0"),
+    ("--workers", "0", "run.workers: 0 violates: > 0"),
+    ("--workers", "-4", "run.workers: -4 violates: > 0"),
+])
+def test_run_overrides_pass_the_config_checks(tmp_path, capsys, flag, value,
+                                              message):
+    # an override is checked like the same key in the config file
+    p = tmp_path / "c.ini"
+    p.write_text(MINIMAL)
+    assert cli.main(["run", str(p), "--out", str(tmp_path), "--quiet",
+                     flag, value]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
+    assert not list(tmp_path.glob("*.json"))

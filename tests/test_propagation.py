@@ -150,40 +150,3 @@ def test_propagate_path_splitting_invariance():
     X2, _ = pr.propagate_path(chi, [0.3, -0.2, 0], [0.1, 0.2, 1.0], 40.0,
                               max_segment=1.25)
     assert np.max(np.abs(X1 - X2)) < 1e-9
-
-
-def test_green_asymptote_vacuum():
-    frame = np.eye(3)
-    G = pr.green_asymptote([0, 0, 0], [0, 0, 25.0], np.eye(2, dtype=complex),
-                           frame)
-    R = 25.0
-    expect = -cmath.exp(1j * R) / R * np.diag([1.0, 1.0, 0.0])
-    assert np.max(np.abs(G - expect)) < 1e-14
-
-
-def test_green_asymptote_transpose_symmetry():
-    rng = np.random.default_rng(43)
-    X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    frame = pr.local_frame([0.3, 0.4, 0.9]) if hasattr(pr, "local_frame") else None
-    from coldscatter.medium import local_frame
-    u = np.array([0.3, 0.4, 0.9])
-    frame = local_frame(u)
-    r1, r2 = np.zeros(3), 30.0 * u / np.linalg.norm(u)
-    G12 = pr.green_asymptote(r1, r2, X, frame)
-    G21 = pr.green_asymptote(r2, r1, X.T, frame)
-    assert np.max(np.abs(G12 - G21.T)) < 1e-12
-
-
-def test_green_asymptote_min_separation():
-    with pytest.raises(ValueError):
-        pr.green_asymptote([0, 0, 0], [0, 0, 0.5], np.eye(2, dtype=complex),
-                           np.eye(3))
-
-
-def test_track_branch():
-    t = np.linspace(0, 1, 50)
-    smooth = np.exp(1j * 3 * t) * (1 + t)
-    flipped = smooth.copy()
-    flipped[20:35] *= -1
-    fixed = pr.track_branch(flipped)
-    assert np.max(np.abs(fixed - smooth)) < 1e-12

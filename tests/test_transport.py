@@ -4,56 +4,6 @@ import numpy as np
 import pytest
 
 from coldscatter import transport as tr
-from coldscatter import medium as md
-from coldscatter.angular import HalfInt, Level, LevelScheme
-
-
-def test_group_velocity_flat():
-    assert tr.group_velocity(lambda w: 0.0, 0.0, 1e8) == pytest.approx(1.0)
-    assert tr.group_velocity(lambda w: 0.02, 1.3, 1e8) == pytest.approx(1.0)
-
-
-def test_group_velocity_lorentzian_analytic():
-    # chi' = -A Delta/(Delta^2 + 1/4); closed-form slope oracle
-    A = 1e-12
-
-    def chi_real(w):
-        return -A * w / (w * w + 0.25)
-
-    omega_bar = 1e8
-    for w in (0.0, 0.35, -1.2):
-        got = tr.group_velocity(chi_real, w, omega_bar)
-        slope = -A * (0.25 - w * w) / (w * w + 0.25) ** 2
-        expect = 1.0 / (1.0 + 2 * math.pi * omega_bar * slope)
-        assert got == pytest.approx(expect, rel=1e-6)
-
-
-def test_group_velocity_eit_slow_light():
-    MHZ = 1.0 / 6.0666
-    sch = LevelScheme(
-        ground=(Level(2, 0.0), Level(4, 6834.683 * MHZ)),
-        excited=(Level(2, 0.0),),
-        J=HalfInt.of(1.5), I=HalfInt.of(1.5), gamma=1.0)
-    gs = md.GroundState.isotropic(sch, 2, n0=0.01)
-    ctrl = md.ControlField(rabi=0.3, omega_c=-sch.ground_energy(4),
-                           twice_F0=4, twice_F_ref=2, polarization_q=0)
-
-    def chi_real(w):
-        chi = md.susceptibility(sch, gs, ctrl, w)
-        return md.transverse_decompose(chi, [0, 0, 1]).chi0.real
-
-    vg = tr.group_velocity(chi_real, 0.0, 1e8, h=1e-5)
-    assert 0 < vg < 1e-2
-
-
-def test_group_velocity_instability_raises():
-    rng = np.random.default_rng(0)
-
-    def noisy(w):
-        return float(rng.normal()) * 10.0
-
-    with pytest.raises(ArithmeticError):
-        tr.group_velocity(noisy, 0.0, 1e8)
 
 
 def test_diffusion_constant():
