@@ -12,7 +12,9 @@ import configparser
 import difflib
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "parse_text",
            "override_run", "canonical_text", "config_hash", "SCENARIOS"]
@@ -49,7 +51,8 @@ _SCHEMA = {
     "run": {
         "scenario": (str, None, lambda s: s in SCENARIOS,
                      "one of " + ", ".join(SCENARIOS)),
-        "seed": (int, 0, _non_negative, ">= 0"),
+        # the seed is the first Philox key word, a uint64
+        "seed": (int, 0, lambda s: 0 <= s < 2 ** 64, "in [0, 2^64)"),
         "workers": (int, 1, _positive, "> 0"),
         "out": (str, ".", lambda s: True, "output directory"),
     },
@@ -136,14 +139,15 @@ class ScenarioConfig:
 def _convert(raw: str, typ, section, key, errors):
     try:
         if typ is int:
-            # reject silent float truncation
-            f = float(raw)
-            i = int(f)
-            if i != f:
+            # exact, where float() would round beyond 2^53.  An integral
+            # decimal such as 1e3 is accepted and a fraction is not; a
+            # finite float() bounds the digits int() builds (1e999999999)
+            d = Decimal(raw)
+            if not (math.isfinite(float(d)) and d == d.to_integral_value()):
                 raise ValueError
-            return i
+            return int(d)
         return typ(raw)
-    except ValueError:
+    except (ValueError, ArithmeticError):
         errors.append(f"{section}.{key}: cannot parse {raw!r} as "
                       f"{typ.__name__}")
         return None

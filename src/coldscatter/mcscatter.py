@@ -14,7 +14,9 @@ a counter-based Philox stream keyed by (seed, trajectory index) with one
 counter per (order, slot, retry), so a trajectory sees the same draws at
 every sweep point and does not depend on the chunk it runs in, and
 accumulators merge in fixed chunk order, making results bit-identical for
-any worker count.
+any worker count.  Only the beam entry samples by rejection; every
+scattering direction is drawn exactly from the dipole pattern, so an order
+makes one fixed draw of two counters.
 
 Units: gamma = 1, k = 1, lengths in reduced wavelengths.
 """
@@ -30,8 +32,8 @@ import numpy as np
 from scipy.special import erf, erfinv
 
 from .angular import LevelScheme
-from .medium import (ControlField, GroundState, extinction_cross_section,
-                     raman_shift, scattering_tensors)
+from .medium import (GroundState, extinction_cross_section, raman_shift,
+                     scattering_tensors)
 
 __all__ = [
     "Cloud",
@@ -65,7 +67,6 @@ class Cloud:
     n0: float
     r0: float
     ground: GroundState = None
-    control: ControlField | None = None
 
     def __post_init__(self):
         if self.n0 <= 0 or self.r0 <= 0:
@@ -101,14 +102,9 @@ _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
                      dtype=np.uint64)
 _PHILOX_ROUNDS = 10
 
-# Draw slots of one order; each (order, slot, retry) owns one Philox counter
-# and so four uniforms.  Order 0 is the beam entry (slot 0, one retry per
-# rejected impact point).
-# An order >= 1 draws its event block and first two direction tries in one
-# call, as the (slot, retry) pairs of _ORDER_BLOCKS.
-_SLOT_EVENT = 0    # order >= 1: sublevel, free path, channel
-_SLOT_SCATTER = 1  # one retry per direction try: direction (2), acceptance
-_ORDER_BLOCKS = ((_SLOT_EVENT, _SLOT_SCATTER, _SLOT_SCATTER), (0, 0, 1))
+# Draw slots: each (order, slot, retry) owns one Philox counter and so four
+# uniforms.  Order 0 is the beam entry (slot 0, one retry per rejected impact
+# point); an order >= 1 draws its slots 0 and 1, retry 0, in one call.
 
 
 def _philox(key: np.ndarray, ctr: np.ndarray) -> np.ndarray:
@@ -143,7 +139,8 @@ class _Stream:
 
     Row i of every draw belongs to trajectory ``trajectories[i]``; the
     counter words are (order, slot, retry, 0).  A draw depends only on its
-    key and counter, never on which other rows are drawn with it.
+    key and counter, never on which other rows are drawn with it.  Retries
+    (``accepted``) serve only the rejection sampling of the beam entry.
     """
 
     def __init__(self, seed: int, trajectories):
@@ -170,29 +167,25 @@ class _Stream:
         ctr[0], ctr[1], ctr[2] = order, slot, retry
         return ((_philox(key, ctr) >> _SHIFT11) + 0.5) * 2.0 ** -53
 
-    def accepted(self, order: int, slot: int, accept,
-                 first=None) -> np.ndarray:
+    def accepted(self, order: int, slot: int, accept) -> np.ndarray:
         """Uniforms (4, n) of each row's first accepted try.
 
         Try r of a row is the block (order, slot, r).  Tries run in blocks
         of 2, 4, 8, ... retries, and only rows without an accepted try draw
         the next block; ``accept(x, rows)`` maps the uniforms (4, k, c) of
-        the given rows to their (k, c) acceptance mask.  ``first`` (4, n, 2)
-        holds tries 0 and 1 of every row when the caller drew them already.
+        the given rows to their (k, c) acceptance mask.
         """
         out = np.empty((4, len(self)))
         pending = np.arange(len(self))
         start, count = 0, 2
-        x = first
         while pending.size:
-            if x is None:
-                x = self.uniforms(order, slot,
-                                  np.arange(start, start + count), pending)
+            x = self.uniforms(order, slot, np.arange(start, start + count),
+                              pending)
             ok = accept(x, pending)
             hit = np.nonzero(ok.any(axis=1))[0]
             out[:, pending[hit]] = x[:, hit, ok[hit].argmax(axis=1)]
             pending = np.delete(pending, hit)
-            start, count, x = start + count, 2 * count, None
+            start, count = start + count, 2 * count
         return out
 
 
@@ -202,13 +195,31 @@ def _normals(u1, u2):
     return r * np.cos(2.0 * math.pi * u2), r * np.sin(2.0 * math.pi * u2)
 
 
-def _isotropic(u1, u2) -> np.ndarray:
-    """Uniform unit directions (n, 3) from two uniforms per row."""
-    cos_t = 1.0 - 2.0 * u1
-    sin_t = 2.0 * np.sqrt(u1 * (1.0 - u1))
-    phi = 2.0 * math.pi * u2
-    return np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t],
-                    axis=-1)
+def _dipole_directions(v, x) -> np.ndarray:
+    """Unit directions (n, 3) drawn exactly from the density |v|^2 - |n.v|^2
+    of the complex fields v (n, 3), with three uniforms x (3, n) per row.
+
+    With v = a + i b the density is |a|^2 (1 - (n.a^)^2) + |b|^2 (1 -
+    (n.b^)^2), a mixture of two linear-dipole patterns: x[0] picks the axis
+    a^ or b^ by its weight, c = 2 sin(arcsin(2 x[1] - 1)/3) inverts the
+    sin^2 CDF (2 + 3c - c^3)/4 of the cosine to the axis, and x[2] is the
+    azimuth in the branch-free frame of Duff et al., JCGT 6(1), 2017.
+    """
+    a2 = np.sum(v.real ** 2, axis=-1)
+    b2 = np.sum(v.imag ** 2, axis=-1)
+    axis = np.where((x[0] * (a2 + b2) < a2)[:, None], v.real, v.imag)
+    axis /= np.linalg.norm(axis, axis=-1)[:, None]
+    c = 2.0 * np.sin(np.arcsin(2.0 * x[1] - 1.0) / 3.0)  # |c| < 1
+    s = np.sqrt(1.0 - c * c)
+    phi = 2.0 * math.pi * x[2]
+    ax, ay, az = axis.T
+    sign = np.copysign(1.0, az)
+    g = -1.0 / (sign + az)
+    h = ax * ay * g
+    t1 = np.stack([1.0 + sign * ax * ax * g, sign * h, -sign * ax], axis=-1)
+    t2 = np.stack([h, sign + ay * ay * g, -ay], axis=-1)
+    return (c[:, None] * axis + (s * np.cos(phi))[:, None] * t1
+            + (s * np.sin(phi))[:, None] * t2)
 
 
 # ----------------------------------------------------------------------------
@@ -284,18 +295,15 @@ def sample_entry(cloud: Cloud, sigma, stream: _Stream) -> np.ndarray:
     return p
 
 
-def scatter_event(vs: np.ndarray, xi: np.ndarray, stream: _Stream,
-                  order: int, tries=None):
+def scatter_event(vs: np.ndarray, xi: np.ndarray):
     """Sample the outgoing channel, direction and polarization of one event
-    for each walker of ``stream``.
+    per walker from its four uniforms ``xi`` (4, n).
 
     ``vs`` (n, n_out, 3) stacks each walker's scattered fields v = A e over
-    the outgoing ground channels.  The channel is drawn with the uniform
-    ``xi`` (n,) proportional to its total scattered power (8 pi/3)|v|^2,
-    the direction from the exact dipole density |v|^2 - |n.v|^2 by
-    rejection (only rejected rows draw again), and the outgoing
-    polarization is the transverse projection of v.  ``tries`` (4, n, 2)
-    are the first two direction tries when the caller drew them already.
+    the outgoing ground channels.  The channel is drawn with ``xi[0]``
+    proportional to its total scattered power (8 pi/3)|v|^2, the direction
+    exactly from the dipole density |v|^2 - |n.v|^2 with ``xi[1:]``, and
+    the outgoing polarization is the transverse projection of v.
     Returns ``(channel, direction, polarization, W_sc)`` arrays, where W_sc
     is the total scattering cross section of each event, used for the
     albedo weight.
@@ -305,17 +313,10 @@ def scatter_event(vs: np.ndarray, xi: np.ndarray, stream: _Stream,
     n, n_out = powers.shape
     cum = np.cumsum(powers, axis=1)
     channel = np.minimum(
-        np.sum(cum <= xi[:, None] * cum[:, -1:], axis=1), n_out - 1)
+        np.sum(cum <= xi[0, :, None] * cum[:, -1:], axis=1), n_out - 1)
     del powers, cum
     v = vs[np.arange(n), channel]
-    v2 = np.sum(v.real ** 2 + v.imag ** 2, axis=-1)
-
-    def accept(x, rows):
-        proj = np.abs(np.sum(_isotropic(x[0], x[1]) * v[rows, None], -1)) ** 2
-        return x[2] * v2[rows, None] < v2[rows, None] - proj
-
-    x = stream.accepted(order, _SLOT_SCATTER, accept, tries)
-    dirs = _isotropic(x[0], x[1])
+    dirs = _dipole_directions(v, xi[1:])
     e_out = v - dirs * np.sum(dirs * v, axis=-1)[:, None]
     e_out /= np.linalg.norm(e_out, axis=-1)[:, None]
     return channel, dirs, e_out, W_sc
@@ -451,8 +452,7 @@ class _MediumTables:
         f = self._ids.get(omega)
         if f is None:
             val = extinction_cross_section(self.cloud.scheme,
-                                           self.cloud.ground,
-                                           self.cloud.control, omega)
+                                           self.cloud.ground, None, omega)
             if val <= 0:
                 raise ArithmeticError(
                     f"non-positive extinction at omega={omega}")
@@ -477,8 +477,7 @@ class _MediumTables:
         if kid is None:
             f, m = divmod(key, self.n_ground)
             omega = self.omegas[f]
-            stack = scattering_tensors(self.cloud.scheme,
-                                       self.cloud.control, m, omega)
+            stack = scattering_tensors(self.cloud.scheme, None, m, omega)
             out = self.freq_ids(omega + self.shifts[:, m])
             kid = self._keys[key] = len(self.stacks)
             self.stacks = np.concatenate([self.stacks, stack[None]])
@@ -559,8 +558,9 @@ def _run_chunk(cloud: Cloud, points: list[MCParams],
     while len(rows):
         order += 1
         pt = rows // n_tr
-        # event block and the first two direction tries: (4, n, 3)
-        x = stream.uniforms(order, *_ORDER_BLOCKS)
+        # slot 0: sublevel, free path, channel, dipole axis; slot 1:
+        # direction cosine and azimuth (two words unused)
+        x = stream.uniforms(order, (0, 1))
         kid = tab.keys(f, tab.sublevels(x[0, :, 0]))
         vs = tab.fields(kid, e)
 
@@ -600,8 +600,8 @@ def _run_chunk(cloud: Cloud, points: list[MCParams],
         del amp, att, contrib, depth1
 
         # continue the chain
-        mp, u, e, W_sc = scatter_event(vs, x[2, :, 0], stream, order,
-                                       x[:, :, 1:])
+        mp, u, e, W_sc = scatter_event(
+            vs, np.concatenate([x[2:, :, 0], x[:2, :, 1]]))
         w = w * (W_sc + gains[pt]) / sigma
         f = tab.out_ids[kid, mp]
         sigma = tab.sigma[f]
@@ -660,9 +660,7 @@ def simulate_ladder(cloud: Cloud, detectors: list[Detector], points,
     ``extra_gain_sigma`` adds a stimulated-gain albedo excess; the
     ``unstable`` flag reports a growing order-resolved tail.  The crossed
     term is implemented for a non-degenerate ground state only;
-    ``include_crossed`` on any other scheme raises ValueError.  Free paths
-    use the +z extinction in every direction, which holds only in an
-    isotropic medium, so a cloud with a control field raises ValueError.
+    ``include_crossed`` on any other scheme raises ValueError.
     """
     points = list(points)
     if not points:
@@ -673,10 +671,6 @@ def simulate_ladder(cloud: Cloud, detectors: list[Detector], points,
         if replace(q, detuning=0.0, extra_gain_sigma=0.0) != shared:
             raise ValueError("the points of one sweep may differ only in "
                              "detuning and extra_gain_sigma")
-    if cloud.control is not None:
-        raise ValueError(
-            "the Monte-Carlo transport assumes an isotropic medium; a "
-            "control field makes the extinction depend on direction")
     n_ground = len(cloud.scheme.ground_sublevels())
     if params.include_crossed and n_ground > 1:
         raise ValueError(

@@ -47,11 +47,6 @@ class PsiMinusState:
         if self.n_max < 0:
             raise ValueError("truncation must be >= 0")
 
-    def coefficient(self, m: int, n: int) -> float:
-        if m > self.n_max or n > self.n_max:
-            return 0.0
-        return schmidt_coefficient(self.n_bar, m, n)
-
     def norm_squared(self) -> float:
         """Sum of Lambda_mn^2 over the retained modes.
 

@@ -165,11 +165,9 @@ def _run_coupled_dipole_spectrum(cfg, record, progress):
     for delta in _sweep_grid(cfg):
         avg = RunningAverage()
         for conf in configs:
+            # the scalar model ignores e_in
             solver = DipoleSolver(conf, detuning=float(delta))
-            if d["model"] == "vector":
-                avg.push([solver.total_cross_section(k_in, e_in)])
-            else:
-                avg.push([solver.total_cross_section(k_in)])
+            avg.push([solver.total_cross_section(k_in, e_in)])
         record.rows.append(ResultRow("detuning", float(avg.mean[0]),
                                      float(avg.stderr[0]),
                                      channel="cross_section",
@@ -233,8 +231,8 @@ def run_scenario(cfg: ScenarioConfig, progress=lambda msg: None
                  ) -> ResultRecord:
     """Execute a validated config and return its result record.
 
-    Engine errors propagate annotated with the scenario name; the partial
-    record (marked incomplete) rides on the exception as ``record``.
+    Engine errors propagate; the partial record (marked incomplete) rides
+    on the exception as ``record``.
     """
     record = ResultRecord(scenario=cfg.scenario, config_hash=config_hash(cfg),
                           version=__version__, seed=cfg["run"]["seed"])
@@ -244,7 +242,6 @@ def run_scenario(cfg: ScenarioConfig, progress=lambda msg: None
     except Exception as exc:
         record.complete = False
         record.wall_time = time.perf_counter() - t0
-        exc.scenario = cfg.scenario
         exc.record = record
         raise
     record.wall_time = time.perf_counter() - t0

@@ -55,6 +55,43 @@ def test_type_errors_named():
     assert any("run.seed" in e for e in exc.value.errors)
 
 
+@pytest.mark.parametrize("raw, value", [
+    ("123456789012345678", 123456789012345678),
+    ("9007199254740993", 2 ** 53 + 1),
+    ("18446744073709551615", 2 ** 64 - 1),
+    ("1e3", 1000),
+    ("2.0e4", 20000),
+])
+def test_integer_keys_parse_exactly(raw, value):
+    cfg = cf.parse_text(f"[run]\nscenario = cbs-cone\nseed = {raw}\n")
+    assert cfg["run"]["seed"] == value
+
+
+@pytest.mark.parametrize("raw", ["123456789012345678.5", "1e-3", "nan",
+                                 "inf", "1e999999999", "0x10"])
+def test_non_integers_are_parse_errors(raw):
+    with pytest.raises(cf.ConfigError) as exc:
+        cf.parse_text(f"[run]\nscenario = cbs-cone\nseed = {raw}\n")
+    assert exc.value.errors == [f"run.seed: cannot parse {raw!r} as int"]
+
+
+def test_largest_seed_runs_and_the_next_is_a_config_error(tmp_path, capsys):
+    text = ("[run]\nscenario = cbs-cone\nseed = {}\n[detection]\n"
+            "n_theta = 2\n[mc]\ntrajectories = 20\n")
+    p = tmp_path / "c.ini"
+    p.write_text(text.format(2 ** 64 - 1))
+    assert cli.main(["run", str(p), "--out", str(tmp_path), "--quiet"]) == 0
+    doc = json.loads((tmp_path / "cbs-cone.json").read_text())
+    assert doc["seed"] == 2 ** 64 - 1
+    p.write_text(text.format(2 ** 64))
+    out = tmp_path / "over"
+    assert cli.main(["run", str(p), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: run.seed: 18446744073709551616 violates: "
+        "in [0, 2^64)\n")
+    assert not out.exists()
+
+
 def test_canonicalization_round_trip():
     cfg = cf.parse_text(MINIMAL)
     text = cf.canonical_text(cfg)
@@ -74,6 +111,10 @@ def test_config_hash_semantics():
         "[run]\n", "[run]\nout = elsewhere/x\nworkers = 2\n"))
     assert d["run"]["workers"] == 2
     assert cf.config_hash(a) == cf.config_hash(d)
+    # seeds beyond 2^53 that a float would merge hash apart
+    e, f = (cf.parse_text(MINIMAL.replace("[run]\n", f"[run]\nseed = {s}\n"))
+            for s in (2 ** 53, 2 ** 53 + 1))
+    assert cf.config_hash(e) != cf.config_hash(f)
 
 
 def test_every_scenario_validates_on_defaults():
@@ -245,7 +286,9 @@ def test_seed_override_changes_hashed_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--seed", "-1", "run.seed: -1 violates: >= 0"),
+    ("--seed", "-1", "run.seed: -1 violates: in [0, 2^64)"),
+    ("--seed", "18446744073709551616",
+     "run.seed: 18446744073709551616 violates: in [0, 2^64)"),
     ("--workers", "0", "run.workers: 0 violates: > 0"),
     ("--workers", "-4", "run.workers: -4 violates: > 0"),
 ])

@@ -9,9 +9,9 @@ from scipy.special import exp1
 from scipy.stats import kstest
 
 from coldscatter.angular import HalfInt, Level, LevelScheme
-from coldscatter.medium import (ControlField, GroundState,
-                                extinction_cross_section, kinetic_lengths,
-                                raman_shift, scattering_tensors)
+from coldscatter.medium import (GroundState, extinction_cross_section,
+                                kinetic_lengths, raman_shift,
+                                scattering_tensors)
 from coldscatter import mcscatter as mc
 
 
@@ -47,14 +47,13 @@ def test_philox_matches_numpy_bit_for_bit(key):
 
 
 def test_order_block_matches_separate_draws():
-    # one call per order draws the event block and the first two direction
-    # tries; each block depends only on its counter
+    # one call per order draws both slots of the order; each block depends
+    # only on its counter
     stream = mc._Stream(21, np.arange(50))
-    fused = stream.uniforms(4, *mc._ORDER_BLOCKS)
-    assert fused.shape == (4, 50, 3)
-    assert np.array_equal(fused[:, :, 0], stream.uniforms(4, mc._SLOT_EVENT))
-    assert np.array_equal(fused[:, :, 1:],
-                          stream.uniforms(4, mc._SLOT_SCATTER, np.arange(2)))
+    fused = stream.uniforms(4, (0, 1))
+    assert fused.shape == (4, 50, 2)
+    for slot in (0, 1):
+        assert np.array_equal(fused[:, :, slot], stream.uniforms(4, slot))
 
 
 def test_cloud_b0():
@@ -94,14 +93,15 @@ def test_chord_depth_stack_matches_single_directions():
 
 
 def _uniforms(seed, n):
-    """One uniform per trajectory 0..n-1 from the engine's stream."""
-    return mc._Stream(seed, np.arange(n)).uniforms(1, mc._SLOT_EVENT)[1]
+    """Four uniforms (4, n), one block per trajectory 0..n-1, from the
+    engine's stream."""
+    return mc._Stream(seed, np.arange(n)).uniforms(1, 0)
 
 
 def test_free_path_zero_cross_section_escapes():
     cloud = two_level_cloud()
     s = mc.sample_free_path(cloud, np.zeros((20, 3)), [0, 0, 1.0], 0.0,
-                            _uniforms(1, 20))
+                            _uniforms(1, 20)[1])
     assert np.all(s == np.inf)
 
 
@@ -113,7 +113,7 @@ def test_free_path_exponential_in_homogeneous_core():
     l_ex = 1.0 / (1e-2 * 6 * math.pi)
     n = 20000
     draws = mc.sample_free_path(cloud, np.zeros((n, 3)), [0, 0, 1.0],
-                                6 * math.pi, _uniforms(2, n))
+                                6 * math.pi, _uniforms(2, n)[1])
     assert np.all(np.isfinite(draws))  # no escapes from the core
     stat = kstest(draws, "expon", args=(0, l_ex))
     assert stat.pvalue > 0.01
@@ -126,7 +126,7 @@ def test_escape_probability_matches_chord_depth():
     b = mc.chord_depth(cloud, p0, u, 6 * math.pi)
     n = 40000
     escapes = np.count_nonzero(np.isinf(mc.sample_free_path(
-        cloud, np.tile(p0, (n, 1)), u, 6 * math.pi, _uniforms(3, n))))
+        cloud, np.tile(p0, (n, 1)), u, 6 * math.pi, _uniforms(3, n)[1])))
     expect = math.exp(-b)
     sigma = math.sqrt(expect * (1 - expect) / n)
     assert abs(escapes / n - expect) < 3 * sigma + 1e-9
@@ -150,8 +150,7 @@ def test_scatter_event_dipole_pattern_chi2():
     alpha = -(0.75) / 0.5j
     n = 100000
     vs = np.broadcast_to(alpha * np.array([1.0, 0, 0]), (n, 1, 3))
-    _, u, e_out, _ = mc.scatter_event(vs, _uniforms(5, n),
-                                      mc._Stream(5, np.arange(n)), 1)
+    _, u, e_out, _ = mc.scatter_event(vs, _uniforms(5, n))
     cos_x = u[:, 0]
     # outgoing polarization is transverse and lies along P_perp v
     assert np.max(np.abs(np.sum(u * e_out, axis=1))) < 1e-12
@@ -162,6 +161,20 @@ def test_scatter_event_dipole_pattern_chi2():
     chi2 = np.sum((counts - n * probs) ** 2 / (n * probs))
     # 19 dof: the 1% critical value is 36.2
     assert chi2 < 36.2
+
+    # elliptical field: the density |v|^2 - |n.v|^2 has the second moments
+    # E[n n^T] = (2/5) I - (1/5) Re(v v^H)/|v|^2
+    v = (0.4 - 0.9j) * np.array([1.0, 0.6j, 0.3])
+    n = 400000
+    _, u, e_out, _ = mc.scatter_event(np.broadcast_to(v, (n, 1, 3)),
+                                      _uniforms(25, n))
+    assert np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.sum(u * e_out, axis=1))) < 1e-12
+    nn = u[:, :, None] * u[:, None, :]
+    exact = 0.4 * np.eye(3) - 0.2 * np.outer(v, v.conj()).real \
+        / np.vdot(v, v).real
+    sd = nn.reshape(n, 9).std(axis=0).reshape(3, 3) / math.sqrt(n)
+    assert np.all(np.abs(nn.mean(axis=0) - exact) < 4 * sd)
 
 
 def test_scatter_event_total_weight_matches_kinetic_lengths():
@@ -176,8 +189,7 @@ def test_scatter_event_total_weight_matches_kinetic_lengths():
     kid = tab.keys(tab.freq_ids(np.full(len(m), omega)), m)
     e = np.broadcast_to(np.array([1.0, 0, 0], dtype=complex), (len(m), 3))
     vs = tab.fields(kid, e)
-    _, _, _, w_sc = mc.scatter_event(vs, _uniforms(6, len(m)),
-                                     mc._Stream(6, np.arange(len(m))), 1)
+    _, _, _, w_sc = mc.scatter_event(vs, _uniforms(6, len(m)))
     total = np.dot(tab.populations[m], w_sc)
     assert total == pytest.approx(kl.sigma_sc, rel=1e-3)
 
@@ -483,16 +495,6 @@ def test_instability_detector_unit():
     growing = np.array([0.0, 5, 3, 2, 2.5, 3.0, 3.5, 4.0])
     assert not mc._detect_instability(decaying, 3)
     assert mc._detect_instability(growing, 3)
-
-
-def test_monte_carlo_refuses_a_control_field():
-    sch = LevelScheme.rb87_d2()
-    ctrl = ControlField(rabi=1.0, omega_c=-sch.ground_energy(2),
-                        twice_F0=2, twice_F_ref=4)
-    cloud = mc.Cloud(scheme=sch, n0=0.02, r0=8.0, control=ctrl)
-    dets = mc.backscatter_detectors([0.0], np.array([1.0, 0, 0]))
-    with pytest.raises(ValueError, match="isotropic medium"):
-        mc.simulate_ladder(cloud, dets, [mc.MCParams(n_traj=10)])
 
 
 def test_raman_photon_frequency_and_extinction():
