@@ -18,13 +18,12 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "HalfInt",
     "Level",
     "LevelScheme",
     "clebsch_gordan",
@@ -36,54 +35,14 @@ __all__ = [
 ]
 
 
-class HalfInt:
-    """An exact integer or half-integer angular momentum value.
-
-    Stores ``2j`` as an integer, so equality, triangle rules and projection
-    parity checks never suffer floating-point round-off.
-    """
-
-    __slots__ = ("twice",)
-
-    def __init__(self, twice: int):
-        self.twice = int(twice)
-
-    @classmethod
-    def of(cls, value) -> "HalfInt":
-        """Coerce an int, float (multiple of 1/2) or HalfInt."""
-        if isinstance(value, HalfInt):
-            return value
-        doubled = 2 * value
-        rounded = round(doubled)
-        if abs(doubled - rounded) > 1e-9:
-            raise ValueError(f"{value!r} is not an integer or half-integer")
-        return cls(rounded)
-
-    @property
-    def value(self) -> float:
-        return self.twice / 2.0
-
-    def __float__(self) -> float:
-        return self.twice / 2.0
-
-    def __eq__(self, other) -> bool:
-        try:
-            return self.twice == HalfInt.of(other).twice
-        except (ValueError, TypeError):
-            return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("HalfInt", self.twice))
-
-    def __repr__(self) -> str:
-        if self.twice % 2 == 0:
-            return f"HalfInt({self.twice // 2})"
-        return f"HalfInt({self.twice}/2)"
-
-
 def _twice(x) -> int:
-    """Doubled-integer representation of an int/float/HalfInt momentum."""
-    return HalfInt.of(x).twice
+    """Doubled-integer representation 2x of an integer or half-integer
+    momentum; any other value raises ValueError."""
+    doubled = 2 * x
+    rounded = round(doubled)
+    if abs(doubled - rounded) > 1e-9:
+        raise ValueError(f"{x!r} is not an integer or half-integer")
+    return int(rounded)
 
 
 # ----------------------------------------------------------------------------
@@ -247,23 +206,26 @@ class Level:
         return range(-self.twice_F, self.twice_F + 1, 2)
 
 
+_TWICE_S = 1  # doubled ground-state electron momentum, J0 = S = 1/2
+
+
 @dataclass(frozen=True)
 class LevelScheme:
     """Hyperfine structure of one optical transition J0=S -> J.
 
     Ground levels F0 couple S=1/2 with the nuclear spin I; excited levels F
-    couple J with I.  Energies are in gamma units: excited energies are
-    offsets from the reference optical frequency (detuning convention), and
-    ground energies are hyperfine offsets (<= 0 for the lower level).  When
+    couple J with I, both given doubled (``twice_J``, ``twice_I``).
+    Energies are in gamma units: excited energies are offsets from the
+    reference optical frequency (detuning convention), and ground energies
+    are hyperfine offsets (<= 0 for the lower level).  When
     ``reduced_elements`` is given (keyed by ``(twice_F, twice_F0)``) it
     overrides the 6j factorization; this supports bare model transitions
     such as F0=0 -> F=1 without a physical (J, I) pair.
     """
     ground: tuple[Level, ...]
     excited: tuple[Level, ...]
-    J: HalfInt = field(default_factory=lambda: HalfInt(3))
-    I: HalfInt = field(default_factory=lambda: HalfInt(0))
-    S: HalfInt = field(default_factory=lambda: HalfInt(1))
+    twice_J: int = 3
+    twice_I: int = 0
     gamma: float = 1.0
     reduced_elements: tuple[tuple[tuple[int, int], float], ...] | None = None
 
@@ -271,38 +233,29 @@ class LevelScheme:
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.reduced_elements is None:
-            tJ, tS, tI = self.J.twice, self.S.twice, self.I.twice
             for lvl in self.ground:
-                if not _triangle_ok(tS, tI, lvl.twice_F):
+                if not _triangle_ok(_TWICE_S, self.twice_I, lvl.twice_F):
                     raise ValueError(f"ground F0={lvl.F} violates S,I coupling")
             for lvl in self.excited:
-                if not _triangle_ok(tJ, tI, lvl.twice_F):
+                if not _triangle_ok(self.twice_J, self.twice_I, lvl.twice_F):
                     raise ValueError(f"excited F={lvl.F} violates J,I coupling")
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def simple(cls, F0: float = 0, F: float = 1, gamma: float = 1.0,
-               ground_energy: float = 0.0, excited_energy: float = 0.0
-               ) -> "LevelScheme":
-        """Single closed transition F0 -> F with decay rate gamma."""
-        tF, tF0 = _twice(F), _twice(F0)
-        red = math.sqrt(0.75 * (tF + 1) * gamma)
-        return cls(
-            ground=(Level(tF0, ground_energy),),
-            excited=(Level(tF, excited_energy),),
-            reduced_elements=(((tF, tF0), red),),
-            gamma=gamma,
-        )
+    def simple(cls) -> "LevelScheme":
+        """Single closed transition F0=0 -> F=1."""
+        # decay-rate sum rule |<F||d||F0>|^2 = 3(2F+1)/4 at gamma = 1
+        return cls(ground=(Level(0),), excited=(Level(2),),
+                   reduced_elements=(((2, 0), math.sqrt(0.75 * 3)),))
 
     @classmethod
-    def alkali_d2(cls, I, ground_levels, excited_levels, gamma: float = 1.0
-                  ) -> "LevelScheme":
+    def alkali_d2(cls, I, ground_levels, excited_levels) -> "LevelScheme":
         """D2-line scheme (J=3/2) from explicit level lists of (F, energy)."""
         return cls(
             ground=tuple(Level(_twice(F), E) for F, E in ground_levels),
             excited=tuple(Level(_twice(F), E) for F, E in excited_levels),
-            J=HalfInt(3), I=HalfInt.of(I), gamma=gamma,
+            twice_I=_twice(I),
         )
 
     @classmethod
@@ -338,6 +291,14 @@ class LevelScheme:
             ],
         )
 
+    @classmethod
+    def lambda_rb87(cls) -> "LevelScheme":
+        """87Rb Lambda model (J=3/2, I=3/2): the ground levels F0=1 and
+        F0=2, 6834.683 MHz above it, with the single excited level F=1."""
+        mhz = 1.0 / 6.0666
+        return cls(ground=(Level(2, 0.0), Level(4, 6834.683 * mhz)),
+                   excited=(Level(2, 0.0),), twice_J=3, twice_I=3)
+
     # -- sublevel bookkeeping ---------------------------------------------
 
     def ground_sublevels(self) -> list[tuple[int, int]]:
@@ -368,14 +329,14 @@ class LevelScheme:
                 if tf == twice_F and tf0 == twice_F0:
                     return red
             return 0.0
-        tJ, tS, tI = self.J.twice, self.S.twice, self.I.twice
+        tJ, tI = self.twice_J, self.twice_I
         if not _triangle_ok(twice_F0, 2, twice_F):
             return 0.0
         # <J||d||S> fixed by the decay-rate sum rule: |<J||d||S>|^2 = 3(2J+1)/4.
         red_JS = math.sqrt(0.75 * (tJ + 1) * self.gamma)
         exponent = (twice_F0 + tJ + tI) // 2 - 1
         sign = -1.0 if exponent % 2 else 1.0
-        six = _sixj_doubled(tS, tI, twice_F0, twice_F, 2, tJ)
+        six = _sixj_doubled(_TWICE_S, tI, twice_F0, twice_F, 2, tJ)
         return (sign * math.sqrt((twice_F + 1.0) * (twice_F0 + 1.0)) * six
                 * red_JS)
 

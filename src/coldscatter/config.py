@@ -34,12 +34,15 @@ class ConfigError(ValueError):
         super().__init__("\n".join(self.errors))
 
 
+# Float keys must be finite: every predicate fails on nan, and all but
+# that of diffusion.l_g (where +inf means no gain) fail on an infinity.
+
 def _positive(x):
-    return x > 0
+    return 0 < x < math.inf
 
 
 def _non_negative(x):
-    return x >= 0
+    return 0 <= x < math.inf
 
 
 def _unit_interval(x):
@@ -62,11 +65,11 @@ _SCHEMA = {
                  "two-level, rb85, rb87 or lambda-rb87"),
     },
     "cloud": {
-        "n0": (float, 0.01, _positive, "> 0 (units n0 lambda-bar^3)"),
-        "r0": (float, 10.0, _positive, "> 0 (lambda-bar)"),
+        "n0": (float, 0.01, _positive, "finite > 0 (units n0 lambda-bar^3)"),
+        "r0": (float, 10.0, _positive, "finite > 0 (lambda-bar)"),
     },
     "control": {
-        "rabi": (float, 0.0, _non_negative, ">= 0 (gamma)"),
+        "rabi": (float, 0.0, _non_negative, "finite >= 0 (gamma)"),
         "polarization_q": (int, 0, lambda q: q in (-1, 0, 1), "-1, 0 or 1"),
     },
     "detection": {
@@ -74,12 +77,12 @@ _SCHEMA = {
                     lambda s: s in ("hel_par", "hel_perp", "lin_par",
                                     "lin_perp"),
                     "hel_par, hel_perp, lin_par or lin_perp"),
-        "theta_max": (float, 0.3, _positive, "> 0 (rad)"),
+        "theta_max": (float, 0.3, _positive, "finite > 0 (rad)"),
         "n_theta": (int, 7, _positive, "> 0"),
     },
     "sweep": {
-        "start": (float, -5.0, lambda x: True, "sweep start"),
-        "stop": (float, 5.0, lambda x: True, "sweep stop"),
+        "start": (float, -5.0, math.isfinite, "finite sweep start"),
+        "stop": (float, 5.0, math.isfinite, "finite sweep stop"),
         "n": (int, 21, _positive, "> 0"),
     },
     "mc": {
@@ -89,7 +92,7 @@ _SCHEMA = {
     },
     "dipole": {
         "n_atoms": (int, 2, _positive, "> 0"),
-        "radius": (float, 10.0, _positive, "> 0 (lambda-bar)"),
+        "radius": (float, 10.0, _positive, "finite > 0 (lambda-bar)"),
         "model": (str, "vector", lambda s: s in ("scalar", "vector"),
                   "scalar or vector"),
         "n_configs": (int, 8, _positive, "> 0"),
@@ -97,19 +100,20 @@ _SCHEMA = {
                      "ball or gaussian"),
     },
     "slab": {
-        "thickness": (float, 10.0, _positive, "> 0 (lambda-bar)"),
-        "density": (float, 0.001, _positive, "> 0 (scaled)"),
+        "thickness": (float, 10.0, _positive, "finite > 0 (lambda-bar)"),
+        "density": (float, 0.001, _positive, "finite > 0 (scaled)"),
     },
     "diffusion": {
-        "l_tr": (float, 1.0, _positive, "> 0 (lambda-bar)"),
-        "l_g": (float, 10.0, _positive, "> 0 (lambda-bar)"),
-        "v_bar": (float, 1.0, _positive, "> 0 (c)"),
+        "l_tr": (float, 1.0, _positive, "finite > 0 (lambda-bar)"),
+        "l_g": (float, 10.0, lambda x: x > 0,
+                "> 0 (lambda-bar; inf: no gain)"),
+        "v_bar": (float, 1.0, _positive, "finite > 0 (c)"),
         "albedo": (float, 1.0, _unit_interval, "in [0, 1]"),
     },
     "protocol": {
-        "xi": (float, 0.01, _non_negative, ">= 0"),
-        "i_mean": (float, 1.0, lambda x: True, "mean intensity"),
-        "n_atoms": (float, 100.0, _non_negative, ">= 0"),
+        "xi": (float, 0.01, _non_negative, "finite >= 0"),
+        "i_mean": (float, 1.0, math.isfinite, "finite mean intensity"),
+        "n_atoms": (float, 100.0, _non_negative, "finite >= 0"),
     },
 }
 

@@ -83,10 +83,9 @@ class Cloud:
         tF0 = self.scheme.ground[0].twice_F
         return 2.0 * math.pi * (tF + 1.0) / (tF0 + 1.0)
 
-    def b0(self, sigma: float | None = None) -> float:
+    def b0(self) -> float:
         """Peak resonant optical depth sqrt(2 pi) n0 sigma0 r0."""
-        s = self.sigma0() if sigma is None else sigma
-        return math.sqrt(2.0 * math.pi) * self.n0 * s * self.r0
+        return math.sqrt(2.0 * math.pi) * self.n0 * self.sigma0() * self.r0
 
 
 # ----------------------------------------------------------------------------
@@ -134,59 +133,22 @@ def _philox(key: np.ndarray, ctr: np.ndarray) -> np.ndarray:
     return np.stack([even[0], odd[0], even[1], odd[1]])
 
 
-class _Stream:
-    """Uniform draws of a stack of trajectories, keyed by (seed, index).
-
-    Row i of every draw belongs to trajectory ``trajectories[i]``; the
-    counter words are (order, slot, retry, 0).  A draw depends only on its
-    key and counter, never on which other rows are drawn with it.  Retries
-    (``accepted``) serve only the rejection sampling of the beam entry.
-    """
-
-    def __init__(self, seed: int, trajectories):
-        self.seed = seed
-        self.trajectories = np.asarray(trajectories, dtype=np.uint64)
-
-    def __len__(self) -> int:
-        return len(self.trajectories)
-
-    def take(self, rows) -> "_Stream":
-        return _Stream(self.seed, self.trajectories[rows])
-
-    def uniforms(self, order: int, slot, retry=0, rows=None) -> np.ndarray:
-        """Four uniforms in (0, 1) per row, ((x >> 11) + 0.5) 2^-53 of the
-        block words: shape (4, n), or (4, n, k) for k (slot, retry) pairs
-        given as broadcasting arrays.  ``rows`` selects a subset."""
-        traj = self.trajectories if rows is None else self.trajectories[rows]
-        slot, retry = np.broadcast_arrays(np.asarray(slot, dtype=np.uint64),
-                                          np.asarray(retry, dtype=np.uint64))
-        key = np.empty((2, len(traj)) + (1,) * retry.ndim, dtype=np.uint64)
-        key[0] = self.seed
-        key[1] = traj.reshape(key.shape[1:])
-        ctr = np.zeros((4, 1) + retry.shape, dtype=np.uint64)
-        ctr[0], ctr[1], ctr[2] = order, slot, retry
-        return ((_philox(key, ctr) >> _SHIFT11) + 0.5) * 2.0 ** -53
-
-    def accepted(self, order: int, slot: int, accept) -> np.ndarray:
-        """Uniforms (4, n) of each row's first accepted try.
-
-        Try r of a row is the block (order, slot, r).  Tries run in blocks
-        of 2, 4, 8, ... retries, and only rows without an accepted try draw
-        the next block; ``accept(x, rows)`` maps the uniforms (4, k, c) of
-        the given rows to their (k, c) acceptance mask.
-        """
-        out = np.empty((4, len(self)))
-        pending = np.arange(len(self))
-        start, count = 0, 2
-        while pending.size:
-            x = self.uniforms(order, slot, np.arange(start, start + count),
-                              pending)
-            ok = accept(x, pending)
-            hit = np.nonzero(ok.any(axis=1))[0]
-            out[:, pending[hit]] = x[:, hit, ok[hit].argmax(axis=1)]
-            pending = np.delete(pending, hit)
-            start, count = start + count, 2 * count
-        return out
+def _uniforms(seed: int, traj, order: int, slot, retry=0) -> np.ndarray:
+    """Four uniforms in (0, 1) per trajectory id in ``traj`` (n,): the words
+    x of the Philox block keyed by (seed, trajectory) at counter (order,
+    slot, retry, 0), as ((x >> 11) + 0.5) 2^-53.  Shape (4, n), or (4, n, k)
+    for k (slot, retry) pairs given as broadcasting arrays.  A draw depends
+    only on its key and counter, never on which other rows are drawn with
+    it."""
+    traj = np.asarray(traj, dtype=np.uint64)
+    slot, retry = np.broadcast_arrays(np.asarray(slot, dtype=np.uint64),
+                                      np.asarray(retry, dtype=np.uint64))
+    key = np.empty((2, len(traj)) + (1,) * retry.ndim, dtype=np.uint64)
+    key[0] = seed
+    key[1] = traj.reshape(key.shape[1:])
+    ctr = np.zeros((4, 1) + retry.shape, dtype=np.uint64)
+    ctr[0], ctr[1], ctr[2] = order, slot, retry
+    return ((_philox(key, ctr) >> _SHIFT11) + 0.5) * 2.0 ** -53
 
 
 def _normals(u1, u2):
@@ -265,14 +227,17 @@ def sample_free_path(cloud: Cloud, p, u, sigma, xi) -> np.ndarray:
     return s
 
 
-def sample_entry(cloud: Cloud, sigma, stream: _Stream) -> np.ndarray:
+def sample_entry(cloud: Cloud, sigma, seed: int, traj) -> np.ndarray:
     """First interaction points (n, 3) of an incident plane wave along +z,
-    one per row of ``stream``, with extinction ``sigma`` (scalar or (n,)).
+    one per trajectory id in ``traj`` (n,), with extinction ``sigma``
+    (scalar or (n,)).
 
     The transverse impact point is drawn proportional to the chord depth b
     and accepted with probability (1 - e^{-b})/b, which together weight
-    entries by the interaction probability 1 - e^{-b}; only rejected rows
-    draw again.  The interaction depth along the accepted chord is then
+    entries by the interaction probability 1 - e^{-b}.  Try r of a
+    trajectory is the draw block (0, 0, r); tries run in blocks of 2, 4,
+    8, ... retries, and only trajectories without an accepted try draw the
+    next block.  The interaction depth along the accepted chord is then
     drawn from the truncated exponential and inverted in closed form.
     """
     def impact(x):  # (x, y, 0) from two normals
@@ -280,14 +245,22 @@ def sample_entry(cloud: Cloud, sigma, stream: _Stream) -> np.ndarray:
         p[..., 0], p[..., 1] = _normals(x[0], x[1])
         return cloud.r0 * p
 
-    sigma = np.broadcast_to(sigma, (len(stream),))
-
-    def accept(x, rows):
-        b = 2.0 * _chord(cloud, impact(x), _K_IN, sigma[rows, None])[1]
+    traj = np.asarray(traj)
+    sigma = np.broadcast_to(sigma, traj.shape)
+    x = np.empty((4, len(traj)))
+    pending = np.arange(len(traj))
+    start, count = 0, 2
+    while pending.size:
+        tries = _uniforms(seed, traj[pending], 0, 0,
+                          np.arange(start, start + count))
+        b = 2.0 * _chord(cloud, impact(tries), _K_IN,
+                         sigma[pending, None])[1]
         big = b >= 1e-300
-        return big & (x[2] * np.where(big, b, 1.0) < -np.expm1(-b))
-
-    x = stream.accepted(0, 0, accept)
+        ok = big & (tries[2] * np.where(big, b, 1.0) < -np.expm1(-b))
+        hit = np.nonzero(ok.any(axis=1))[0]
+        x[:, pending[hit]] = tries[:, hit, ok[hit].argmax(axis=1)]
+        pending = np.delete(pending, hit)
+        start, count = start + count, 2 * count
     p = impact(x)
     _, C = _chord(cloud, p, _K_IN, sigma)
     tau = -np.log1p(x[3] * np.expm1(-2.0 * C))
@@ -518,8 +491,9 @@ def _run_chunk(cloud: Cloud, points: list[MCParams],
     bookkeeping, the scattering event and the free path for all live
     walkers; escaped and truncated walkers are then compacted out.  Walker
     state is kept as arrays over the live walkers, and ``rows`` maps them
-    back to their walker index for the per-trajectory sums of squares.
-    Every accumulator has the point as its first axis.
+    back to their walker index, which gives the trajectory id of their
+    draws and the row of their per-trajectory sums of squares.  Every
+    accumulator has the point as its first axis.
     """
     params = points[0]
     n_pt, n_tr = len(points), hi - lo
@@ -541,10 +515,9 @@ def _run_chunk(cloud: Cloud, points: list[MCParams],
     n_trunc = np.zeros(n_pt, dtype=np.int64)
 
     rows = np.arange(n_pt * n_tr)
-    stream = _Stream(params.seed, lo + rows % n_tr)
     f = tab.freq_ids([q.detuning for q in points])[rows // n_tr]
     sigma = tab.sigma[f]
-    p = sample_entry(cloud, sigma, stream)
+    p = sample_entry(cloud, sigma, params.seed, lo + rows % n_tr)
     e = np.broadcast_to(e_in0, p.shape)
 
     n = len(rows)
@@ -560,7 +533,7 @@ def _run_chunk(cloud: Cloud, points: list[MCParams],
         pt = rows // n_tr
         # slot 0: sublevel, free path, channel, dipole axis; slot 1:
         # direction cosine and azimuth (two words unused)
-        x = stream.uniforms(order, (0, 1))
+        x = _uniforms(params.seed, lo + rows % n_tr, order, (0, 1))
         kid = tab.keys(f, tab.sublevels(x[0, :, 0]))
         vs = tab.fields(kid, e)
 
@@ -620,7 +593,7 @@ def _run_chunk(cloud: Cloud, points: list[MCParams],
         keep = ~(gone | trunc)
         p = p[keep] + s[keep, None] * u[keep]
         e, w, f, sigma = e[keep], w[keep], f[keep], sigma[keep]
-        rows, stream = rows[keep], stream.take(keep)
+        rows = rows[keep]
         if crossed_on:
             M_dir, M_revpre = M_dir[keep], M_revpre[keep]
             r_first, tau_in_first = r_first[keep], tau_in_first[keep]

@@ -54,7 +54,7 @@ class ControlField:
     """A quasi-stationary control mode dressing the excited manifold.
 
     ``rabi`` is the Rabi frequency Omega_c defined with respect to the
-    reference transition ``(twice_F0, M0_ref) -> (twice_F_ref, M0_ref+q)``,
+    reference transition ``(twice_F0, M0=0) -> (twice_F_ref, M=q)``,
     i.e. the matrix element on that transition is Omega_c/2; couplings to
     all other allowed transitions scale with their dipole elements.
     ``omega_c`` is the control frequency in the rotating frame (resonant
@@ -65,7 +65,6 @@ class ControlField:
     twice_F0: int
     twice_F_ref: int
     polarization_q: int = 0
-    twice_M0_ref: int = 0
 
     def coupling_vector(self, scheme: LevelScheme, excited_idx: list[int],
                         ground_idx: int) -> np.ndarray:
@@ -75,9 +74,8 @@ class ControlField:
         gnd = scheme.ground_sublevels()
         exc = scheme.excited_sublevels()
         # reference element
-        ref_g = gnd.index((self.twice_F0, self.twice_M0_ref))
-        ref_e = exc.index((self.twice_F_ref,
-                           self.twice_M0_ref + 2 * self.polarization_q))
+        ref_g = gnd.index((self.twice_F0, 0))
+        ref_e = exc.index((self.twice_F_ref, 2 * self.polarization_q))
         d_ref = d[iq, ref_e, ref_g]
         if d_ref == 0.0:
             raise ValueError("control reference transition is forbidden")
@@ -354,17 +352,14 @@ def kinetic_lengths(scheme: LevelScheme, ground: GroundState,
 # Effective Raman gain.
 # ----------------------------------------------------------------------------
 
-def raman_gain_cross_section(rabi_bar: float, hpf_splitting: float,
-                             detuning: float = 0.0, sigma0: float = 6 * math.pi,
-                             gamma: float = 1.0) -> float:
-    """Effective stimulated-Raman gain cross section for pumped atoms.
+def raman_gain_cross_section(rabi_bar: float, hpf_splitting: float) -> float:
+    """Effective stimulated-Raman gain cross section for pumped atoms at
+    the Raman resonance.
 
     Order-of-magnitude model: the spontaneous Raman rate of a pumped atom
     scales as Vbar^2 gamma / Delta_hpf^2, and stimulation into an occupied
-    mode scales the resonant cross section by that rate over gamma with a
-    Lorentzian spectral profile.  The map is monotone in the pump Rabi
-    frequency; its absolute normalization is a configured model, not a
-    first-principles result.
+    mode scales the two-level resonant cross section 6 pi by that rate over
+    gamma.  The map is monotone in the pump Rabi frequency; its absolute
+    normalization is a configured model, not a first-principles result.
     """
-    lorentz = 1.0 / (1.0 + (2.0 * detuning / gamma) ** 2)
-    return sigma0 * (rabi_bar ** 2 / hpf_splitting ** 2) * lorentz
+    return 6 * math.pi * (rabi_bar ** 2 / hpf_splitting ** 2)

@@ -35,7 +35,6 @@ class RaySegment:
     """Straight ray chord between two scattering events."""
     start: np.ndarray
     end: np.ndarray
-    omega: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "start", np.asarray(self.start, dtype=float))

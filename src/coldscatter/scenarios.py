@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .angular import HalfInt, Level, LevelScheme
+from .angular import LevelScheme
 from .config import ScenarioConfig, config_hash
 from .medium import BEAM_FRAME, ControlField, GroundState, \
     susceptibility, transverse_decompose
@@ -43,20 +43,16 @@ class ResultRecord:
     complete: bool = True
 
 
+_SCHEMES = {
+    "two-level": LevelScheme.simple,
+    "rb85": LevelScheme.rb85_d2,
+    "rb87": LevelScheme.rb87_d2,
+    "lambda-rb87": LevelScheme.lambda_rb87,
+}
+
+
 def _scheme(kind: str) -> LevelScheme:
-    if kind == "two-level":
-        return LevelScheme.simple()
-    if kind == "rb85":
-        return LevelScheme.rb85_d2()
-    if kind == "rb87":
-        return LevelScheme.rb87_d2()
-    if kind == "lambda-rb87":
-        mhz = 1.0 / 6.0666
-        return LevelScheme(
-            ground=(Level(2, 0.0), Level(4, 6834.683 * mhz)),
-            excited=(Level(2, 0.0),),
-            J=HalfInt.of(1.5), I=HalfInt.of(1.5), gamma=1.0)
-    raise ValueError(f"unknown atom kind {kind!r}")
+    return _SCHEMES[kind]()
 
 
 def _cloud(cfg: ScenarioConfig) -> mc.Cloud:

@@ -17,8 +17,8 @@ from coldscatter import mcscatter as mc
 from coldscatter import propagation as pp
 from coldscatter import protocols as pr
 from coldscatter import transport as tr
-from coldscatter.angular import HalfInt, Level, LevelScheme, \
-    clebsch_gordan, repopulation_matrix, wigner_6j
+from coldscatter.angular import LevelScheme, clebsch_gordan, \
+    repopulation_matrix, wigner_6j
 
 from test_microdipole import _scalar_pair_oracle, _vector_pair_oracle, \
     _transfer_matrix_oracle
@@ -141,11 +141,7 @@ def test_criterion_05_energy_conservation():
 
 def test_criterion_06_eit_window():
     t0 = time.perf_counter()
-    mhz = 1.0 / 6.0666
-    sch = LevelScheme(
-        ground=(Level(2, 0.0), Level(4, 6834.683 * mhz)),
-        excited=(Level(2, 0.0),),
-        J=HalfInt.of(1.5), I=HalfInt.of(1.5), gamma=1.0)
+    sch = LevelScheme.lambda_rb87()
     gs = md.GroundState.isotropic(sch, 2, n0=0.01)
     ctrl = md.ControlField(rabi=1.0, omega_c=-sch.ground_energy(4),
                            twice_F0=4, twice_F_ref=2, polarization_q=0)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -148,6 +149,46 @@ def test_out_of_domain_sweep_is_a_config_error(tmp_path, capsys, scenario):
     assert cli.main(["run", str(p), "--out", str(tmp_path), "--quiet"]) == 1
     assert "sweep.start" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("scenario, extra, keys", [
+    ("ladder-spectrum", "[sweep]\nstart = nan\n", ["sweep.start"]),
+    ("protocol-utils", "[protocol]\ni_mean = inf\nxi = inf\n",
+     ["protocol.i_mean", "protocol.xi"]),
+    ("cbs-cone", "[cloud]\nn0 = inf\nr0 = inf\n[detection]\n"
+     "theta_max = inf\n", ["cloud.n0", "cloud.r0", "detection.theta_max"]),
+    ("gain-transport", "[sweep]\nstop = inf\n", ["sweep.stop"]),
+    ("eit-spectrum", "[control]\nrabi = inf\n", ["control.rabi"]),
+    ("coupled-dipole-spectrum", "[dipole]\nradius = inf\n",
+     ["dipole.radius"]),
+    ("selfconsistent-slab", "[slab]\nthickness = inf\ndensity = inf\n",
+     ["slab.thickness", "slab.density"]),
+    ("diffusion-threshold", "[diffusion]\nl_tr = inf\nv_bar = inf\n",
+     ["diffusion.l_tr", "diffusion.v_bar"]),
+    ("protocol-utils", "[protocol]\nn_atoms = inf\ni_mean = -inf\n",
+     ["protocol.n_atoms", "protocol.i_mean"]),
+], ids=["ladder-nan-start", "protocol-inf", "cbs-inf", "gain-inf-stop",
+        "eit-inf-rabi", "dipole-inf-radius", "slab-inf", "diffusion-inf",
+        "protocol-minus-inf"])
+def test_non_finite_floats_are_config_errors(tmp_path, capsys, scenario,
+                                             extra, keys):
+    # validated only: a nan detuning sweep, once run, never finishes
+    p = tmp_path / "c.ini"
+    p.write_text(f"[run]\nscenario = {scenario}\n{extra}")
+    assert cli.main(["validate", str(p)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert sorted(line.split(":")[1].strip() for line in err) == sorted(keys)
+
+
+def test_infinite_gain_length_means_no_gain(tmp_path, capsys):
+    p = tmp_path / "c.ini"
+    p.write_text("[run]\nscenario = diffusion-threshold\n"
+                 "[diffusion]\nl_g = inf\n[sweep]\nn = 5\n")
+    assert cli.main(["run", str(p), "--out", str(tmp_path), "--quiet"]) == 0
+    csv = (tmp_path / "diffusion-threshold.csv").read_text().splitlines()
+    rates = [float(line.split(",")[2]) for line in csv[1:]]
+    assert len(rates) == 5
+    assert all(-math.inf < r < 0 for r in rates)
 
 
 def test_cbs_cone_on_rb85_fails_without_output(tmp_path, capsys):

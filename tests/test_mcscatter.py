@@ -8,7 +8,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.special import exp1
 from scipy.stats import kstest
 
-from coldscatter.angular import HalfInt, Level, LevelScheme
+from coldscatter.angular import Level, LevelScheme
 from coldscatter.medium import (GroundState, extinction_cross_section,
                                 kinetic_lengths, raman_shift,
                                 scattering_tensors)
@@ -38,22 +38,28 @@ def test_philox_matches_numpy_bit_for_bit(key):
                           np.array(nxt, dtype=np.uint64)[:, None])
         assert np.array_equal(ours[:, 0], ref)
     # the stream's uniforms are ((x >> 11) + 0.5) 2^-53 of those words
-    stream = mc._Stream(key[0], [key[1]])
     raw = np.random.Philox(key=np.array(key, dtype=np.uint64),
                            counter=np.array([4, 1, 2, 0], dtype=np.uint64)
                            ).random_raw(4)
     expect = ((raw >> np.uint64(11)) + 0.5) * 2.0 ** -53
-    assert np.array_equal(stream.uniforms(5, 1, 2)[:, 0], expect)
+    assert np.array_equal(mc._uniforms(key[0], [key[1]], 5, 1, 2)[:, 0],
+                          expect)
 
 
 def test_order_block_matches_separate_draws():
     # one call per order draws both slots of the order; each block depends
     # only on its counter
-    stream = mc._Stream(21, np.arange(50))
-    fused = stream.uniforms(4, (0, 1))
+    traj = np.arange(50)
+    fused = mc._uniforms(21, traj, 4, (0, 1))
     assert fused.shape == (4, 50, 2)
     for slot in (0, 1):
-        assert np.array_equal(fused[:, :, slot], stream.uniforms(4, slot))
+        assert np.array_equal(fused[:, :, slot],
+                              mc._uniforms(21, traj, 4, slot))
+    # and on its key: a trajectory drawn alone equals its row in a batch,
+    # so results do not depend on the chunk a trajectory runs in
+    for t in (0, 17, 49):
+        assert np.array_equal(mc._uniforms(21, [t], 4, (0, 1))[:, 0],
+                              fused[:, t])
 
 
 def test_cloud_b0():
@@ -95,7 +101,7 @@ def test_chord_depth_stack_matches_single_directions():
 def _uniforms(seed, n):
     """Four uniforms (4, n), one block per trajectory 0..n-1, from the
     engine's stream."""
-    return mc._Stream(seed, np.arange(n)).uniforms(1, 0)
+    return mc._uniforms(seed, np.arange(n), 1, 0)
 
 
 def test_free_path_zero_cross_section_escapes():
@@ -134,7 +140,7 @@ def test_escape_probability_matches_chord_depth():
 
 def test_entry_sampler_impact_parameter_distribution():
     cloud = two_level_cloud(b0=3.0)
-    p = mc.sample_entry(cloud, 6 * math.pi, mc._Stream(4, np.arange(20000)))
+    p = mc.sample_entry(cloud, 6 * math.pi, 4, np.arange(20000))
     rho = np.hypot(p[:, 0], p[:, 1])
     # marginal density prop. to rho (1 - e^{-b(rho)})
     grid = np.linspace(0, 6 * cloud.r0, 4000)
@@ -507,7 +513,7 @@ def test_raman_photon_frequency_and_extinction():
     # column through the centre and Ein(z) = gamma_E + ln z + E1(z).
     sch = LevelScheme(ground=(Level(2, 0.0), Level(4, 3.0)),
                       excited=(Level(2, 0.0),),
-                      J=HalfInt.of(1.5), I=HalfInt.of(1.5))
+                      twice_J=3, twice_I=3)
     cloud = mc.Cloud(scheme=sch, n0=0.1, r0=8.0)
     omega = 3.0
     e = np.array([1.0, 0, 0], dtype=complex)

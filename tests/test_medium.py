@@ -3,21 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from coldscatter.angular import (HalfInt, Level, LevelScheme,
-                                 dipole_matrix_element, spherical_unit_vectors)
+from coldscatter.angular import (LevelScheme, dipole_matrix_element,
+                                 spherical_unit_vectors)
 from coldscatter import medium as md
-
-
-MHZ = 1.0 / 6.0666  # one MHz in linewidth units
-
-
-def lambda_scheme():
-    """Rb87-like Lambda system: two ground hyperfine levels, single excited
-    F=1 level retained."""
-    return LevelScheme(
-        ground=(Level(2, 0.0), Level(4, 6834.683 * MHZ)),
-        excited=(Level(2, 0.0),),
-        J=HalfInt.of(1.5), I=HalfInt.of(1.5), gamma=1.0)
 
 
 def test_two_level_susceptibility_analytic():
@@ -112,7 +100,7 @@ def _tensor_oracle(sch, ctrl, m_out, m_in, omega):
 @pytest.mark.parametrize("dressed", [False, True])
 def test_scattering_tensors_match_explicit_sum(dressed):
     if dressed:  # Lambda scheme with a control field on the upper level
-        sch = lambda_scheme()
+        sch = LevelScheme.lambda_rb87()
         ctrl = md.ControlField(rabi=1.3, omega_c=-sch.ground_energy(4) + 0.2,
                                twice_F0=4, twice_F_ref=2, polarization_q=1)
     else:
@@ -195,8 +183,9 @@ def test_excited_green_matches_per_block_assembly(kind):
         "rb87": (LevelScheme.rb87_d2(), md.ControlField(
             rabi=2.0, omega_c=-LevelScheme.rb87_d2().ground_energy(2),
             twice_F0=2, twice_F_ref=4, polarization_q=0)),
-        "lambda-rb87": (lambda_scheme(), md.ControlField(
-            rabi=1.3, omega_c=-lambda_scheme().ground_energy(4) + 0.2,
+        "lambda-rb87": (LevelScheme.lambda_rb87(), md.ControlField(
+            rabi=1.3,
+            omega_c=-LevelScheme.lambda_rb87().ground_energy(4) + 0.2,
             twice_F0=4, twice_F_ref=2, polarization_q=1)),
     }[kind]
     for c in (None, ctrl):
@@ -246,7 +235,7 @@ def test_dressed_block_finite_at_two_photon_resonance():
     """At exact two-photon resonance the naive matrix inverse blows up but
     the propagator has a finite limit; it must match the limit from a
     small detuning approach."""
-    sch = lambda_scheme()
+    sch = LevelScheme.lambda_rb87()
     ctrl = md.ControlField(rabi=1.0, omega_c=-sch.ground_energy(4),
                            twice_F0=4, twice_F_ref=2, polarization_q=0)
     G0 = md.excited_green(sch, ctrl, 0.0)
@@ -260,9 +249,9 @@ def test_pole_proximity_raises():
     """With negligible radiative width the dressed block has near-real
     poles at E = +-|V|; hitting one must raise instead of returning
     garbage."""
-    sch = lambda_scheme()
+    sch = LevelScheme.lambda_rb87()
     bad = LevelScheme(ground=sch.ground, excited=sch.excited,
-                      J=sch.J, I=sch.I, gamma=1e-16)
+                      twice_J=sch.twice_J, twice_I=sch.twice_I, gamma=1e-16)
     ctrl = md.ControlField(rabi=1.0, omega_c=-sch.ground_energy(4),
                            twice_F0=4, twice_F_ref=2, polarization_q=0)
     ig = bad.ground_sublevels().index((4, 0))
@@ -272,7 +261,7 @@ def test_pole_proximity_raises():
 
 
 def test_eit_transparency_dip():
-    sch = lambda_scheme()
+    sch = LevelScheme.lambda_rb87()
     g = md.GroundState.isotropic(sch, 2, n0=0.01)
     ctrl = md.ControlField(rabi=1.0, omega_c=-sch.ground_energy(4),
                            twice_F0=4, twice_F_ref=2, polarization_q=0)
@@ -287,7 +276,7 @@ def test_eit_transparency_dip():
 def test_eit_autler_townes_peaks():
     """With a strong control the absorption shows two peaks near +-rabi/2
     and a dip at two-photon resonance."""
-    sch = lambda_scheme()
+    sch = LevelScheme.lambda_rb87()
     g = md.GroundState.isotropic(sch, 2, n0=0.01)
     ctrl = md.ControlField(rabi=4.0, omega_c=-sch.ground_energy(4),
                            twice_F0=4, twice_F_ref=2, polarization_q=0)
