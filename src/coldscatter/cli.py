@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig, canonical_text, \
-    config_hash, override_run, parse_config, to_json_dict
+    config_hash, override_run, parse_config
 from .scenarios import ResultRecord, run_scenario
 
 __all__ = ["main", "emit_results"]
@@ -38,18 +38,28 @@ def _csv_body(record: ResultRecord) -> str:
     return buf.getvalue()
 
 
+def _finite(fields: dict) -> dict:
+    """``fields`` with each non-finite float spelled as its repr ("inf",
+    "-inf", "nan"): RFC 8259 JSON has no such numbers."""
+    return {key: repr(val) if isinstance(val, float)
+            and not math.isfinite(val) else val
+            for key, val in fields.items()}
+
+
 def _json_body(record: ResultRecord, config: ScenarioConfig) -> str:
     doc = {
         "scenario": record.scenario,
         "version": record.version,
         "seed": record.seed,
         "config_hash": record.config_hash,
-        "config": to_json_dict(config),
+        "config": {"scenario": config.scenario,
+                   "values": {section: _finite(keys) for section, keys
+                              in config.values.items()}},
         "complete": record.complete,
         "wall_time_s": round(record.wall_time, 3),
-        "rows": [dataclasses.asdict(r) for r in record.rows],
+        "rows": [_finite(vars(r)) for r in record.rows],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def emit_results(record: ResultRecord, config: ScenarioConfig,

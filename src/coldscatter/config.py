@@ -255,8 +255,3 @@ def config_hash(config: ScenarioConfig) -> str:
            if key not in ("out", "workers")}
     physics = ScenarioConfig(config.scenario, {**config.values, "run": run})
     return hashlib.sha256(canonical_text(physics).encode()).hexdigest()
-
-
-def to_json_dict(config: ScenarioConfig) -> dict:
-    return {"scenario": config.scenario, "values": config.values}
-

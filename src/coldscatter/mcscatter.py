@@ -83,10 +83,6 @@ class Cloud:
         tF0 = self.scheme.ground[0].twice_F
         return 2.0 * math.pi * (tF + 1.0) / (tF0 + 1.0)
 
-    def b0(self) -> float:
-        """Peak resonant optical depth sqrt(2 pi) n0 sigma0 r0."""
-        return math.sqrt(2.0 * math.pi) * self.n0 * self.sigma0() * self.r0
-
 
 # ----------------------------------------------------------------------------
 # Counter-based random stream.
@@ -395,8 +391,10 @@ class CbsResult:
 class _MediumTables:
     """Extinction per frequency and, per (frequency, sublevel) key, the
     scattering-tensor stack of every outgoing channel with the frequency
-    ids it scatters into.  Frequencies and keys are numbered and filled on
-    first use; walkers carry only their ids."""
+    ids it scatters into.  Frequencies and keys are filled on first use,
+    the new ones of a call together and numbered in sorted order, so the
+    numbering does not depend on the order of the walkers; walkers carry
+    only their ids."""
 
     def __init__(self, cloud: Cloud):
         self.cloud = cloud
@@ -416,23 +414,23 @@ class _MediumTables:
         self.out_ids = np.empty((0, n), dtype=np.intp)  # key id -> f'
 
     def freq_ids(self, omegas) -> np.ndarray:
-        """Frequency ids of ``omegas``, registering new frequencies."""
+        """Frequency ids of ``omegas``, registering new frequencies in
+        sorted order with one extinction call."""
         uniq, inv = np.unique(omegas, return_inverse=True)
-        return np.array([self._freq_id(w) for w in uniq])[inv]
-
-    def _freq_id(self, omega: float) -> int:
-        omega = float(omega)
-        f = self._ids.get(omega)
-        if f is None:
+        uniq = uniq.tolist()
+        new = [w for w in uniq if w not in self._ids]
+        if new:
             val = extinction_cross_section(self.cloud.scheme,
-                                           self.cloud.ground, None, omega)
-            if val <= 0:
-                raise ArithmeticError(
-                    f"non-positive extinction at omega={omega}")
-            f = self._ids[omega] = len(self.omegas)
-            self.omegas.append(omega)
-            self.sigma = np.append(self.sigma, val)
-        return f
+                                           self.cloud.ground, None,
+                                           np.array(new))
+            if np.any(val <= 0):
+                raise ArithmeticError("non-positive extinction at "
+                                      f"omega={new[np.argmax(val <= 0)]}")
+            self._ids.update(zip(new, range(len(self.omegas),
+                                            len(self.omegas) + len(new))))
+            self.omegas.extend(new)
+            self.sigma = np.concatenate([self.sigma, val])
+        return np.array([self._ids[w] for w in uniq], dtype=np.intp)[inv]
 
     def sublevels(self, xi) -> np.ndarray:
         """Ground sublevels drawn from the populations, one uniform each."""
@@ -440,22 +438,21 @@ class _MediumTables:
         return self._pop_idx[np.minimum(k, len(self._pop_idx) - 1)]
 
     def keys(self, f, m) -> np.ndarray:
-        """Key ids of walkers at frequency ids f in sublevels m."""
+        """Key ids of walkers at frequency ids f in sublevels m, filling
+        the new keys in sorted order with one tensor call."""
         uniq, inv = np.unique(f * self.n_ground + m, return_inverse=True)
-        return np.array([self._key_id(int(k)) for k in uniq],
-                        dtype=np.intp)[inv]
-
-    def _key_id(self, key: int) -> int:
-        kid = self._keys.get(key)
-        if kid is None:
-            f, m = divmod(key, self.n_ground)
-            omega = self.omegas[f]
-            stack = scattering_tensors(self.cloud.scheme, None, m, omega)
-            out = self.freq_ids(omega + self.shifts[:, m])
-            kid = self._keys[key] = len(self.stacks)
-            self.stacks = np.concatenate([self.stacks, stack[None]])
-            self.out_ids = np.concatenate([self.out_ids, out[None]])
-        return kid
+        uniq = uniq.tolist()
+        new = [k for k in uniq if k not in self._keys]
+        if new:
+            f_new, m_new = np.divmod(np.array(new), self.n_ground)
+            omega = np.array(self.omegas)[f_new]
+            stacks = scattering_tensors(self.cloud.scheme, None, m_new, omega)
+            out = self.freq_ids(omega[:, None] + self.shifts[:, m_new].T)
+            self._keys.update(zip(new, range(len(self.stacks),
+                                             len(self.stacks) + len(new))))
+            self.stacks = np.concatenate([self.stacks, stacks])
+            self.out_ids = np.concatenate([self.out_ids, out])
+        return np.array([self._keys[k] for k in uniq], dtype=np.intp)[inv]
 
     def fields(self, kid, e) -> np.ndarray:
         """Scattered fields A e (n, n_ground, 3) of every outgoing channel

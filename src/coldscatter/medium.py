@@ -6,6 +6,12 @@ scattering tensors, the Pauli-matrix transverse decomposition used by the
 ray propagator, kinetic lengths (extinction / scattering / loss-or-gain)
 and the effective Raman gain cross section.
 
+The propagator, susceptibility, scattering-tensor, beam chi0 and
+extinction kernels take an array of frequencies and return one stack
+whose leading axes are those of the frequencies; a scalar frequency is
+the 0-d case of the same code.  A whole sweep or table fill is one call,
+with no Python loop over frequencies.
+
 All frequencies are in units of gamma, measured in the rotating frame so
 that a bare transition m -> n resonates at ``omega = E_n - E_m``.
 Densities are atoms per cubed reduced wavelength, and ``k = 1``.
@@ -31,8 +37,8 @@ __all__ = [
     "susceptibility",
     "scattering_tensors",
     "local_frame",
-    "BEAM_FRAME",
     "transverse_decompose",
+    "beam_chi0",
     "extinction_cross_section",
     "kinetic_lengths",
     "raman_gain_cross_section",
@@ -125,10 +131,20 @@ def _excited_levels(scheme: LevelScheme):
 
 
 @lru_cache(maxsize=32)
+def _ground_energies(scheme: LevelScheme) -> np.ndarray:
+    """Read-only energy of every ground sublevel, in sublevel order."""
+    energies = np.array([scheme.ground_energy(tf)
+                         for tf, _ in scheme.ground_sublevels()])
+    energies.flags.writeable = False
+    return energies
+
+
+@lru_cache(maxsize=32)
 def _dressed_blocks(scheme: LevelScheme, control: ControlField | None):
     """``(indices, v)`` of every same-M excited block the control couples,
-    with its read-only coupling vector v; blocks without a ground partner
-    M - q in the control's level, or with v = 0, stay undressed."""
+    with its index array and read-only coupling vector v; blocks without a
+    ground partner M - q in the control's level, or with v = 0, stay
+    undressed."""
     if control is None or control.rabi == 0.0:
         return ()
     gnd = scheme.ground_sublevels()
@@ -141,37 +157,50 @@ def _dressed_blocks(scheme: LevelScheme, control: ControlField | None):
         if np.any(v):
             v = v.astype(complex)
             v.flags.writeable = False
-            dressed.append((list(idx), v))
+            dressed.append((np.array(idx), v))
     return tuple(dressed)
 
 
-def _block_green(scheme: LevelScheme, control: ControlField, E: complex,
-                 a_inv: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """G over one dressed same-M block from its undressed inverse diagonal
-    a_inv and its coupling vector v: the rank-1 control self-energy."""
-    delta2 = E - control.omega_c - scheme.ground_energy(control.twice_F0)
-    # (A - v v^H / delta2)^{-1} by Sherman-Morrison; the closed form below
-    # is continuous at the two-photon resonance delta2 = 0.
-    u = a_inv * v
-    vAv = np.vdot(v, u)  # v^H A^{-1} v
-    denom = delta2 - vAv
-    scale = max(abs(delta2), abs(vAv), scheme.gamma)
-    if abs(denom) < 1e-12 * scale:
-        raise PoleProximityError(
-            "dressed propagator pole at E=%r" % (E,), abs(denom) / scale)
-    return np.diag(a_inv) + np.outer(u, a_inv * v.conj()) / denom
-
-
 def excited_green(scheme: LevelScheme, control: ControlField | None,
-                  E: complex) -> np.ndarray:
-    """Full excited-manifold Green's function (block-diagonal in M): the
-    undressed diagonal 1/(E - E_n + i gamma/2), with the blocks the control
-    couples replaced by their dressed inverses."""
+                  E) -> np.ndarray:
+    """Full excited-manifold Green's function (block-diagonal in M) at
+    every energy of ``E``: a stack (*E.shape, n_exc, n_exc) holding the
+    undressed diagonal 1/(E - E_n + i gamma/2), with the blocks the
+    control couples replaced by their dressed inverses.
+
+    A dressed block is (A - v v^H / delta2)^{-1} with the rank-1 control
+    self-energy, by Sherman-Morrison; the closed form is continuous at the
+    two-photon resonance delta2 = 0.  Every energy is checked against the
+    poles before any block is formed, and the first offending one in
+    ``E`` raises :class:`PoleProximityError`.
+    """
+    E = np.asarray(E)
     energies, _ = _excited_levels(scheme)
-    a_inv = 1.0 / (E - energies + 0.5j * scheme.gamma)
-    G = np.diag(a_inv)
-    for idx, v in _dressed_blocks(scheme, control):
-        G[np.ix_(idx, idx)] = _block_green(scheme, control, E, a_inv[idx], v)
+    a_inv = 1.0 / (E[..., None] - energies + 0.5j * scheme.gamma)
+    n = len(energies)
+    G = np.zeros(E.shape + (n, n), dtype=complex)
+    G[..., np.arange(n), np.arange(n)] = a_inv
+    blocks = _dressed_blocks(scheme, control)
+    if not blocks:
+        return G
+    delta2 = E - control.omega_c - scheme.ground_energy(control.twice_F0)
+    parts, residual = [], np.full(E.shape, np.inf)
+    for idx, v in blocks:
+        a = a_inv[..., idx]
+        u = a * v
+        vAv = u @ v.conj()  # v^H A^{-1} v
+        denom = delta2 - vAv
+        scale = np.maximum(np.maximum(abs(delta2), abs(vAv)), scheme.gamma)
+        residual = np.minimum(residual, abs(denom) / scale)
+        parts.append((idx, u, a * v.conj(), denom))
+    bad = np.flatnonzero(residual < 1e-12)
+    if len(bad):
+        raise PoleProximityError(
+            "dressed propagator pole at E=%r" % (E.flat[bad[0]].item(),),
+            float(residual.flat[bad[0]]))
+    for idx, u, w, denom in parts:
+        G[..., idx[:, None], idx] += u[..., :, None] * w[..., None, :] \
+            / denom[..., None, None]
     return G
 
 
@@ -179,53 +208,56 @@ def excited_green(scheme: LevelScheme, control: ControlField | None,
 # Susceptibility and scattering tensors.
 # ----------------------------------------------------------------------------
 
-def _tensor_stack(scheme: LevelScheme, G: np.ndarray, m_in,
-                  m_out=slice(None)) -> np.ndarray:
-    """alpha^{(m' m)} = -e_q'^* d G d e_q from one excited-state Green's
-    function G.  For one incoming m_in it is the (n_ground, 3, 3) stack of
-    every outgoing m'; for index arrays m_in, m_out, one tensor per pair."""
+@lru_cache(maxsize=32)
+def _cartesian_dipoles(scheme: LevelScheme):
+    """Read-only Cartesian dipole rows (n_ground, 3, n_exc), outgoing
+    -e_q'^* d and incoming d e_q, so that the scattering tensor of the
+    channel m -> m' is alpha^{(m' m)} = d_out[m'] G d_in[m]^T."""
     d = dipole_q_array(scheme).transpose(2, 0, 1)  # d[m, q, n]
     eq = spherical_unit_vectors()
-    # staged products: K[.., q', q] in the spherical basis, no chained einsum
-    K = (d[m_out] @ G) @ d[m_in].swapaxes(-1, -2)
-    return -(eq.conj().T @ K @ eq)
-
-
-def susceptibility(scheme: LevelScheme, ground: GroundState,
-                   control: ControlField | None, omega: float) -> np.ndarray:
-    """Sample susceptibility chi_{mu mu'} (3x3, Cartesian lab frame).
-
-    chi = n0 sum rho_{m'm} alpha^{(m m')} with G at omega + E_m.
-    """
-    gnd = scheme.ground_sublevels()
-    chi = np.zeros((3, 3), dtype=complex)
-    rows, cols = np.nonzero(ground.rho)
-    energies = np.array([scheme.ground_energy(gnd[m][0]) for m in cols])
-    for E in np.unique(energies):
-        on = energies == E
-        G = excited_green(scheme, control, omega + E)
-        alpha = _tensor_stack(scheme, G, rows[on], cols[on])
-        chi += np.tensordot(ground.rho[rows[on], cols[on]], alpha, axes=1)
-    return ground.n0 * chi
+    d_out, d_in = -(eq.conj().T @ d), eq.T @ d
+    d_out.flags.writeable = d_in.flags.writeable = False
+    return d_out, d_in
 
 
 def scattering_tensors(scheme: LevelScheme, control: ControlField | None,
-                       m_in: int, omega: float) -> np.ndarray:
+                       m_in, omega) -> np.ndarray:
     """Single-atom scattering tensors alpha^{(m' m_in)}_{mu' mu} of every
-    outgoing channel m' at input frequency omega: an (n_ground, 3, 3)
-    stack indexed by :meth:`LevelScheme.ground_sublevels`, rows the
-    outgoing Cartesian index mu', columns the incoming mu."""
-    gnd = scheme.ground_sublevels()
+    outgoing channel m' for incoming sublevels ``m_in`` at input
+    frequencies ``omega``, broadcast together: a stack
+    (*shape, n_ground, 3, 3) indexed by :meth:`LevelScheme.ground_sublevels`,
+    rows the outgoing Cartesian index mu', columns the incoming mu."""
+    m_in, omega = np.broadcast_arrays(m_in, omega)
     G = excited_green(scheme, control,
-                      omega + scheme.ground_energy(gnd[m_in][0]))
-    return _tensor_stack(scheme, G, m_in)
+                      omega + _ground_energies(scheme)[m_in])
+    d_out, d_in = _cartesian_dipoles(scheme)
+    # every outgoing channel of the whole stack in one product
+    alpha = np.tensordot(d_out, G @ d_in[m_in].swapaxes(-1, -2),
+                         axes=([2], [-2]))
+    return np.moveaxis(alpha, (0, 1), (-3, -2))
+
+
+def susceptibility(scheme: LevelScheme, ground: GroundState,
+                   control: ControlField | None, omega) -> np.ndarray:
+    """Sample susceptibility chi_{mu mu'} (Cartesian lab frame) at every
+    frequency of ``omega``: a stack (*omega.shape, 3, 3).
+
+    chi = n0 sum rho_{m'm} alpha^{(m m')}, with G at omega + E_m' = omega
+    + E_m since coherences lie within degenerate manifolds.
+    """
+    rows, cols = np.nonzero(ground.rho)
+    alpha = scattering_tensors(scheme, control, rows,
+                               np.asarray(omega)[..., None])
+    alpha = alpha[..., np.arange(len(rows)), cols, :, :]
+    chi = np.tensordot(ground.rho[rows, cols], np.moveaxis(alpha, -3, 0),
+                       axes=1)
+    return ground.n0 * chi
 
 
 def raman_shift(scheme: LevelScheme, m_out: int, m_in: int) -> float:
     """omega' - omega = E_m - E_m' for the channel m -> m'."""
-    gnd = scheme.ground_sublevels()
-    return (scheme.ground_energy(gnd[m_in][0])
-            - scheme.ground_energy(gnd[m_out][0]))
+    energies = _ground_energies(scheme)
+    return float(energies[m_in] - energies[m_out])
 
 
 # ----------------------------------------------------------------------------
@@ -251,9 +283,15 @@ def local_frame(direction: np.ndarray) -> np.ndarray:
     return np.array([x, y, u])
 
 
-# Frame of a beam along lab +z (the identity), built once and shared.
-BEAM_FRAME = local_frame((0.0, 0.0, 1.0))
-BEAM_FRAME.flags.writeable = False
+def _pauli(chi_loc: np.ndarray):
+    """chi0 and the Pauli components (chi_x, chi_y, chi_z) of the
+    transverse 2x2 block of ray-frame tensors chi_loc (..., 3, 3)."""
+    t = chi_loc[..., :2, :2]
+    chi0 = 0.5 * (t[..., 0, 0] + t[..., 1, 1])
+    cz = 0.5 * (t[..., 0, 0] - t[..., 1, 1])
+    cx = 0.5 * (t[..., 0, 1] + t[..., 1, 0])
+    cy = 0.5j * (t[..., 0, 1] - t[..., 1, 0])
+    return chi0, np.stack([cx, cy, cz], axis=-1)
 
 
 @dataclass
@@ -277,12 +315,8 @@ def transverse_decompose(chi_lab: np.ndarray, ray_direction,
     """
     R = local_frame(ray_direction) if frame is None else frame
     chi_loc = R @ np.asarray(chi_lab, dtype=complex) @ R.T
-    t = chi_loc[:2, :2]
-    chi0 = 0.5 * (t[0, 0] + t[1, 1])
-    cz = 0.5 * (t[0, 0] - t[1, 1])
-    cx = 0.5 * (t[0, 1] + t[1, 0])
-    cy = 0.5j * (t[0, 1] - t[1, 0])
-    chivec = np.array([cx, cy, cz])
+    chi0, chivec = _pauli(chi_loc)
+    cx, cy, cz = chivec
     chi_len = np.sqrt(cx * cx + cy * cy + cz * cz + 0j)
     scale = max(abs(chi0), 1e-300)
     if np.max(np.abs(chivec)) <= _ISOTROPY_TOL * scale or chi_len == 0:
@@ -305,14 +339,20 @@ class KineticLengths:
     albedo: float
 
 
+def beam_chi0(scheme: LevelScheme, ground: GroundState,
+              control: ControlField | None, omega):
+    """Isotropic transverse susceptibility chi0 seen by a beam along +z at
+    every frequency of ``omega``; the frame of such a beam is the lab
+    frame (:func:`local_frame` of +z is the identity)."""
+    return _pauli(susceptibility(scheme, ground, control, omega))[0]
+
+
 def extinction_cross_section(scheme: LevelScheme, ground: GroundState,
-                             control: ControlField | None,
-                             omega: float) -> float:
-    """Unit-density extinction sigma_ex = 4 pi Im chi0 for a beam along +z."""
+                             control: ControlField | None, omega):
+    """Unit-density extinction sigma_ex = 4 pi Im chi0 for a beam along +z
+    at every frequency of ``omega``."""
     unit_ground = GroundState(rho=ground.rho, n0=1.0)
-    chi1 = susceptibility(scheme, unit_ground, control, omega)
-    tc = transverse_decompose(chi1, (0.0, 0.0, 1.0), frame=BEAM_FRAME)
-    return 4.0 * math.pi * tc.chi0.imag
+    return 4.0 * math.pi * beam_chi0(scheme, unit_ground, control, omega).imag
 
 
 def kinetic_lengths(scheme: LevelScheme, ground: GroundState,
@@ -329,10 +369,10 @@ def kinetic_lengths(scheme: LevelScheme, ground: GroundState,
     """
     sigma_ex = extinction_cross_section(scheme, ground, control, omega)
     pops = np.diag(ground.rho).real
-    sigma_sc = 0.0
-    for m in np.nonzero(pops > 0.0)[0]:
-        transverse = scattering_tensors(scheme, control, m, omega)[:, :, :2]
-        sigma_sc += pops[m] * float(np.sum(np.abs(transverse) ** 2))
+    m = np.nonzero(pops > 0.0)[0]
+    transverse = scattering_tensors(scheme, control, m, omega)[..., :2]
+    sigma_sc = float(pops[m] @ np.sum(np.abs(transverse) ** 2,
+                                      axis=(1, 2, 3)))
     sigma_sc = (8.0 * math.pi / 3.0) * 0.5 * sigma_sc + extra_gain_sigma
 
     n0 = ground.n0

@@ -12,27 +12,9 @@ is linear in the atom-induced phase shift, i_minus = i_mean * xi * n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-__all__ = ["PsiMinusState", "schmidt_coefficient", "mz_signal"]
-
-
-def schmidt_coefficient(n_bar: float, m: int, n: int) -> float:
-    """Schmidt coefficient Lambda_mn of the anti-correlated two-mode state.
-
-    Evaluated in log space so large m + n does not underflow prematurely.
-    """
-    if n_bar < 0:
-        raise ValueError("mean photon number must be >= 0")
-    if m < 0 or n < 0:
-        raise ValueError("photon numbers must be >= 0 integers")
-    sign = -1.0 if n % 2 else 1.0
-    if n_bar == 0:
-        return sign if m == 0 and n == 0 else 0.0
-    k = 0.5 * (m + n)
-    log_mag = k * math.log(n_bar) - (k + 1.0) * math.log1p(n_bar)
-    return sign * math.exp(log_mag)
+__all__ = ["PsiMinusState", "mz_signal"]
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,7 @@ import numpy as np
 from . import __version__
 from .angular import LevelScheme
 from .config import ScenarioConfig, config_hash
-from .medium import BEAM_FRAME, ControlField, GroundState, \
-    susceptibility, transverse_decompose
+from .medium import ControlField, GroundState, beam_chi0
 from .microdipole import DipoleSolver, RunningAverage, \
     gaussian_configuration, random_ball_configuration, \
     self_consistent_epsilon, slab_transmission
@@ -137,13 +136,12 @@ def _run_eit_spectrum(cfg, record, progress):
                         polarization_q=cfg["control"]["polarization_q"])
     gs = GroundState.isotropic(sch, sch.ground[0].twice_F,
                                n0=cfg["cloud"]["n0"])
-    for delta in _sweep_grid(cfg):
-        chi = susceptibility(sch, gs, ctrl, float(delta))
-        tc = transverse_decompose(chi, [0.0, 0.0, 1.0], frame=BEAM_FRAME)
-        record.rows.append(ResultRow("detuning", float(tc.chi0.imag),
+    grid = _sweep_grid(cfg)
+    for delta, chi0 in zip(grid, beam_chi0(sch, gs, ctrl, grid)):
+        record.rows.append(ResultRow("detuning", float(chi0.imag),
                                      channel="im_chi",
                                      sweep_value=float(delta)))
-        record.rows.append(ResultRow("detuning", float(tc.chi0.real),
+        record.rows.append(ResultRow("detuning", float(chi0.real),
                                      channel="re_chi",
                                      sweep_value=float(delta)))
     progress("spectrum done")

@@ -343,3 +343,29 @@ def test_run_overrides_pass_the_config_checks(tmp_path, capsys, flag, value,
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not list(tmp_path.glob("*.csv"))
     assert not list(tmp_path.glob("*.json"))
+
+
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("text, section, key", [
+    # l_g = inf (no gain) is the one infinite value a config accepts
+    ("[run]\nscenario = diffusion-threshold\n[diffusion]\nl_g = inf\n"
+     "[sweep]\nstart = 4\nstop = 6\nn = 3\n", "config", "l_g"),
+    # one configuration has no standard error: stat_err is inf
+    ("[run]\nscenario = coupled-dipole-spectrum\n[dipole]\nn_atoms = 3\n"
+     "radius = 2\nn_configs = 1\n[sweep]\nstart = 0\nstop = 0\nn = 1\n",
+     "rows", "stat_err"),
+], ids=["infinite-l_g", "one-configuration"])
+def test_json_record_is_standard_json(tmp_path, capsys, text, section, key):
+    p = tmp_path / "c.ini"
+    p.write_text(text)
+    assert cli.main(["run", str(p), "--out", str(tmp_path), "--quiet"]) == 0
+    capsys.readouterr()
+    (path,) = tmp_path.glob("*.json")
+    doc = json.loads(path.read_text(), parse_constant=_no_constant)
+    if section == "config":
+        assert doc["config"]["values"]["diffusion"][key] == "inf"
+    else:
+        assert [row[key] for row in doc["rows"]] == ["inf"]

@@ -15,6 +15,11 @@ from coldscatter.medium import (GroundState, extinction_cross_section,
 from coldscatter import mcscatter as mc
 
 
+def peak_depth(cloud):
+    """Peak resonant optical depth b0 = sqrt(2 pi) n0 sigma0 r0."""
+    return math.sqrt(2 * math.pi) * cloud.n0 * cloud.sigma0() * cloud.r0
+
+
 def two_level_cloud(b0=5.0, r0=8.0):
     sch = LevelScheme.simple()
     n0 = b0 / (math.sqrt(2 * math.pi) * 6 * math.pi * r0)
@@ -64,7 +69,7 @@ def test_order_block_matches_separate_draws():
 
 def test_cloud_b0():
     cloud = two_level_cloud(b0=5.0)
-    assert cloud.b0() == pytest.approx(5.0, rel=1e-12)
+    assert peak_depth(cloud) == pytest.approx(5.0, rel=1e-12)
     assert cloud.sigma0() == pytest.approx(6 * math.pi)
 
 
@@ -144,7 +149,7 @@ def test_entry_sampler_impact_parameter_distribution():
     rho = np.hypot(p[:, 0], p[:, 1])
     # marginal density prop. to rho (1 - e^{-b(rho)})
     grid = np.linspace(0, 6 * cloud.r0, 4000)
-    b = cloud.b0() * np.exp(-grid ** 2 / (2 * cloud.r0 ** 2))
+    b = peak_depth(cloud) * np.exp(-grid ** 2 / (2 * cloud.r0 ** 2))
     pdf = grid * (-np.expm1(-b))
     cdf = cumulative_trapezoid(pdf, grid, initial=0.0)
     cdf /= cdf[-1]
@@ -543,3 +548,28 @@ def test_raman_photon_frequency_and_extinction():
     err = res.stat_err[0] / res.injected_weight
     assert abs(mean - single(+1)) < 4 * err
     assert abs(single(-1) - single(+1)) > 20 * err  # the sign is resolved
+
+
+def test_medium_tables_do_not_depend_on_key_arrival():
+    # rb85 over a detuning sweep, two steps: the walkers of a step register
+    # their new keys together, or one at a time in sorted key order, with
+    # the same ids, frequencies, extinctions and tensor stacks
+    cloud = mc.Cloud(scheme=LevelScheme.rb85_d2(), n0=0.04, r0=8.0)
+    rng = np.random.default_rng(8)
+    together, alone = mc._MediumTables(cloud), mc._MediumTables(cloud)
+    f = together.freq_ids(np.repeat(np.linspace(-5.0, 5.0, 6), 9))
+    assert np.array_equal(alone.freq_ids(np.linspace(-5.0, 5.0, 6)),
+                          np.arange(6))
+    for _ in range(2):
+        m = together.sublevels(rng.random(len(f)))
+        kid = together.keys(f, m)
+        order = np.argsort(f * together.n_ground + m, kind="stable")
+        for i in order:
+            alone.keys(f[i:i + 1], m[i:i + 1])
+        assert np.array_equal(alone.keys(f, m), kid)
+        # the next step starts from every outgoing channel of this one
+        f = together.out_ids[kid].ravel()
+    assert together.omegas == alone.omegas
+    assert np.array_equal(together.out_ids, alone.out_ids)
+    assert np.allclose(together.sigma, alone.sigma, rtol=1e-14, atol=0)
+    assert np.allclose(together.stacks, alone.stacks, rtol=1e-14, atol=0)

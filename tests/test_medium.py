@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -171,10 +172,13 @@ def _green_per_block(sch, ctrl, E):
     return G
 
 
-@pytest.mark.parametrize("kind", ["two-level", "rb85", "rb87",
-                                  "lambda-rb87"])
-def test_excited_green_matches_per_block_assembly(kind):
-    sch, ctrl = {
+KINDS = ["two-level", "rb85", "rb87", "lambda-rb87"]
+
+
+def _scheme_and_control(kind):
+    """Each atom kind with a control field that dresses some of its
+    excited blocks."""
+    return {
         "two-level": (LevelScheme.simple(), md.ControlField(
             rabi=0.8, omega_c=0.3, twice_F0=0, twice_F_ref=2)),
         "rb85": (LevelScheme.rb85_d2(), md.ControlField(
@@ -188,12 +192,50 @@ def test_excited_green_matches_per_block_assembly(kind):
             omega_c=-LevelScheme.lambda_rb87().ground_energy(4) + 0.2,
             twice_F0=4, twice_F_ref=2, polarization_q=1)),
     }[kind]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_excited_green_matches_per_block_assembly(kind):
+    sch, ctrl = _scheme_and_control(kind)
     for c in (None, ctrl):
         for E in (-0.7, 0.37, 2.5, -3.1 + 0.2j):
             G = md.excited_green(sch, c, E)
             assert np.array_equal(G, _green_per_block(sch, c, E))
             if c is not None:
                 assert not np.array_equal(G, md.excited_green(sch, None, E))
+
+
+def _max_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dressed", [False, True], ids=["bare", "dressed"])
+def test_batched_kernels_match_scalar_calls(kind, dressed):
+    """A frequency grid of any shape gives, frequency by frequency, what
+    one 0-d call gives, with the frequency axes first."""
+    sch, ctrl = _scheme_and_control(kind)
+    ctrl = ctrl if dressed else None
+    n = len(sch.ground_sublevels())
+    rng = np.random.default_rng(3)
+    # populations in every ground level, so several ground energies enter
+    g = md.GroundState(rho=np.diag(rng.dirichlet(np.ones(n))), n0=0.02)
+    omega = np.linspace(-4.3, 3.9, 12).reshape(3, 4)
+    chi = md.susceptibility(sch, g, ctrl, omega)
+    assert chi.shape == (3, 4, 3, 3)
+    loop = np.array([md.susceptibility(sch, g, ctrl, w)
+                     for w in omega.ravel()]).reshape(chi.shape)
+    assert _max_rel(chi, loop) <= 1e-14
+    m_in = rng.integers(n, size=omega.shape)
+    tensors = md.scattering_tensors(sch, ctrl, m_in, omega)
+    assert tensors.shape == (3, 4, n, 3, 3)
+    loop = np.array([md.scattering_tensors(sch, ctrl, m, w)
+                     for m, w in zip(m_in.ravel(), omega.ravel())])
+    assert _max_rel(tensors, loop.reshape(tensors.shape)) <= 1e-14
+    sigma = md.extinction_cross_section(sch, g, ctrl, omega)
+    loop = [md.extinction_cross_section(sch, g, ctrl, w)
+            for w in omega.ravel()]
+    assert _max_rel(sigma, np.reshape(loop, omega.shape)) <= 1e-14
 
 
 def _m_block(sch, tM):
@@ -255,9 +297,20 @@ def test_pole_proximity_raises():
     ctrl = md.ControlField(rabi=1.0, omega_c=-sch.ground_energy(4),
                            twice_F0=4, twice_F_ref=2, polarization_q=0)
     ig = bad.ground_sublevels().index((4, 0))
-    vmag = abs(ctrl.coupling_vector(bad, _m_block(bad, 0), ig)[0])
+    vmag = float(abs(ctrl.coupling_vector(bad, _m_block(bad, 0), ig)[0]))
     with pytest.raises(md.PoleProximityError):
         md.excited_green(bad, ctrl, vmag)
+    # in a batch, the first pole in the grid (C order) is named
+    for grid, first in (([0.3, vmag, -vmag], vmag),
+                        ([[0.3, -vmag], [vmag, 0.0]], -vmag)):
+        with pytest.raises(md.PoleProximityError,
+                           match=re.escape(f"E={first!r}")) as exc:
+            md.excited_green(bad, ctrl, grid)
+        assert exc.value.residual < 1e-12
+    g = md.GroundState.isotropic(bad, 2)
+    omega = vmag - bad.ground_energy(2)
+    with pytest.raises(md.PoleProximityError, match=re.escape(f"{vmag!r}")):
+        md.susceptibility(bad, g, ctrl, np.array([0.3, omega]))
 
 
 def test_eit_transparency_dip():
