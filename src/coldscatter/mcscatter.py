@@ -414,8 +414,8 @@ class _MediumTables:
         self.out_ids = np.empty((0, n), dtype=np.intp)  # key id -> f'
 
     def freq_ids(self, omegas) -> np.ndarray:
-        """Frequency ids of ``omegas``, registering new frequencies in
-        sorted order with one extinction call."""
+        """Frequency ids of ``omegas``, in their shape, registering new
+        frequencies in sorted order with one extinction call."""
         uniq, inv = np.unique(omegas, return_inverse=True)
         uniq = uniq.tolist()
         new = [w for w in uniq if w not in self._ids]
@@ -430,7 +430,9 @@ class _MediumTables:
                                             len(self.omegas) + len(new))))
             self.omegas.extend(new)
             self.sigma = np.concatenate([self.sigma, val])
-        return np.array([self._ids[w] for w in uniq], dtype=np.intp)[inv]
+        # NumPy 1.x flattens the inverse of an n-d input, 2.x keeps its shape
+        return np.array([self._ids[w] for w in uniq],
+                        dtype=np.intp)[inv].reshape(np.shape(omegas))
 
     def sublevels(self, xi) -> np.ndarray:
         """Ground sublevels drawn from the populations, one uniform each."""

@@ -220,6 +220,22 @@ def _cartesian_dipoles(scheme: LevelScheme):
     return d_out, d_in
 
 
+def _alpha(scheme: LevelScheme, control: ControlField | None,
+           m_out, m_in, omega) -> np.ndarray:
+    """Scattering tensors alpha^{(m_out m_in)} = d_out[m_out] G d_in[m_in]^T
+    at input frequencies ``omega``, with the three arguments broadcast
+    together: a stack (*shape, 3, 3).  G d_in^T is formed once per entry of
+    the broadcast (m_in, omega), so a broadcast over m_out adds only the
+    outgoing contraction."""
+    m_in, omega = np.broadcast_arrays(m_in, omega)
+    G = excited_green(scheme, control,
+                      omega + _ground_energies(scheme)[m_in])
+    d_out, d_in = _cartesian_dipoles(scheme)
+    # einsum's optimized path is a BLAS product where the stack broadcasts
+    return np.einsum("...an,...nb->...ab", d_out[m_out],
+                     G @ d_in[m_in].swapaxes(-1, -2), optimize=True)
+
+
 def scattering_tensors(scheme: LevelScheme, control: ControlField | None,
                        m_in, omega) -> np.ndarray:
     """Single-atom scattering tensors alpha^{(m' m_in)}_{mu' mu} of every
@@ -228,13 +244,8 @@ def scattering_tensors(scheme: LevelScheme, control: ControlField | None,
     (*shape, n_ground, 3, 3) indexed by :meth:`LevelScheme.ground_sublevels`,
     rows the outgoing Cartesian index mu', columns the incoming mu."""
     m_in, omega = np.broadcast_arrays(m_in, omega)
-    G = excited_green(scheme, control,
-                      omega + _ground_energies(scheme)[m_in])
-    d_out, d_in = _cartesian_dipoles(scheme)
-    # every outgoing channel of the whole stack in one product
-    alpha = np.tensordot(d_out, G @ d_in[m_in].swapaxes(-1, -2),
-                         axes=([2], [-2]))
-    return np.moveaxis(alpha, (0, 1), (-3, -2))
+    return _alpha(scheme, control, np.arange(len(_ground_energies(scheme))),
+                  m_in[..., None], omega[..., None])
 
 
 def susceptibility(scheme: LevelScheme, ground: GroundState,
@@ -243,12 +254,11 @@ def susceptibility(scheme: LevelScheme, ground: GroundState,
     frequency of ``omega``: a stack (*omega.shape, 3, 3).
 
     chi = n0 sum rho_{m'm} alpha^{(m m')}, with G at omega + E_m' = omega
-    + E_m since coherences lie within degenerate manifolds.
+    + E_m since coherences lie within degenerate manifolds; only the
+    channels with a nonzero rho entry are formed.
     """
     rows, cols = np.nonzero(ground.rho)
-    alpha = scattering_tensors(scheme, control, rows,
-                               np.asarray(omega)[..., None])
-    alpha = alpha[..., np.arange(len(rows)), cols, :, :]
+    alpha = _alpha(scheme, control, cols, rows, np.asarray(omega)[..., None])
     chi = np.tensordot(ground.rho[rows, cols], np.moveaxis(alpha, -3, 0),
                        axes=1)
     return ground.n0 * chi

@@ -14,10 +14,3 @@ def test_every_exported_name_resolves():
             except AttributeError:
                 stale.append(f"coldscatter.{info.name}.{name}")
     assert not stale, f"names in __all__ that no longer exist: {stale}"
-
-
-def test_test_only_helpers_stay_out_of_the_package():
-    # their formulas live in the tests that use them
-    from coldscatter import mcscatter, protocols
-    assert not hasattr(mcscatter.Cloud, "b0")
-    assert not hasattr(protocols, "schmidt_coefficient")

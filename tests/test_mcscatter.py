@@ -68,9 +68,12 @@ def test_order_block_matches_separate_draws():
 
 
 def test_cloud_b0():
+    # sigma0, which sets the peak depth b0, is the resonant extinction
     cloud = two_level_cloud(b0=5.0)
-    assert peak_depth(cloud) == pytest.approx(5.0, rel=1e-12)
     assert cloud.sigma0() == pytest.approx(6 * math.pi)
+    assert cloud.sigma0() == pytest.approx(
+        extinction_cross_section(cloud.scheme, cloud.ground, None, 0.0),
+        rel=1e-14)
 
 
 def test_chord_depth_matches_quadrature():
@@ -548,6 +551,17 @@ def test_raman_photon_frequency_and_extinction():
     err = res.stat_err[0] / res.injected_weight
     assert abs(mean - single(+1)) < 4 * err
     assert abs(single(-1) - single(+1)) > 20 * err  # the sign is resolved
+
+
+def test_medium_table_frequency_ids_keep_their_shape():
+    # the outgoing channels of a step's new keys arrive as a 2-d array
+    tab = mc._MediumTables(mc.Cloud(scheme=LevelScheme.rb85_d2(), n0=0.04,
+                                    r0=8.0))
+    grid = np.linspace(-5.0, 5.0, 12).reshape(3, 4)
+    ids = tab.freq_ids(grid)
+    assert ids.shape == (3, 4)
+    assert np.array_equal(ids, tab.freq_ids(grid.ravel()).reshape(3, 4))
+    assert tab.freq_ids(0.0).shape == ()
 
 
 def test_medium_tables_do_not_depend_on_key_arrival():
