@@ -7,6 +7,13 @@ scattering amplitudes, and evaluates cross sections through the optical
 theorem.  Also provides the self-consistent macroscopic dielectric
 function and the exact slab transmission amplitude.
 
+Configuration averages (the ``coupled-dipole-spectrum`` scenario) draw
+their configurations in order from one ``np.random.default_rng(seed)``
+stream and solve them one at a time, so memory does not grow with the
+number of configurations.  The reported ``stat_err`` is the standard
+error of the mean over configurations, inf for a single configuration;
+``run.workers`` does not apply to these averages.
+
 Units: gamma = 1, k = omega/c = 1, lengths in reduced wavelengths.  All
 public scattering outputs are reduced amplitudes f (cross sections are
 |f|^2 per solid angle and Q0 = 4 pi Im f_forward); quantization-volume
@@ -29,7 +36,6 @@ __all__ = [
     "Epsilon",
     "SlabTransmission",
     "DipoleSolver",
-    "RunningAverage",
     "field_green_tensor",
     "build_effective_hamiltonian",
     "self_consistent_epsilon",
@@ -154,9 +160,7 @@ class DipoleSolver:
 
     def __init__(self, config: Configuration, detuning: float):
         self.config = config
-        self.detuning = detuning
-        self.H = build_effective_hamiltonian(config, detuning)
-        self._lu = lu_factor(-self.H)
+        self._lu = lu_factor(-build_effective_hamiltonian(config, detuning))
         # source normalization: reduced amplitude f such that
         # dsigma/dOmega = |f|^2 and Q0 = 4 pi Im f_forward
         self._pref = 0.75 if config.model == "vector" else 0.5
@@ -284,7 +288,7 @@ def slab_transmission(epsilon: complex, L: float) -> SlabTransmission:
 
 
 # ----------------------------------------------------------------------------
-# Random configurations and averaging.
+# Random configurations.
 # ----------------------------------------------------------------------------
 
 def _respace(draw, n: int) -> np.ndarray:
@@ -317,38 +321,14 @@ def random_ball_configuration(n: int, radius: float, rng: np.random.Generator,
 
 def gaussian_configuration(n: int, r0: float, rng: np.random.Generator,
                            model: str = "vector") -> Configuration:
-    """Random positions from an isotropic Gaussian cloud of rms radius r0."""
+    """Random positions from an isotropic Gaussian cloud.
+
+    r0 is the per-axis standard deviation, the same r0 as the density
+    profile of ``mcscatter.Cloud``; the rms radius is sqrt(3) r0.
+    """
 
     def draw(m):
         return rng.normal(scale=r0, size=(m, 3))
 
     return Configuration(_respace(draw, n), model=model)
 
-
-class RunningAverage:
-    """Welford running mean/variance for configuration averaging."""
-
-    def __init__(self):
-        self.n = 0
-        self._mean = None
-        self._m2 = None
-
-    def push(self, values):
-        values = np.asarray(values, dtype=float)
-        if self._mean is None:
-            self._mean = np.zeros_like(values)
-            self._m2 = np.zeros_like(values)
-        self.n += 1
-        delta = values - self._mean
-        self._mean = self._mean + delta / self.n
-        self._m2 = self._m2 + delta * (values - self._mean)
-
-    @property
-    def mean(self):
-        return self._mean
-
-    @property
-    def stderr(self):
-        if self.n < 2:
-            return np.full_like(self._mean, np.inf)
-        return np.sqrt(self._m2 / (self.n * (self.n - 1)))

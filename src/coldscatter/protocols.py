@@ -12,6 +12,7 @@ is linear in the atom-induced phase shift, i_minus = i_mean * xi * n.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 __all__ = ["PsiMinusState", "mz_signal"]
@@ -32,17 +33,11 @@ class PsiMinusState:
     def norm_squared(self) -> float:
         """Sum of Lambda_mn^2 over the retained modes.
 
-        Lambda^2 depends only on s = m + n, so the double sum collapses to
-        a weighted single geometric sum.
+        Lambda_mn^2 = q^(m+n) / (1 + nbar)^2 with q = nbar / (1 + nbar), so
+        the double sum is a squared geometric sum, (1 - q^(N+1))^2.
         """
-        if self.n_bar == 0:
-            return 1.0
         q = self.n_bar / (1.0 + self.n_bar)
-        total = 0.0
-        for s in range(2 * self.n_max + 1):
-            mult = min(s, self.n_max) - max(0, s - self.n_max) + 1
-            total += mult * q ** s
-        return total / (1.0 + self.n_bar) ** 2
+        return (1.0 - q ** (self.n_max + 1)) ** 2
 
     def truncation_error_bound(self) -> float:
         """Geometric tail bound on 1 - norm_squared().
@@ -60,13 +55,18 @@ class PsiMinusState:
     @classmethod
     def with_norm_tolerance(cls, n_bar: float, tol: float = 1e-9
                             ) -> "PsiMinusState":
-        """Smallest truncation whose geometric tail bound is below tol."""
-        n_max = 0
-        while True:
-            state = cls(n_bar, n_max)
-            if state.truncation_error_bound() <= tol:
-                return state
-            n_max += max(1, n_max // 4)
+        """Smallest truncation whose geometric tail bound is below tol.
+
+        The bound strictly decreases with n_max, so double to an upper
+        bracket and then bisect.
+        """
+        def ok(n_max):
+            return cls(n_bar, n_max).truncation_error_bound() <= tol
+
+        hi = 1
+        while not ok(hi):
+            hi *= 2
+        return cls(n_bar, bisect_left(range(hi), True, key=ok))
 
 
 def mz_signal(i_mean: float, xi: float, n_atoms: float) -> float:

@@ -11,9 +11,8 @@ from . import __version__
 from .angular import LevelScheme
 from .config import ScenarioConfig, config_hash
 from .medium import ControlField, GroundState, beam_chi0
-from .microdipole import DipoleSolver, RunningAverage, \
-    gaussian_configuration, random_ball_configuration, \
-    self_consistent_epsilon, slab_transmission
+from .microdipole import DipoleSolver, gaussian_configuration, \
+    random_ball_configuration, self_consistent_epsilon, slab_transmission
 from .transport import DiffusionModel, solve_gain_diffusion_sphere
 from .protocols import PsiMinusState, mz_signal
 from . import mcscatter as mc
@@ -152,21 +151,27 @@ def _run_coupled_dipole_spectrum(cfg, record, progress):
     rng = np.random.default_rng(cfg["run"]["seed"])
     factory = random_ball_configuration if d["geometry"] == "ball" \
         else gaussian_configuration
-    configs = [factory(d["n_atoms"], d["radius"], rng, model=d["model"])
-               for _ in range(d["n_configs"])]
+    grid = _sweep_grid(cfg)
+    n = d["n_configs"]
     k_in = np.array([0.0, 0.0, 1.0])
     e_in = np.array([1.0, 0.0, 0.0], dtype=complex)
-    for delta in _sweep_grid(cfg):
-        avg = RunningAverage()
-        for conf in configs:
-            # the scalar model ignores e_in
-            solver = DipoleSolver(conf, detuning=float(delta))
-            avg.push([solver.total_cross_section(k_in, e_in)])
-        record.rows.append(ResultRow("detuning", float(avg.mean[0]),
-                                     float(avg.stderr[0]),
+    spectra = np.empty((n, len(grid)))
+    for c in range(n):
+        # one configuration, with its cached coupling, in memory at a time
+        conf = factory(d["n_atoms"], d["radius"], rng, model=d["model"])
+        # the scalar model ignores e_in
+        spectra[c] = [DipoleSolver(conf, float(delta))
+                      .total_cross_section(k_in, e_in) for delta in grid]
+        del conf
+        progress(f"configuration {c + 1}/{n}")
+    # ddof=1 is undefined for one configuration
+    err = spectra.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 \
+        else np.full(len(grid), np.inf)
+    for delta, value, stat_err in zip(grid, spectra.mean(axis=0), err):
+        record.rows.append(ResultRow("detuning", float(value),
+                                     float(stat_err),
                                      channel="cross_section",
                                      sweep_value=float(delta)))
-        progress(f"detuning={delta:+.3f}")
 
 
 def _run_selfconsistent_slab(cfg, record, progress):

@@ -34,7 +34,6 @@ class DiffusionModel:
     """Coefficients of the scalar diffusion reduction of transport."""
     v_bar: float = 1.0          # spectrally averaged group speed, c units
     l0_bar: float = 1.0         # extinction length
-    cos_theta: float = 0.0      # scattering anisotropy factor
     albedo: float = 1.0
     l_g: float = math.inf       # gain length (+inf: no gain)
     r0: float = 1.0             # sphere radius
@@ -47,10 +46,11 @@ class DiffusionModel:
 
 
 def diffusion_constant(model: DiffusionModel) -> tuple[float, float]:
-    """Diffusion constant and transport length: D = l_tr v_bar / 3."""
-    if model.cos_theta >= 1.0:
-        raise ValueError("anisotropy factor must be < 1")
-    l_tr = model.l0_bar / (1.0 - model.cos_theta)
+    """Diffusion constant and transport length: D = l_tr v_bar / 3.
+
+    The dipole pattern has <cos theta> = 0, so l_tr = l0_bar.
+    """
+    l_tr = model.l0_bar
     return l_tr * model.v_bar / 3.0, l_tr
 
 

@@ -1,11 +1,14 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import spherical_jn, spherical_yn
 
 from coldscatter import microdipole as mi
+from coldscatter.config import parse_text
+from coldscatter.scenarios import run_scenario
 
 
 K_IN = np.array([0.0, 0.0, 1.0])
@@ -297,8 +300,7 @@ def test_scalar_vector_dilute_agreement():
     rng = np.random.default_rng(11)
     n, radius = 40, 10.0  # density ~ 9.5e-3
     scale = math.sqrt(2.0 / 3.0)  # equalize resonant optical depth
-    acc_s = mi.RunningAverage()
-    acc_v = mi.RunningAverage()
+    qs_all, qv_all = [], []
     for _ in range(40):
         pos = mi.random_ball_configuration(n, radius, rng).positions
         qs = mi.DipoleSolver(
@@ -306,12 +308,12 @@ def test_scalar_vector_dilute_agreement():
         ).total_cross_section(K_IN)
         qv = mi.DipoleSolver(
             mi.Configuration(pos), 0.0).total_cross_section(K_IN, E_X)
-        acc_s.push([qs / (4 * math.pi)])
-        acc_v.push([qv / (6 * math.pi)])
+        qs_all.append(qs / (4 * math.pi))
+        qv_all.append(qv / (6 * math.pi))
     # normalized to each model's own single-atom resonant value and at
     # matched optical depth, the collective suppression matches between
     # the two models at dilute density
-    assert acc_s.mean[0] == pytest.approx(acc_v.mean[0], rel=0.10)
+    assert np.mean(qs_all) == pytest.approx(np.mean(qv_all), rel=0.10)
 
 
 def test_self_consistent_dilute_limit():
@@ -399,11 +401,44 @@ def test_random_configurations_respect_floor():
         assert dist.min() > mi.CONTACT_FLOOR
 
 
-def test_running_average_matches_numpy():
-    rng = np.random.default_rng(13)
-    data = rng.normal(size=(50, 4))
-    acc = mi.RunningAverage()
-    for row in data:
-        acc.push(row)
-    assert np.allclose(acc.mean, data.mean(axis=0))
-    assert np.allclose(acc.stderr, data.std(axis=0, ddof=1) / math.sqrt(50))
+def _dipole_spectrum(n_configs, n_atoms=6, radius=2.0, n_det=4, seed=3):
+    cfg = parse_text(
+        "[run]\nscenario = coupled-dipole-spectrum\nseed = %d\n"
+        "[dipole]\nn_atoms = %d\nradius = %r\nn_configs = %d\n"
+        "[sweep]\nstart = -1\nstop = 1\nn = %d\n"
+        % (seed, n_atoms, radius, n_configs, n_det))
+    return cfg, run_scenario(cfg)
+
+
+@pytest.mark.parametrize("n_configs", [1, 3])
+def test_configuration_average_matches_per_configuration_spectra(n_configs):
+    cfg, record = _dipole_spectrum(n_configs)
+    deltas = [row.sweep_value for row in record.rows]
+    rng = np.random.default_rng(cfg["run"]["seed"])
+    spectra = np.array([
+        [mi.DipoleSolver(conf, d).total_cross_section(K_IN, E_X)
+         for d in deltas]
+        for conf in (mi.random_ball_configuration(6, 2.0, rng)
+                     for _ in range(n_configs))])
+    values = np.array([row.value for row in record.rows])
+    errs = np.array([row.stat_err for row in record.rows])
+    if n_configs == 1:
+        assert np.array_equal(values, spectra[0])
+        assert np.all(errs == math.inf)
+    else:
+        mean = np.mean(spectra, axis=0)
+        sem = np.std(spectra, axis=0, ddof=1) / math.sqrt(n_configs)
+        assert np.allclose(values, mean, rtol=1e-13, atol=0.0)
+        assert np.allclose(errs, sem, rtol=1e-13, atol=0.0)
+
+
+def test_configuration_average_memory_does_not_grow_with_n_configs():
+    def peak(n_configs):
+        tracemalloc.start()
+        try:
+            _dipole_spectrum(n_configs, n_atoms=60, radius=6.6, n_det=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) <= 1.3 * peak(1)

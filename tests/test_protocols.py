@@ -61,6 +61,16 @@ def test_norm_converges_to_one_with_tail_bound():
         assert abs(1.0 - norm) < 1e-9
 
 
+def test_norm_tolerance_truncation_is_smallest():
+    for n_bar in (0.1, 1.0, 3.0, 10.0):
+        for tol in (1e-6, 1e-9, 1e-12):
+            n_max = pr.PsiMinusState.with_norm_tolerance(n_bar, tol).n_max
+            assert pr.PsiMinusState(n_bar, n_max).truncation_error_bound() \
+                <= tol < pr.PsiMinusState(n_bar, n_max - 1) \
+                .truncation_error_bound()
+    assert pr.PsiMinusState.with_norm_tolerance(0.0, 1e-9).n_max == 0
+
+
 def test_tail_bound_is_a_bound_on_a_grid():
     for n_bar in (0.2, 1.0, 5.0):
         for n_max in (2, 5, 10, 30, 80):

@@ -7,17 +7,10 @@ from coldscatter import transport as tr
 
 
 def test_diffusion_constant():
-    m = tr.DiffusionModel(v_bar=0.5, l0_bar=2.0, cos_theta=0.0)
+    m = tr.DiffusionModel(v_bar=0.5, l0_bar=2.0)
     D, l_tr = tr.diffusion_constant(m)
     assert D == pytest.approx(2.0 * 0.5 / 3.0)
     assert l_tr == 2.0
-    m2 = tr.DiffusionModel(v_bar=1.0, l0_bar=1.0, cos_theta=0.5)
-    D2, l_tr2 = tr.diffusion_constant(m2)
-    assert D2 == pytest.approx(2.0 / 3.0)
-    assert l_tr2 == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        tr.diffusion_constant(
-            tr.DiffusionModel(v_bar=1, l0_bar=1, cos_theta=1.0))
 
 
 def test_rayleigh_dipole_anisotropy_zero():
