@@ -401,8 +401,8 @@ class _MediumTables:
         scheme = cloud.scheme
         self.n_ground = n = len(scheme.ground_sublevels())
         # shifts[m', m]: Raman shift omega' - omega of the channel m -> m'
-        self.shifts = np.array([[raman_shift(scheme, mp, m)
-                                 for m in range(n)] for mp in range(n)])
+        m = np.arange(n)
+        self.shifts = raman_shift(scheme, m[:, None], m)
         self.populations = np.diag(cloud.ground.rho).real
         self._pop_idx = np.nonzero(self.populations > 0)[0]
         self._pop_cum = np.cumsum(self.populations[self._pop_idx])

@@ -44,8 +44,6 @@ __all__ = [
     "raman_gain_cross_section",
 ]
 
-_ISOTROPY_TOL = 1e-12  # |chivec| / |chi0| below which a ray sees no director
-
 
 class PoleProximityError(ArithmeticError):
     """The dressed-propagator linear system sits on (or too near) a pole."""
@@ -264,10 +262,11 @@ def susceptibility(scheme: LevelScheme, ground: GroundState,
     return ground.n0 * chi
 
 
-def raman_shift(scheme: LevelScheme, m_out: int, m_in: int) -> float:
-    """omega' - omega = E_m - E_m' for the channel m -> m'."""
+def raman_shift(scheme: LevelScheme, m_out, m_in):
+    """omega' - omega = E_m - E_m' for the channel m -> m'; the sublevel
+    index arrays broadcast together."""
     energies = _ground_energies(scheme)
-    return float(energies[m_in] - energies[m_out])
+    return energies[m_in] - energies[m_out]
 
 
 # ----------------------------------------------------------------------------
@@ -308,30 +307,21 @@ def _pauli(chi_loc: np.ndarray):
 class TransverseChi:
     """Pauli expansion of the susceptibility projected on a ray."""
     chi0: complex
-    chivec: np.ndarray           # (chi_x, chi_y, chi_z) Pauli components
-    chi_len: complex             # principal sqrt(chi_x^2+chi_y^2+chi_z^2)
-    director: np.ndarray | None  # chivec / chi_len, None when isotropic
-    frame: np.ndarray            # rows: local x, y, z axes
+    chivec: np.ndarray  # (chi_x, chi_y, chi_z) Pauli components
+    frame: np.ndarray   # rows: local x, y, z axes
 
 
 def transverse_decompose(chi_lab: np.ndarray, ray_direction,
                          frame: np.ndarray | None = None) -> TransverseChi:
     """Project a lab-frame 3x3 susceptibility onto a ray's transverse plane.
 
-    Returns the Pauli expansion coefficients, the complex length
-    chi = sqrt(chi_x^2 + chi_y^2 + chi_z^2) (principal branch) and the
-    director chivec/chi.  A director is reported as ``None`` (isotropic
-    branch) when |chivec| is negligible against |chi0|.
+    Returns the Pauli expansion chi0 I + chivec . sigma (standard sigma
+    labelling) of the transverse block in the ray frame, and that frame.
     """
     R = local_frame(ray_direction) if frame is None else frame
     chi_loc = R @ np.asarray(chi_lab, dtype=complex) @ R.T
     chi0, chivec = _pauli(chi_loc)
-    cx, cy, cz = chivec
-    chi_len = np.sqrt(cx * cx + cy * cy + cz * cz + 0j)
-    scale = max(abs(chi0), 1e-300)
-    if np.max(np.abs(chivec)) <= _ISOTROPY_TOL * scale or chi_len == 0:
-        return TransverseChi(chi0, chivec, chi_len, None, R)
-    return TransverseChi(chi0, chivec, chi_len, chivec / chi_len, R)
+    return TransverseChi(chi0, chivec, R)
 
 
 # ----------------------------------------------------------------------------

@@ -1,28 +1,29 @@
 """Long-range ray propagation through an anisotropic dressed medium.
 
-Between scattering events the field is carried along the straight ray
-by phase integrals of the transverse susceptibility.  The 2x2 amplitude
-matrix X they build acts on the local transverse polarization components;
-for an isotropic lossless medium it is a pure phase, for a dichroic medium
-it mixes and attenuates them.
+Between scattering events the field is carried along the straight ray by
+the phase integrals Phi = 2 pi * integral of T ds of the transverse
+susceptibility T = chi0 I + chivec . sigma.  Each segment's 2x2 amplitude
+matrix is exp(i Phi0 + i Phivec . sigma), the first Magnus term: it is
+exact when the tensors along the segment commute (a fixed or isotropic
+anisotropy axis, however its strength and phase vary), and second order
+in the segment length otherwise.  For an isotropic lossless medium X is a
+pure phase; for a dichroic medium it mixes and attenuates the local
+transverse polarization components.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .medium import TransverseChi, local_frame, transverse_decompose
+from .medium import local_frame, transverse_decompose
 
 __all__ = [
-    "RaySegment",
     "QuadratureError",
     "phase_integrals",
     "amplitude_matrix",
-    "director_components",
     "propagate_path",
 ]
 
@@ -30,28 +31,16 @@ class QuadratureError(ArithmeticError):
     """Adaptive quadrature failed to converge to the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class RaySegment:
-    """Straight ray chord between two scattering events."""
-    start: np.ndarray
-    end: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "start", np.asarray(self.start, dtype=float))
-        object.__setattr__(self, "end", np.asarray(self.end, dtype=float))
-        if self.length <= 0:
-            raise ValueError("segment must have positive length")
-
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.end - self.start))
-
-    @property
-    def direction(self) -> np.ndarray:
-        return (self.end - self.start) / self.length
-
-    def point(self, s: float) -> np.ndarray:
-        return self.start + s * self.direction
+def _ray(direction, length: float) -> tuple[np.ndarray, float]:
+    """Unit ray direction and length, rejecting a ray that is not one."""
+    u = np.asarray(direction, dtype=float)
+    norm = np.linalg.norm(u)
+    if not (math.isfinite(norm) and norm > 0):
+        raise ValueError(f"ray direction must be finite and nonzero: {u}")
+    length = float(length)
+    if not (math.isfinite(length) and length >= 0):
+        raise ValueError(f"ray length must be finite and >= 0: {length}")
+    return u / norm, length
 
 
 def _adaptive_simpson(f, a: float, b: float, rtol: float, max_depth: int):
@@ -68,7 +57,7 @@ def _adaptive_simpson(f, a: float, b: float, rtol: float, max_depth: int):
         err = np.max(np.abs(left + right - whole))
         if err <= 15.0 * rtol * max(scale, np.max(np.abs(left + right))):
             return left + right + (left + right - whole) / 15.0
-        if depth >= max_depth:
+        if depth >= max_depth or not np.isfinite(err):
             raise QuadratureError(
                 f"phase integral not converged: residual {err:.3e} "
                 f"on [{a}, {b}]")
@@ -78,53 +67,40 @@ def _adaptive_simpson(f, a: float, b: float, rtol: float, max_depth: int):
     return recurse(a, b, fa, fm, fb, whole, 0)
 
 
-def phase_integrals(segment: RaySegment, sampler, rtol: float = 1e-10,
-                    max_depth: int = 40) -> tuple[complex, complex]:
-    """Phase integrals (phi0, phi) = 2 pi k * integral of (chi0, chi) ds.
+def phase_integrals(sampler, start, direction, length: float,
+                    rtol: float = 1e-10, max_depth: int = 40) -> np.ndarray:
+    """2 pi * integral over s in [0, length] of sampler(start + s u).
 
-    ``sampler`` maps a position to the pair ``(chi0, chi_len)`` of the
-    isotropic part and the complex anisotropy length of the transverse
-    susceptibility.  The optical wavenumber is unity in these units.
+    ``sampler`` maps a position to a complex array, such as the Pauli
+    components (chi0, chi_x, chi_y, chi_z) of the transverse
+    susceptibility; ``u`` is the unit vector along ``direction``.  The
+    optical wavenumber is unity in these units.
     """
+    u, length = _ray(direction, length)
+    start = np.asarray(start, dtype=float)
 
     def f(s):
-        c0, cl = sampler(segment.point(s))
-        return np.array([c0, cl], dtype=complex)
+        return np.asarray(sampler(start + s * u), dtype=complex)
 
-    vals = _adaptive_simpson(f, 0.0, segment.length, rtol, max_depth)
-    return 2.0 * math.pi * vals[0], 2.0 * math.pi * vals[1]
+    return 2.0 * math.pi * _adaptive_simpson(f, 0.0, length, rtol, max_depth)
 
 
-def director_components(tc: TransverseChi) -> np.ndarray | None:
-    """Map Pauli components of the transverse tensor to the director triple.
+def amplitude_matrix(phi0: complex, phivec) -> np.ndarray:
+    """2x2 amplitude matrix exp(i phi0 + i phivec . sigma) of one segment.
 
-    The amplitude-matrix parameterization labels the anisotropy axes so
-    that (n_x, n_y, n_z) = (-c_z, c_x, -c_y)/chi where (c_x, c_y, c_z) are
-    the standard Pauli components; the triple satisfies n.n = 1 in the
-    complex bilinear sense.
+    ``phivec`` holds the integrated Pauli components in the standard sigma
+    labelling.  With phi^2 = phivec . phivec taken bilinearly,
+    X = e^{i phi0}[cos(phi) I + i (sin(phi)/phi) phivec . sigma]; both
+    factors are even in phi, so no branch of the square root is chosen,
+    and phi = 0 (isotropic or nilpotent) gives sin(phi)/phi = 1.
     """
-    if tc.director is None:
-        return None
-    cx, cy, cz = tc.director
-    return np.array([-cz, cx, -cy])
-
-
-def amplitude_matrix(phi0: complex, phi: complex,
-                     director=None) -> np.ndarray:
-    """2x2 transverse amplitude matrix for one ray segment.
-
-    With no director (isotropic medium) the matrix is e^{i phi0} I;
-    otherwise X = e^{i phi0}[cos(phi) I - i sin(phi) n.sigma] with the
-    director components (n_x, n_y, n_z) obeying n.n = 1 bilinearly.
-    """
-    ph0 = cmath.exp(1j * phi0)
-    if director is None or phi == 0:
-        return ph0 * np.eye(2, dtype=complex)
-    nx, ny, nz = director
-    c, s = cmath.cos(phi), cmath.sin(phi)
-    return ph0 * np.array([
-        [c - 1j * s * nx, 1j * s * (ny + 1j * nz)],
-        [1j * s * (ny - 1j * nz), c + 1j * s * nx],
+    px, py, pz = phivec
+    phi = cmath.sqrt(px * px + py * py + pz * pz)
+    sinc = cmath.sin(phi) / phi if phi != 0 else 1.0
+    c, s = cmath.cos(phi), 1j * sinc
+    return cmath.exp(1j * phi0) * np.array([
+        [c + s * pz, s * (px - 1j * py)],
+        [s * (px + 1j * py), c - s * pz],
     ])
 
 
@@ -135,34 +111,29 @@ def propagate_path(chi_sampler, start, direction, length: float,
 
     ``chi_sampler`` maps a position to the lab-frame 3x3 susceptibility.
     The path is split into segments no longer than a tenth of the local
-    extinction length (the director is then safely slowly varying); each
-    segment uses its midpoint director and adaptive phase integrals.
-    Returns ``(X_total, frame)``.
+    extinction length (and ``max_segment``); each segment contributes
+    :func:`amplitude_matrix` of its adaptive phase integrals.  A path of
+    length 0 gives the identity.  Returns ``(X_total, frame)``.
     """
     start = np.asarray(start, dtype=float)
-    u = np.asarray(direction, dtype=float)
-    u = u / np.linalg.norm(u)
+    u, length = _ray(direction, length)
+    if max_segment is not None and not max_segment > 0:
+        raise ValueError(f"max_segment must be positive: {max_segment}")
     frame = local_frame(u)
+
+    def pauli(pos):
+        tc = transverse_decompose(chi_sampler(pos), u, frame=frame)
+        return np.append(tc.chi0, tc.chivec)
 
     X = np.eye(2, dtype=complex)
     s = 0.0
     while s < length - 1e-15:
-        mid_probe = start + (s + min(length - s, 1e-3) / 2) * u
-        tc_probe = transverse_decompose(chi_sampler(mid_probe), u, frame=frame)
-        im = tc_probe.chi0.imag
+        im = pauli(start + (s + min(length - s, 1e-3) / 2) * u)[0].imag
         l_ex = 1.0 / (4.0 * math.pi * im) if im > 1e-300 else math.inf
         step = min(length - s, l_ex / 10.0)
         if max_segment is not None:
             step = min(step, max_segment)
-        seg = RaySegment(start + s * u, start + (s + step) * u)
-        tc_mid = transverse_decompose(
-            chi_sampler(seg.point(step / 2.0)), u, frame=frame)
-
-        def sampler(pos):
-            tc = transverse_decompose(chi_sampler(pos), u, frame=frame)
-            return tc.chi0, tc.chi_len
-
-        phi0, phi = phase_integrals(seg, sampler)
-        X = amplitude_matrix(phi0, phi, director_components(tc_mid)) @ X
+        phi = phase_integrals(pauli, start + s * u, u, step)
+        X = amplitude_matrix(phi[0], phi[1:]) @ X
         s += step
     return X, frame

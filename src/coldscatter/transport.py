@@ -45,13 +45,12 @@ class DiffusionModel:
             raise ValueError("lengths and speeds must be positive")
 
 
-def diffusion_constant(model: DiffusionModel) -> tuple[float, float]:
-    """Diffusion constant and transport length: D = l_tr v_bar / 3.
+def diffusion_constant(model: DiffusionModel) -> float:
+    """Diffusion constant D = l_tr v_bar / 3.
 
     The dipole pattern has <cos theta> = 0, so l_tr = l0_bar.
     """
-    l_tr = model.l0_bar
-    return l_tr * model.v_bar / 3.0, l_tr
+    return model.l0_bar * model.v_bar / 3.0
 
 
 @dataclass
@@ -61,51 +60,39 @@ class GainMode:
     W: np.ndarray
 
 
-def _sphere_matrix(model: DiffusionModel, n: int, boundary: str):
+def _sphere_matrix(model: DiffusionModel, n: int):
     """Tridiagonal FD operator for u = r W on (0, r0]: du/dt = D u'' + g u.
 
     Returns ``(diag, offdiag, r)`` of the symmetric tridiagonal matrix.
+    Regularity u(0) = 0 and the absorbing edge u(r0) = 0 are both built
+    in as zero ghost values.
     """
-    D, l_tr = diffusion_constant(model)
+    D = diffusion_constant(model)
     v = model.v_bar
     g = v / model.l_g - v * (1.0 - model.albedo) / model.l0_bar
     h = model.r0 / (n + 1)
     r = h * np.arange(1, n + 1)
     diag = np.full(n, g - 2.0 * D / h ** 2)
     offdiag = np.full(n - 1, D / h ** 2)
-    # regularity u(0) = 0 is already built in at the first node
-    if boundary == "absorbing":
-        pass  # u(r0) = 0: ghost value zero
-    elif boundary == "mixed":
-        # outward flux J = -D dW/dr = (v/2) W at r0, i.e.
-        # u'(r0) = u(r0) (D/r0 - v/2)/D; ghost node eliminated to
-        # u_{n+1} = u_n (1 + h (D/r0 - v/2)/D)
-        diag[-1] += (D / h ** 2) * (1.0 + h * (D / model.r0 - v / 2) / D)
-    elif boundary == "reflecting":
-        # J = 0: u'(r0) = u(r0)/r0
-        diag[-1] += (D / h ** 2) * (1.0 + h / model.r0)
-    else:
-        raise ValueError(f"unknown boundary {boundary!r}")
     return diag, offdiag, r
 
 
-def solve_gain_diffusion_sphere(model: DiffusionModel, n_grid: int = 400,
-                                boundary: str = "absorbing") -> GainMode:
+def solve_gain_diffusion_sphere(model: DiffusionModel,
+                                n_grid: int = 400) -> GainMode:
     """Dominant mode of dW/dt = D Lap W + (v/l_g - v(1-a)/l0) W on a sphere.
 
     Radial finite differences on u = r W with the regularity condition at
-    the origin; the boundary is absorbing (W(r0)=0), mixed (free escape
-    through the surface) or reflecting.  The operator is symmetric
+    the origin and an absorbing edge, W(r0) = 0.  The operator is symmetric
     tridiagonal, so LAPACK's tridiagonal eigensolver gives its top
     eigenpair directly; the eigenvalue is validated against a half-
     resolution grid, and disagreement raises with both values reported.
     """
-    d, e, r = _sphere_matrix(model, n_grid, boundary)
+    d, e, r = _sphere_matrix(model, n_grid)
     lam, u = eigh_tridiagonal(d, e, select="i",
                               select_range=(n_grid - 1, n_grid - 1))
     lam, u = float(lam[0]), u[:, 0]
     n2 = n_grid // 2
-    d2, e2, _ = _sphere_matrix(model, n2, boundary)
+    d2, e2, _ = _sphere_matrix(model, n2)
     lam2 = float(eigh_tridiagonal(d2, e2, eigvals_only=True, select="i",
                                   select_range=(n2 - 1, n2 - 1))[0])
     scale = max(abs(lam), model.v_bar / model.l0_bar)

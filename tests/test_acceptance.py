@@ -304,7 +304,7 @@ def test_criterion_10_phase_integral_unitarity():
         phi = complex(rng.normal(), 0.0)
         director = rng.normal(size=3)
         director /= np.linalg.norm(director)
-        X = pp.amplitude_matrix(phi0, phi, director)
+        X = pp.amplitude_matrix(phi0, phi * director)
         worst_u = max(worst_u, float(np.linalg.norm(
             X.conj().T @ X - np.eye(2))))
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_trapezoid, trapezoid
 from scipy.special import exp1
 from scipy.stats import kstest
 
@@ -88,7 +88,7 @@ def test_chord_depth_matches_quadrature():
         # n0 exp(-|q|^2 / 2 r0^2) along the chord q = p + s u
         dens = [cloud.n0 * math.exp(-float(np.dot(q, q)) / (2 * cloud.r0 ** 2))
                 for q in (p + s * u for s in ss)]
-        quad = np.trapezoid(dens, ss) * 6 * math.pi
+        quad = trapezoid(dens, ss) * 6 * math.pi
         assert mc.chord_depth(cloud, p, u, 6 * math.pi, s_max) == \
             pytest.approx(quad, rel=1e-6)
 
@@ -210,8 +210,21 @@ def test_scatter_event_total_weight_matches_kinetic_lengths():
 
 def test_elastic_channel_keeps_frequency():
     sch = LevelScheme.simple()
-    from coldscatter.medium import raman_shift
     assert raman_shift(sch, 0, 0) == 0.0
+
+
+def test_raman_shift_broadcasts_sublevel_arrays():
+    sch = LevelScheme.rb85_d2()
+    n = len(sch.ground_sublevels())
+    m = np.arange(n)
+    table = raman_shift(sch, m[:, None], m)
+    energies = np.array([sch.ground_energy(tf)
+                         for tf, _ in sch.ground_sublevels()])
+    assert np.array_equal(table, energies[None, :] - energies[:, None])
+    assert np.array_equal(table, [[raman_shift(sch, mp, mi) for mi in m]
+                                  for mp in m])
+    assert np.array_equal(mc._MediumTables(mc.Cloud(sch, 0.01, 8.0)).shifts,
+                          table)
 
 
 def test_energy_conservation_closed_transition():
