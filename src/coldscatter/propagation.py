@@ -117,7 +117,8 @@ def propagate_path(chi_sampler, start, direction, length: float,
     """
     start = np.asarray(start, dtype=float)
     u, length = _ray(direction, length)
-    if max_segment is not None and not max_segment > 0:
+    cap = math.inf if max_segment is None else max_segment
+    if not cap > 0:
         raise ValueError(f"max_segment must be positive: {max_segment}")
     frame = local_frame(u)
 
@@ -130,9 +131,7 @@ def propagate_path(chi_sampler, start, direction, length: float,
     while s < length - 1e-15:
         im = pauli(start + (s + min(length - s, 1e-3) / 2) * u)[0].imag
         l_ex = 1.0 / (4.0 * math.pi * im) if im > 1e-300 else math.inf
-        step = min(length - s, l_ex / 10.0)
-        if max_segment is not None:
-            step = min(step, max_segment)
+        step = min(length - s, l_ex / 10.0, cap)
         phi = phase_integrals(pauli, start + s * u, u, step)
         X = amplitude_matrix(phi[0], phi[1:]) @ X
         s += step
