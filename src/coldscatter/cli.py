@@ -59,7 +59,7 @@ def _json_body(record: ResultRecord, config: ScenarioConfig) -> str:
         "wall_time_s": round(record.wall_time, 3),
         "rows": [_finite(vars(r)) for r in record.rows],
     }
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
 def emit_results(record: ResultRecord, config: ScenarioConfig,

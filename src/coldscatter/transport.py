@@ -11,10 +11,10 @@ Units: lengths in reduced wavelengths, rates in gamma, speeds in c.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 # unused here; perfbench/spans.py traces transport.lu_factor/lu_solve by name
 from scipy.linalg import lu_factor, lu_solve  # noqa: F401
 
@@ -39,10 +39,18 @@ class DiffusionModel:
     r0: float = 1.0             # sphere radius
 
     def __post_init__(self):
-        if not (0.0 <= self.albedo <= 1.0):
-            raise ValueError("albedo must lie in [0, 1]")
-        if self.l0_bar <= 0 or self.v_bar <= 0 or self.r0 <= 0:
-            raise ValueError("lengths and speeds must be positive")
+        # each test is negated so that NaN fails it
+        if not 0.0 <= self.albedo <= 1.0:
+            raise ValueError(f"albedo must lie in [0, 1], "
+                             f"got {self.albedo!r}")
+        for name in ("v_bar", "l0_bar", "r0"):
+            x = getattr(self, name)
+            if not 0.0 < x < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {x!r}")
+        if not self.l_g > 0.0:
+            raise ValueError(f"l_g must be positive (+inf: no gain), "
+                             f"got {self.l_g!r}")
 
 
 def diffusion_constant(model: DiffusionModel) -> float:
@@ -60,49 +68,43 @@ class GainMode:
     W: np.ndarray
 
 
-def _sphere_matrix(model: DiffusionModel, n: int):
-    """Tridiagonal FD operator for u = r W on (0, r0]: du/dt = D u'' + g u.
-
-    Returns ``(diag, offdiag, r)`` of the symmetric tridiagonal matrix.
-    Regularity u(0) = 0 and the absorbing edge u(r0) = 0 are both built
-    in as zero ghost values.
+def _top_eigenvalue(D: float, g: float, r0: float, n: int) -> float:
+    """Top eigenvalue g - (4D/h^2) sin^2(pi/(2(n+1))), h = r0/(n+1), of
+    tridiag(D/h^2, g - 2D/h^2, D/h^2) on n points (discrete sine spectrum).
     """
-    D = diffusion_constant(model)
-    v = model.v_bar
-    g = v / model.l_g - v * (1.0 - model.albedo) / model.l0_bar
-    h = model.r0 / (n + 1)
-    r = h * np.arange(1, n + 1)
-    diag = np.full(n, g - 2.0 * D / h ** 2)
-    offdiag = np.full(n - 1, D / h ** 2)
-    return diag, offdiag, r
+    h = r0 / (n + 1)
+    return g - (4.0 * D / h ** 2) * math.sin(math.pi / (2 * (n + 1))) ** 2
 
 
 def solve_gain_diffusion_sphere(model: DiffusionModel,
                                 n_grid: int = 400) -> GainMode:
     """Dominant mode of dW/dt = D Lap W + (v/l_g - v(1-a)/l0) W on a sphere.
 
-    Radial finite differences on u = r W with the regularity condition at
-    the origin and an absorbing edge, W(r0) = 0.  The operator is symmetric
-    tridiagonal, so LAPACK's tridiagonal eigensolver gives its top
-    eigenpair directly; the eigenvalue is validated against a half-
-    resolution grid, and disagreement raises with both values reported.
+    Radial finite differences on u = r W at r_j = j r0/(n_grid+1), with
+    the regularity condition u(0) = 0 and the absorbing edge u(r0) = 0 as
+    zero ghost values, give a constant-coefficient tridiagonal operator
+    whose top eigenpair is known in closed form: :func:`_top_eigenvalue`
+    and u_j = sin(pi r_j / r0).  The eigenvalue is validated against the
+    half-resolution grid, and disagreement raises with both values
+    reported.  W = u / (|u| r) is positive.
     """
-    d, e, r = _sphere_matrix(model, n_grid)
-    lam, u = eigh_tridiagonal(d, e, select="i",
-                              select_range=(n_grid - 1, n_grid - 1))
-    lam, u = float(lam[0]), u[:, 0]
+    if not isinstance(n_grid, numbers.Integral) or n_grid < 2:
+        raise ValueError(f"n_grid must be an int >= 2, got {n_grid!r}")
+    D = diffusion_constant(model)
+    v = model.v_bar
+    g = v / model.l_g - v * (1.0 - model.albedo) / model.l0_bar
+    lam = _top_eigenvalue(D, g, model.r0, n_grid)
     n2 = n_grid // 2
-    d2, e2, _ = _sphere_matrix(model, n2)
-    lam2 = float(eigh_tridiagonal(d2, e2, eigvals_only=True, select="i",
-                                  select_range=(n2 - 1, n2 - 1))[0])
+    lam2 = _top_eigenvalue(D, g, model.r0, n2)
     scale = max(abs(lam), model.v_bar / model.l0_bar)
     if abs(lam - lam2) > _GRID_RTOL * scale:
         raise ArithmeticError(
             f"gain-diffusion eigenvalue not grid-converged: {lam2} at "
             f"n={n2} vs {lam} at n={n_grid}")
-    W = u / r
-    if W.sum() < 0:
-        W = -W
+    j = np.arange(1, n_grid + 1)
+    r = (model.r0 / (n_grid + 1)) * j
+    u = np.sin((math.pi / (n_grid + 1)) * j)
+    W = u / (np.linalg.norm(u) * r)
     return GainMode(growth_rate=lam, r=r, W=W)
 
 

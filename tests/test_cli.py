@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -5,7 +6,7 @@ import pytest
 
 from coldscatter import cli
 from coldscatter import config as cf
-from coldscatter.scenarios import run_scenario
+from coldscatter.scenarios import ResultRow, run_scenario
 
 
 MINIMAL = "[run]\nscenario = protocol-utils\n\n[sweep]\nstart = 0.5\nstop = 2\nn = 3\n"
@@ -369,3 +370,33 @@ def test_json_record_is_standard_json(tmp_path, capsys, text, section, key):
         assert doc["config"]["values"]["diffusion"][key] == "inf"
     else:
         assert [row[key] for row in doc["rows"]] == ["inf"]
+
+
+def test_json_rows_match_csv_rows(tmp_path):
+    # the 161-point EIT sweep of the benchmark's analytic workload, plus
+    # one non-finite row, through the writer of both records
+    cfg = cf.parse_text("[run]\nscenario = eit-spectrum\n[atom]\n"
+                        "kind = lambda-rb87\n[control]\nrabi = 1\n"
+                        "[sweep]\nstart = -5\nstop = 5\nn = 161\n")
+    record = run_scenario(cfg)
+    assert len(record.rows) == 322
+    record.rows.append(ResultRow("detuning", math.nan, stat_err=math.inf,
+                                 order=2, channel="im_chi"))
+    csv_path, json_path = cli.emit_results(record, cfg, tmp_path)
+    text = json_path.read_text(encoding="utf-8")
+    assert text.endswith("\n") and text.count("\n") == 1
+    doc = json.loads(text, parse_constant=_no_constant)
+    with open(csv_path, newline="", encoding="utf-8") as f:
+        header, *csv_rows = list(csv.reader(f))
+    assert header == cli.CSV_HEADER
+    assert len(doc["rows"]) == len(csv_rows) == 323
+
+    def field(value):
+        if value is None:
+            return ""
+        return value if isinstance(value, str) else repr(value)
+
+    for row, csv_row in zip(doc["rows"], csv_rows):
+        assert [field(row[key]) for key in header] == csv_row
+    assert doc["rows"][-1]["value"] == "nan"
+    assert doc["rows"][-1]["stat_err"] == "inf"

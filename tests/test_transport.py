@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from coldscatter import transport as tr
 
@@ -130,3 +132,58 @@ def test_sphere_coarse_grid_raises():
     m = tr.DiffusionModel(v_bar=1.0, l0_bar=1.0, l_g=9.5, r0=5.6)
     with pytest.raises(ArithmeticError, match="not grid-converged"):
         tr.solve_gain_diffusion_sphere(m, n_grid=4)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("r0", math.nan), ("r0", math.inf), ("r0", 0.0),
+    ("v_bar", math.nan), ("v_bar", math.inf), ("v_bar", -1.0),
+    ("l0_bar", math.nan), ("l0_bar", math.inf), ("l0_bar", 0.0),
+    ("albedo", math.nan), ("albedo", 1.5),
+    ("l_g", math.nan), ("l_g", -math.inf), ("l_g", 0.0), ("l_g", -9.5),
+])
+def test_diffusion_model_rejects_invalid_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        tr.DiffusionModel(**{field: value})
+
+
+@pytest.mark.parametrize("n_grid", [0, 1, -3, 2.0, 400.0, "400", None])
+def test_sphere_rejects_invalid_grid(n_grid):
+    m = tr.DiffusionModel(r0=30.0)
+    with pytest.raises(ValueError, match="n_grid"):
+        tr.solve_gain_diffusion_sphere(m, n_grid=n_grid)
+
+
+@pytest.mark.parametrize("n_grid", [2, np.int64(3)])
+def test_sphere_accepts_smallest_grid(n_grid):
+    m = tr.DiffusionModel(r0=30.0)
+    mode = tr.solve_gain_diffusion_sphere(m, n_grid=n_grid)
+    assert mode.r.shape == mode.W.shape == (int(n_grid),)
+
+
+def _assert_matches_lapack(m, n):
+    """Closed-form top eigenpair against scipy's tridiagonal eigensolver."""
+    A, r = _dense_sphere_operator(m, n)
+    lam, u = eigh_tridiagonal(np.diag(A), np.diag(A, 1), select="i",
+                              select_range=(n - 1, n - 1))
+    u = u[:, 0] if u[:, 0].sum() > 0 else -u[:, 0]
+    mode = tr.solve_gain_diffusion_sphere(m, n_grid=n)
+    assert abs(mode.growth_rate - lam[0]) <= 1e-12 * np.abs(A).sum(1).max()
+    assert np.array_equal(mode.r, r)
+    np.testing.assert_allclose(mode.W, u / r, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("n_grid", [2, 3, 8, 101, 400])
+def test_sphere_closed_form_matches_lapack(n_grid):
+    for r0, l_g, albedo, v_bar in itertools.product(
+            (12.0, 30.0), (0.5, 9.5, math.inf), (0.8, 1.0), (0.3, 1.0)):
+        m = tr.DiffusionModel(v_bar=v_bar, l0_bar=1.0, albedo=albedo,
+                              l_g=l_g, r0=r0)
+        _assert_matches_lapack(m, n_grid)
+
+
+def test_sphere_closed_form_matches_lapack_on_benchmark_sweep():
+    # the analytic workload's diffusion-threshold sweep: l_tr = 1,
+    # l_g = 9.5, radii bracketing the Letokhov radius at the default grid
+    for r0 in np.linspace(4.4, 6.8, 41):
+        m = tr.DiffusionModel(v_bar=1.0, l0_bar=1.0, l_g=9.5, r0=float(r0))
+        _assert_matches_lapack(m, 400)
