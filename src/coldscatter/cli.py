@@ -1,8 +1,7 @@
 """Command-line front end: ``coldscatter run`` and ``coldscatter validate``.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric/engine error,
-3 I/O error.  The ``COLDSCATTER_OUT`` environment variable overrides the
-configured output directory.
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -106,7 +104,7 @@ def main(argv=None) -> int:
 
         cfg = override_run(parse_config(args.config), seed=args.seed,
                            workers=args.workers, out=args.out)
-        out_dir = os.environ.get("COLDSCATTER_OUT") or cfg["run"]["out"]
+        out_dir = cfg["run"]["out"]
         progress = (lambda msg: None) if args.quiet else \
             (lambda msg: print(f"[{cfg.scenario}] {msg}", file=sys.stderr))
         try:

@@ -5,7 +5,8 @@ basis (scalar model: one state per atom; vector model: three Zeeman
 states of an F0=0 -> F=1 transition per atom), solves the resolvent for
 scattering amplitudes, and evaluates cross sections through the optical
 theorem.  Also provides the self-consistent macroscopic dielectric
-function and the exact slab transmission amplitude.
+function, as the principal root of one cubic per detuning, and the exact
+slab transmission amplitude.
 
 Configuration averages (the ``coupled-dipole-spectrum`` scenario) draw
 their configurations in order from one ``np.random.default_rng(seed)``
@@ -22,7 +23,6 @@ prefactors cancel in these combinations and never appear externally.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 CONTACT_FLOOR = 0.05  # reduced wavelengths; dipole model invalid below
-_HOMOTOPY_STEPS = 40  # density steps from the dilute limit to the target
 _RESPACE_TRIES = 200  # redraw rounds for atoms inside the contact floor
 
 
@@ -202,89 +201,84 @@ class DipoleSolver:
 
 @dataclass(frozen=True)
 class Epsilon:
-    epsilon: complex
-    chi: complex
+    epsilon: complex | np.ndarray
+    chi: complex | np.ndarray
 
 
-def _sc_residual(chi: complex, n0s: float, delta: float):
-    """Closed equation for the self-consistent susceptibility.
-
-    chi (Delta + (i/2) sqrt(1 + 4 pi chi)) = -(3/4) n0s (1 + (4 pi/3) chi)
-    including the local-field (Lorentz-Lorenz) term; n0s is the scaled
-    density n0 (2F+1)/[3(2F0+1)].
-    """
-    root = cmath.sqrt(1.0 + 4.0 * math.pi * chi)
-    F = chi * (delta + 0.5j * root) \
-        + 0.75 * n0s * (1.0 + (4.0 * math.pi / 3.0) * chi)
-    dF = (delta + 0.5j * root
-          + chi * 0.5j * (2.0 * math.pi / root)
-          + math.pi * n0s)
-    return F, dF
-
-
-def self_consistent_epsilon(n0_scaled: float, detuning: float,
-                            chi_start: complex | None = None) -> Epsilon:
+def self_consistent_epsilon(n0_scaled: float, detuning) -> Epsilon:
     """Self-consistent dielectric function at scaled density ``n0_scaled``.
 
-    Solves the closed algebraic equation for chi by Newton iteration with
-    a homotopy in density from the dilute limit, which selects the
-    physical branch continuously connected to chi -> 0.  ``chi_start``
-    short-circuits the homotopy (used for continuity across sweeps).
+    Solves chi (Delta + (i/2) s) = -(3/4) n0s (1 + (4 pi/3) chi) with
+    s = sqrt(eps) = sqrt(1 + 4 pi chi), which includes the local-field
+    (Lorentz-Lorenz) term; n0s is the scaled density n0 (2F+1)/[3(2F0+1)].
+    ``detuning`` is a scalar or an array; the result has its shape.
+
+    With s = 1 + t and A = Delta + pi n0s this is the cubic
+    t^3 + (3 - 2iA) t^2 + (2 - 4iA) t - 6 pi i n0s = 0.  Its roots are
+    symmetric under s -> -conj(s), so at most one has Re s > 0: the
+    principal-branch root, connected to chi -> 0 in the dilute limit.  In
+    u = -i s the cubic is real, (u^2 + 1)(u - 2A) + 6 pi n0s = 0, and is
+    solved for all detunings at once by the eigenvalues of its companion
+    matrices; the real eigensolver returns a root on the imaginary s axis
+    with Im u exactly 0, so Re s > 0 needs no tolerance.  The root is
+    recomputed from the other two by Vieta, t = 6 pi i n0s / (t2 t3), so
+    chi = t (t + 2)/(4 pi) stays accurate far from resonance.
+
+    Raises ``ArithmeticError`` at the first detuning with no root of
+    Re s > 0 (a window slightly blue of resonance that opens between
+    n0s = 0.08 and 0.09) or with negative absorption, Im eps < -1e-9.
     """
-    if n0_scaled < 0:
-        raise ValueError("density must be non-negative")
-    if n0_scaled == 0.0:
-        return Epsilon(1.0 + 0.0j, 0.0j)
-
-    def newton(chi, n0s):
-        for _ in range(100):
-            F, dF = _sc_residual(chi, n0s, detuning)
-            step = F / dF
-            chi = chi - step
-            if abs(step) < 1e-14 * max(abs(chi), 1e-12):
-                return chi
-        raise ArithmeticError(
-            f"self-consistent root tracking failed at n0_scaled={n0s}, "
-            f"detuning={detuning}; last iterate chi={chi}")
-
-    if chi_start is not None:
-        chi = newton(chi_start, n0_scaled)
-    else:
-        chi = 0.0j
-        for n0s in np.linspace(n0_scaled / _HOMOTOPY_STEPS, n0_scaled,
-                               _HOMOTOPY_STEPS):
-            guess = chi if abs(chi) > 0 else \
-                -0.75 * n0s / (detuning + 0.5j)
-            chi = newton(guess, n0s)
+    if not (n0_scaled >= 0.0 and math.isfinite(n0_scaled)):
+        raise ValueError("density must be finite and non-negative")
+    deltas = np.asarray(detuning, dtype=float)
+    A = deltas.ravel() + math.pi * n0_scaled
+    companion = np.zeros((A.size, 3, 3))
+    companion[:, 0] = np.stack(
+        [2.0 * A, np.full_like(A, -1.0), 2.0 * A - 6.0 * math.pi * n0_scaled],
+        axis=-1)
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    # s = i u, sorted (by its negative) so the largest Re s comes first
+    s = -np.sort(-1j * np.linalg.eigvals(companion), axis=1)
+    others = s[:, 1:] - 1.0
+    t = 6j * math.pi * n0_scaled / (others[:, 0] * others[:, 1])
+    chi = t * (t + 2.0) / (4.0 * math.pi)
     eps = 1.0 + 4.0 * math.pi * chi
-    if eps.imag < -1e-9:
+    bad = (s[:, 0].real <= 0.0) | (eps.imag < -1e-9)
+    if bad.any():
         raise ArithmeticError(
-            f"unphysical branch (negative absorption) at n0_scaled="
-            f"{n0_scaled}, detuning={detuning}: eps={eps}")
-    return Epsilon(eps, chi)
+            f"no physical self-consistent root (Re sqrt(eps) > 0, Im eps "
+            f">= 0) at n0_scaled={n0_scaled}, "
+            f"detuning={deltas.ravel()[bad.argmax()]}")
+    return Epsilon(eps.reshape(deltas.shape)[()],
+                   chi.reshape(deltas.shape)[()])
 
 
 @dataclass(frozen=True)
 class SlabTransmission:
-    amplitude: complex
+    amplitude: complex | np.ndarray
 
     @property
-    def transmittance(self) -> float:
+    def transmittance(self):
         return abs(self.amplitude) ** 2
 
 
-def slab_transmission(epsilon: complex, L: float) -> SlabTransmission:
+def slab_transmission(epsilon, L: float) -> SlabTransmission:
     """Exact transmission amplitude of a homogeneous dielectric slab.
 
     T = 2 sqrt(eps) / (2 sqrt(eps) cos psi - i (1 + eps) sin psi) with
-    psi = L sqrt(eps) k with k = 1 (principal branch).
+    psi = L sqrt(eps) k with k = 1 (principal branch).  ``epsilon`` is a
+    scalar or an array; a real one is taken as eps + 0i, so a negative
+    eps has sqrt(eps) on the positive imaginary axis.
     """
     if L < 0:
         raise ValueError("slab thickness must be non-negative")
-    root = cmath.sqrt(epsilon)
+    shape = np.shape(epsilon)
+    # 1-d, so a scalar runs through the same array loops as an array
+    eps = np.asarray(epsilon, dtype=complex).ravel()
+    root = np.sqrt(eps)
     psi = L * root
-    denom = 2.0 * root * cmath.cos(psi) - 1j * (1.0 + epsilon) * cmath.sin(psi)
-    return SlabTransmission(2.0 * root / denom)
+    denom = 2.0 * root * np.cos(psi) - 1j * (1.0 + eps) * np.sin(psi)
+    return SlabTransmission((2.0 * root / denom).reshape(shape)[()])
 
 
 # ----------------------------------------------------------------------------

@@ -176,13 +176,11 @@ def _run_coupled_dipole_spectrum(cfg, record, progress):
 
 def _run_selfconsistent_slab(cfg, record, progress):
     s = cfg["slab"]
-    chi = None
-    for delta in _sweep_grid(cfg):
-        eps = self_consistent_epsilon(s["density"], float(delta),
-                                      chi_start=chi)
-        chi = eps.chi
-        T = slab_transmission(eps.epsilon, s["thickness"])
-        record.rows.append(ResultRow("detuning", float(T.transmittance),
+    grid = _sweep_grid(cfg)
+    eps = self_consistent_epsilon(s["density"], grid)
+    T = slab_transmission(eps.epsilon, s["thickness"])
+    for delta, transmittance in zip(grid, T.transmittance):
+        record.rows.append(ResultRow("detuning", float(transmittance),
                                      channel="transmittance",
                                      sweep_value=float(delta)))
     progress("slab sweep done")

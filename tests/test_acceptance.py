@@ -209,11 +209,10 @@ def test_criterion_07_selfconsistent_vs_microscopic():
     peak_micro = _parabolic_peak(deltas, micro, 0.5)
 
     fine = np.linspace(-1.5, 1.5, 121)
-    chi = None
     sigma_mac = []
     im_chi = []
     for d in fine:
-        eps = mi.self_consistent_epsilon(n0s, float(d), chi_start=chi)
+        eps = mi.self_consistent_epsilon(n0s, float(d))
         chi = eps.chi
         sigma_mac.append(_mie_extinction(eps.epsilon, radius))
         im_chi.append(chi.imag)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from coldscatter import cli
+from coldscatter import cli, scenarios
 from coldscatter import config as cf
 from coldscatter.scenarios import ResultRow, run_scenario
 
@@ -226,6 +226,52 @@ def test_contact_floor_failure_is_a_numeric_error(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_selfconsistent_slab_without_physical_root_writes_nothing(
+        tmp_path, capsys):
+    # at density 0.2 the sweep crosses the window 0.70 < Delta < 1.29
+    # where the self-consistent equation has no root with Re sqrt(eps) > 0
+    p = tmp_path / "c.ini"
+    p.write_text("[run]\nscenario = selfconsistent-slab\n"
+                 "[slab]\ndensity = 0.2\n"
+                 "[sweep]\nstart = -2\nstop = 2\nn = 41\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(p), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [selfconsistent-slab]: ")
+    assert "Re sqrt(eps) > 0" in err
+    assert not out.exists()
+
+
+def test_engine_failure_mid_sweep_writes_incomplete_record(tmp_path, capsys,
+                                                          monkeypatch):
+    solve = scenarios.solve_gain_diffusion_sphere
+    calls = []
+
+    def fail_on_third(model):
+        calls.append(model.r0)
+        if len(calls) == 3:
+            raise ArithmeticError("injected failure")
+        return solve(model)
+
+    monkeypatch.setattr(scenarios, "solve_gain_diffusion_sphere",
+                        fail_on_third)
+    p = tmp_path / "c.ini"
+    p.write_text("[run]\nscenario = diffusion-threshold\n"
+                 "[sweep]\nstart = 4\nstop = 6\nn = 3\n")
+    assert cli.main(["run", str(p), "--out", str(tmp_path), "--quiet"]) == 2
+    assert "injected failure" in capsys.readouterr().err
+    with open(tmp_path / "diffusion-threshold.incomplete.csv",
+              newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["sweep_value"]) for r in rows] == calls[:2]
+    doc = json.loads(
+        (tmp_path / "diffusion-threshold.incomplete.json").read_text())
+    assert doc["complete"] is False
+    assert len(doc["rows"]) == 2
+    assert not (tmp_path / "diffusion-threshold.csv").exists()
+    assert not (tmp_path / "diffusion-threshold.json").exists()
+
+
 def test_run_scenario_protocol_rows():
     record = run_scenario(cf.parse_text(MINIMAL))
     assert record.complete
@@ -301,16 +347,17 @@ def test_cli_worker_count_does_not_change_results(tmp_path, capsys):
         (out2 / "cbs-cone.csv").read_bytes()
 
 
-def test_env_var_output_override(tmp_path, capsys, monkeypatch):
+def test_out_flag_is_not_overridden_by_the_environment(tmp_path, capsys,
+                                                       monkeypatch):
     p = tmp_path / "c.ini"
     p.write_text(MINIMAL)
-    env_out = tmp_path / "env_out"
-    monkeypatch.setenv("COLDSCATTER_OUT", str(env_out))
-    assert cli.main(["run", str(p), "--out", str(tmp_path / "ignored"),
+    other = tmp_path / "other"
+    monkeypatch.setenv("COLDSCATTER_OUT", str(other))
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "target"),
                      "--quiet"]) == 0
     capsys.readouterr()
-    assert (env_out / "protocol-utils.csv").exists()
-    assert not (tmp_path / "ignored").exists()
+    assert (tmp_path / "target" / "protocol-utils.csv").exists()
+    assert not other.exists()
 
 
 def test_seed_override_changes_hashed_config(tmp_path, capsys):

@@ -344,10 +344,76 @@ def test_self_consistent_sweep_continuity():
     ds = np.linspace(-5, 5, 201)
     chi_prev = None
     for d in ds:
-        eps = mi.self_consistent_epsilon(0.05, d, chi_start=chi_prev)
+        eps = mi.self_consistent_epsilon(0.05, d)
         if chi_prev is not None:
             assert abs(eps.chi - chi_prev) < 0.1
         chi_prev = eps.chi
+
+
+# 0 and a log grid of +-Delta over [1e-3, 1e4]
+_LOG_DETUNINGS = np.concatenate(
+    [-np.logspace(-3, 4, 71)[::-1], [0.0], np.logspace(-3, 4, 71)])
+
+
+@pytest.mark.parametrize("n0s", [1e-6, 1e-3, 0.05, 0.08])
+def test_self_consistent_satisfies_closed_equation(n0s):
+    res = mi.self_consistent_epsilon(n0s, _LOG_DETUNINGS)
+    for d, chi in zip(_LOG_DETUNINGS, res.chi):
+        s = cmath.sqrt(1.0 + 4.0 * math.pi * chi)
+        lhs = chi * (d + 0.5j * s)
+        rhs = -0.75 * n0s * (1.0 + (4.0 * math.pi / 3.0) * chi)
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs), (d, chi)
+        assert s.real > 0
+
+
+def test_self_consistent_array_matches_scalar_calls():
+    ds = np.concatenate([_LOG_DETUNINGS, np.linspace(-5, 5, 101)])
+    for n0s in (0.0, 1e-6, 0.05, 0.08):
+        res = mi.self_consistent_epsilon(n0s, ds)
+        assert res.epsilon.shape == res.chi.shape == ds.shape
+        for i, d in enumerate(ds):
+            one = mi.self_consistent_epsilon(n0s, float(d))
+            assert one.epsilon == res.epsilon[i]
+            assert one.chi == res.chi[i]
+
+
+@pytest.mark.parametrize("n0s, delta", [(0.1, 0.68), (0.2, 0.8), (0.2, 1.2)])
+def test_self_consistent_raises_where_no_physical_root(n0s, delta):
+    # all three roots of the cubic lie on the imaginary sqrt(eps) axis
+    with pytest.raises(ArithmeticError, match=f"detuning={delta}"):
+        mi.self_consistent_epsilon(n0s, [-1.0, delta, 2.0])
+
+
+def test_self_consistent_root_exists_up_to_n0s_008():
+    ds = np.linspace(-50, 50, 10001)
+    for n0s in (1e-4, 0.02, 0.05, 0.08):
+        mi.self_consistent_epsilon(n0s, ds)
+
+
+@pytest.mark.parametrize("n0s", [-1e-3, math.inf, math.nan])
+def test_self_consistent_rejects_bad_density(n0s):
+    with pytest.raises(ValueError):
+        mi.self_consistent_epsilon(n0s, 0.0)
+
+
+def test_slab_array_matches_scalar_calls_and_principal_branch():
+    rng = np.random.default_rng(5)
+    eps = np.concatenate([[-4.0, -0.5, 2.5],
+                          1 + rng.uniform(-0.5, 2.0, 20)
+                          + 1j * rng.uniform(0, 1.0, 20)])
+    L = 3.7
+    amp = mi.slab_transmission(eps, L).amplitude
+    for i, e in enumerate(eps):
+        one = mi.slab_transmission(e, L).amplitude
+        assert one == amp[i]
+        assert abs(one - _transfer_matrix_oracle(e, L)) < 1e-12
+    # a real negative eps takes the cmath principal branch, sqrt(-4) = 2i
+    root = cmath.sqrt(-4.0)
+    psi = L * root
+    direct = 2 * root / (2 * root * cmath.cos(psi)
+                         - 1j * (1 - 4.0) * cmath.sin(psi))
+    assert mi.slab_transmission(-4.0, L).amplitude == \
+        pytest.approx(direct, rel=1e-14)
 
 
 def test_slab_trivials():
