@@ -60,9 +60,10 @@ _K_IN.flags.writeable = False
 _INSTABILITY_RUN = 3  # consecutive growing orders that flag a runaway
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cloud:
-    """Gaussian atomic cloud with its internal-state context."""
+    """Gaussian atomic cloud with its internal-state context; equality and
+    hashing are by identity."""
     scheme: LevelScheme
     n0: float
     r0: float
@@ -328,15 +329,19 @@ def chain_pair_amplitudes(positions, tensors, e_in, e_out):
 # Engine configuration and results.
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Detector:
-    """Far-field detector direction with a polarization analyzer."""
+    """Far-field detector direction with a polarization analyzer; equality
+    and hashing are by identity."""
     direction: np.ndarray
     polarization: np.ndarray
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
-        object.__setattr__(self, "direction", d / np.linalg.norm(d))
+        norm = np.linalg.norm(d)
+        if not 0 < norm < math.inf:
+            raise ValueError("detector direction must be finite and non-zero")
+        object.__setattr__(self, "direction", d / norm)
         object.__setattr__(self, "polarization",
                            np.asarray(self.polarization, dtype=complex))
 
@@ -479,20 +484,39 @@ def _point_sums(pt, values, n_points: int) -> np.ndarray:
     return out
 
 
+def _crossed_term(cloud, walk, A, e_in, pols_h, k_sum, depths, ladder):
+    """Crossed next-event terms (n, n_det) at an order >= 2: the ladder
+    terms times the interference of the direct amplitude A M_dir e_in and
+    the reverse M_revpre A e_in through the elastic tensors A, at phase
+    (k_in + k_out).(r - r_first) and half the paths' depth difference."""
+    amp_dir = (A @ (walk["M_dir"] @ e_in)[..., None])[..., 0] @ pols_h
+    amp_rev = (walk["M_revpre"] @ (A @ e_in)[..., None])[..., 0] @ pols_h
+    dphi = (walk["p"] - walk["r_first"]) @ k_sum
+    tau_in = chord_depth(cloud, walk["p"], -_K_IN, walk["sigma"])[:, None]
+    att = np.exp(-0.5 * (tau_in + walk["tau_out_first"]
+                         - walk["tau_in_first"] - depths))
+    ratio = (amp_dir * np.conj(amp_rev) * np.exp(1j * dphi)).real * att
+    denom = amp_dir.real ** 2 + amp_dir.imag ** 2
+    ok = denom > 1e-300
+    return np.where(ok, ladder * ratio / np.where(ok, denom, 1.0), 0.0)
+
+
 def _run_chunk(cloud: Cloud, points: list[MCParams],
-               detectors: list[Detector], lo: int, hi: int):
+               detectors: list[Detector], lo: int, hi: int) -> dict:
     """Advance the trajectories [lo, hi) of every point together, one order
-    per step.
+    per step, and return the chunk's tallies by name.
 
     Walker i is trajectory lo + i mod (hi - lo) of point i div (hi - lo);
     the walkers of one trajectory draw the same uniforms at every point.
-    Each step does next-event estimation toward every detector, the crossed
-    bookkeeping, the scattering event and the free path for all live
-    walkers; escaped and truncated walkers are then compacted out.  Walker
-    state is kept as arrays over the live walkers, and ``rows`` maps them
-    back to their walker index, which gives the trajectory id of their
-    draws and the row of their per-trajectory sums of squares.  Every
-    accumulator has the point as its first axis.
+    The live walkers' state is one mapping ``walk`` of arrays, whose
+    ``rows`` gives each walker's index: the trajectory id of its draws and
+    the row of its per-trajectory totals.  An order does next-event
+    estimation toward every detector, the scattering event and the free
+    path, then drops escaped and truncated walkers from every array of
+    ``walk`` at once.  The tallies are ``ladder`` and ``crossed`` (point,
+    detector, order), the sums of their squared per-trajectory totals
+    ``ladder_sq`` and ``crossed_sq``, and the ``escaped`` and
+    ``truncated`` weight and ``n_truncated`` count of each point.
     """
     params = points[0]
     n_pt, n_tr = len(points), hi - lo
@@ -505,36 +529,32 @@ def _run_chunk(cloud: Cloud, points: list[MCParams],
     crossed_on = params.include_crossed
     gains = np.array([q.extra_gain_sigma for q in points])
 
-    ladder = np.zeros((n_pt, n_det, params.max_order + 1))
-    crossed = np.zeros_like(ladder)
-    traj_l = np.zeros((n_pt * n_tr, n_det))  # per-walker totals
-    traj_c = np.zeros_like(traj_l)
-    escaped = np.zeros(n_pt)
-    truncated_w = np.zeros(n_pt)
-    n_trunc = np.zeros(n_pt, dtype=np.int64)
+    tally = {k: np.zeros((n_pt, n_det, params.max_order + 1))
+             for k in ("ladder", "crossed")}
+    totals = {k: np.zeros((n_pt * n_tr, n_det)) for k in tally}
+    tally.update(escaped=np.zeros(n_pt), truncated=np.zeros(n_pt),
+                 n_truncated=np.zeros(n_pt, dtype=np.int64))
 
     rows = np.arange(n_pt * n_tr)
     f = tab.freq_ids([q.detuning for q in points])[rows // n_tr]
     sigma = tab.sigma[f]
     p = sample_entry(cloud, sigma, params.seed, lo + rows % n_tr)
-    e = np.broadcast_to(e_in0, p.shape)
-
-    n = len(rows)
-    w = np.ones(n)
-    if crossed_on:
-        M_dir = np.broadcast_to(np.eye(3, dtype=complex), (n, 3, 3))
-        M_revpre = M_dir  # products up to the previous vertex
-        r_first = p
-        tau_in_first = chord_depth(cloud, p, -_K_IN, sigma)[:, None]
+    walk = {"rows": rows, "p": p, "e": np.broadcast_to(e_in0, p.shape),
+            "w": np.ones(len(rows)), "f": f, "sigma": sigma}
+    if crossed_on:  # M_revpre: the products up to the previous vertex
+        eye = np.broadcast_to(np.eye(3, dtype=complex), (len(rows), 3, 3))
+        walk.update(M_dir=eye, M_revpre=eye, r_first=p,
+                    tau_in_first=chord_depth(cloud, p, -_K_IN, sigma)[:, None])
     order = 0
-    while len(rows):
+    while len(walk["rows"]):
         order += 1
+        rows, p, sigma = walk["rows"], walk["p"], walk["sigma"]
         pt = rows // n_tr
         # slot 0: sublevel, free path, channel, dipole axis; slot 1:
         # direction cosine and azimuth (two words unused)
         x = _uniforms(params.seed, lo + rows % n_tr, order, (0, 1))
-        kid = tab.keys(f, tab.sublevels(x[0, :, 0]))
-        vs = tab.fields(kid, e)
+        kid = tab.keys(walk["f"], tab.sublevels(x[0, :, 0]))
+        vs = tab.fields(kid, walk["e"])
 
         # next-event estimation toward every detector; the chord depth is
         # linear in sigma, so one unit-sigma depth serves every channel
@@ -542,67 +562,46 @@ def _run_chunk(cloud: Cloud, points: list[MCParams],
         amp = vs @ det_pols_h
         att = np.exp(-tab.sigma[tab.out_ids[kid]][:, :, None]
                      * depth1[:, None, :])
-        contrib = w[:, None] * np.sum(
-            (amp.real ** 2 + amp.imag ** 2) * att, axis=1)
-        ladder[:, :, order] += _point_sums(pt, contrib, n_pt)
-        traj_l[rows] += contrib
-
-        if crossed_on:
-            depths = sigma[:, None] * depth1
-            if order == 1:
-                tau_out_first = depths
-            else:
-                A = tab.stacks[kid, 0]  # one ground sublevel: elastic
-                chain_in = M_dir @ e_in0
-                amp_dir = (A @ chain_in[..., None])[..., 0] @ det_pols_h
-                amp_rev = (M_revpre @ (A @ e_in0)[..., None])[..., 0] \
-                    @ det_pols_h
-                dphi = (p - r_first) @ k_sum
-                tau_in_here = chord_depth(cloud, p, -_K_IN, sigma)[:, None]
-                att = np.exp(-0.5 * (tau_in_here + tau_out_first
-                                     - tau_in_first - depths))
-                ratio = (amp_dir * np.conj(amp_rev)
-                         * np.exp(1j * dphi)).real * att
-                denom = amp_dir.real ** 2 + amp_dir.imag ** 2
-                ok = denom > 1e-300
-                cc = np.where(ok, contrib * ratio / np.where(ok, denom, 1.0),
-                              0.0)
-                crossed[:, :, order] += _point_sums(pt, cc, n_pt)
-                traj_c[rows] += cc
-        del amp, att, contrib, depth1
+        terms = {"ladder": walk["w"][:, None] * np.sum(
+            (amp.real ** 2 + amp.imag ** 2) * att, axis=1)}
+        if crossed_on and order == 1:
+            walk["tau_out_first"] = sigma[:, None] * depth1
+        elif crossed_on:
+            terms["crossed"] = _crossed_term(
+                cloud, walk, tab.stacks[kid, 0], e_in0, det_pols_h, k_sum,
+                sigma[:, None] * depth1, terms["ladder"])
+        for k, term in terms.items():
+            tally[k][:, :, order] += _point_sums(pt, term, n_pt)
+            totals[k][rows] += term
+        del amp, att, depth1, terms
 
         # continue the chain
-        mp, u, e, W_sc = scatter_event(
+        mp, u, walk["e"], W_sc = scatter_event(
             vs, np.concatenate([x[2:, :, 0], x[:2, :, 1]]))
-        w = w * (W_sc + gains[pt]) / sigma
-        f = tab.out_ids[kid, mp]
-        sigma = tab.sigma[f]
+        walk["w"] = walk["w"] * (W_sc + gains[pt]) / sigma
+        walk["f"] = tab.out_ids[kid, mp]
+        walk["sigma"] = tab.sigma[walk["f"]]
         if crossed_on:
             A = tab.stacks[kid, mp]
-            M_dir = A @ M_dir  # M_dir <- P A M_dir, P = 1 - u u^T
+            M_dir = A @ walk["M_dir"]  # M_dir <- P A M_dir, P = 1 - u u^T
             M_dir -= u[:, :, None] * (u[:, None, :] @ M_dir)
-            M_revpre = M_revpre @ A  # M_revpre <- M_revpre A P
-            M_revpre -= (M_revpre @ u[:, :, None]) * u[:, None, :]
-        s = sample_free_path(cloud, p, u, sigma, x[1, :, 0])
+            M_rev = walk["M_revpre"] @ A  # M_revpre <- M_revpre A P
+            M_rev -= (M_rev @ u[:, :, None]) * u[:, None, :]
+            walk.update(M_dir=M_dir, M_revpre=M_rev)
+        s = sample_free_path(cloud, p, u, walk["sigma"], x[1, :, 0])
         gone = np.isinf(s)
-        escaped += _point_sums(pt[gone], w[gone], n_pt)
-        trunc = ~gone & ((order >= params.max_order) | ~np.isfinite(w))
-        truncated_w += _point_sums(pt[trunc], w[trunc], n_pt)
-        n_trunc += np.bincount(pt[trunc], minlength=n_pt)
+        trunc = ~gone & ((order >= params.max_order)
+                         | ~np.isfinite(walk["w"]))
+        for k, lost in (("escaped", gone), ("truncated", trunc)):
+            tally[k] += _point_sums(pt[lost], walk["w"][lost], n_pt)
+        tally["n_truncated"] += np.bincount(pt[trunc], minlength=n_pt)
         keep = ~(gone | trunc)
-        p = p[keep] + s[keep, None] * u[keep]
-        e, w, f, sigma = e[keep], w[keep], f[keep], sigma[keep]
-        rows = rows[keep]
-        if crossed_on:
-            M_dir, M_revpre = M_dir[keep], M_revpre[keep]
-            r_first, tau_in_first = r_first[keep], tau_in_first[keep]
-            tau_out_first = tau_out_first[keep]
+        walk = {k: v[keep] for k, v in walk.items()}
+        walk["p"] += s[keep, None] * u[keep]  # inf escape paths are gone
 
-    def sq(traj):
-        return np.sum(traj.reshape(n_pt, n_tr, n_det) ** 2, axis=1)
-
-    return (ladder, crossed, sq(traj_l), sq(traj_c), escaped, truncated_w,
-            n_trunc)
+    for k, t in totals.items():
+        tally[k + "_sq"] = np.sum(t.reshape(n_pt, n_tr, n_det) ** 2, axis=1)
+    return tally
 
 
 def _chunk_worker(args):
@@ -627,8 +626,9 @@ def simulate_ladder(cloud: Cloud, detectors: list[Detector], points,
     chunk holds at most ``chunk_size`` walkers (trajectories x points).
     Every draw is keyed by (seed, trajectory index), so a trajectory sees
     the same draws at every point and does not depend on ``n_workers``,
-    ``chunk_size`` or the other points; chunk results merge in fixed order,
-    so the output is bit-identical for any ``n_workers``.
+    ``chunk_size`` or the other points; the chunks' named tallies merge by
+    name in fixed chunk order, so the output is bit-identical for any
+    ``n_workers``.
     ``extra_gain_sigma`` adds a stimulated-gain albedo excess; the
     ``unstable`` flag reports a growing order-resolved tail.  The crossed
     term is implemented for a non-degenerate ground state only;
@@ -662,27 +662,27 @@ def simulate_ladder(cloud: Cloud, detectors: list[Detector], points,
     else:
         results = [_run_chunk(*j) for j in jobs]
 
-    # fixed chunk order
-    ladder, crossed, l_sq, c_sq, escaped, trunc_w, n_trunc = (
-        sum(parts[1:], parts[0]) for parts in zip(*results))
-
+    # fixed chunk order, each sum starting from chunk 0's array
+    tally = {k: sum((r[k] for r in results[1:]), results[0][k])
+             for k in results[0]}
     n = params.n_traj
-    l_err = np.sqrt(np.maximum(l_sq / n - (ladder.sum(axis=2) / n) ** 2,
-                               0.0) / n) * n
-    c_err = np.sqrt(np.maximum(c_sq / n - (crossed.sum(axis=2) / n) ** 2,
-                               0.0) / n) * n
+    for k in ("ladder", "crossed"):  # standard error of the trajectory sum
+        tally[k + "_err"] = np.sqrt(np.maximum(
+            tally[k + "_sq"] / n - (tally[k].sum(axis=2) / n) ** 2, 0.0)
+            / n) * n
     out = []
     for i in range(len(points)):
-        unstable = _detect_instability(ladder[i].sum(axis=0),
+        t = {k: v[i] for k, v in tally.items()}
+        unstable = _detect_instability(t["ladder"].sum(axis=0),
                                        _INSTABILITY_RUN)
-        if trunc_w[i] > 1e-3 * max(escaped[i], 1.0):
+        if t["truncated"] > 1e-3 * max(t["escaped"], 1.0):
             unstable = True
         out.append(LadderResult(
-            per_order=ladder[i], crossed_per_order=crossed[i],
-            stat_err=l_err[i], crossed_err=c_err[i],
-            escaped_weight=float(escaped[i]), injected_weight=float(n),
-            truncated_weight=float(trunc_w[i]), n_truncated=int(n_trunc[i]),
-            unstable=unstable))
+            per_order=t["ladder"], crossed_per_order=t["crossed"],
+            stat_err=t["ladder_err"], crossed_err=t["crossed_err"],
+            escaped_weight=float(t["escaped"]), injected_weight=float(n),
+            truncated_weight=float(t["truncated"]),
+            n_truncated=int(t["n_truncated"]), unstable=unstable))
     return out
 
 

@@ -86,14 +86,15 @@ class ControlField:
         return (self.rabi / 2.0) * d[iq, np.array(excited_idx), ground_idx] / d_ref
 
 
-@dataclass
+@dataclass(eq=False)
 class GroundState:
     """Ground-manifold density matrix and atom density.
 
     ``rho`` is Hermitian with unit trace over the sublevels enumerated by
     :meth:`LevelScheme.ground_sublevels`; coherences are supported only
     within degenerate Zeeman manifolds.  ``n0`` is the peak density in
-    atoms per cubed reduced wavelength.
+    atoms per cubed reduced wavelength.  Equality and hashing are by
+    identity.
     """
     rho: np.ndarray
     n0: float = 1.0

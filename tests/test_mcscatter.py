@@ -237,6 +237,37 @@ def test_energy_conservation_closed_transition():
     assert res.n_truncated == 0
 
 
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_truncated_and_escaped_weight_balance(n_workers):
+    # max_order = 3 truncates many walkers; with no gain every injected
+    # unit of weight leaves the chunk either escaped or truncated
+    cloud = mc.Cloud(scheme=LevelScheme.simple(), n0=0.05, r0=8.0)
+    e_hel, e_det = mc.helicity_vectors()
+    dets = mc.backscatter_detectors([0.0, 0.1], e_det)
+    base = mc.MCParams(n_traj=500, seed=5, max_order=3, chunk_size=400,
+                       include_crossed=True, e_in=tuple(e_hel))
+    results = mc.simulate_ladder(
+        cloud, dets, [replace(base, detuning=d) for d in (0.0, 0.5, 2.0)],
+        n_workers=n_workers)
+    for res in results:
+        assert res.n_truncated > 0
+        assert res.escaped_weight + res.truncated_weight == pytest.approx(
+            res.injected_weight, rel=1e-12, abs=0)
+
+
+def test_value_types_compare_by_identity():
+    d, e = np.array([0.0, 0.0, -1.0]), np.array([1.0, 0.0, 0.0])
+    a, b = mc.Detector(d, e), mc.Detector(d, e)
+    rb85 = LevelScheme.rb85_d2()
+    c1, c2 = mc.Cloud(rb85, 0.04, 8.0), mc.Cloud(rb85, 0.04, 8.0)
+    for x, y in ((a, b), (c1, c2), (c1.ground, c2.ground)):
+        assert x == x and x != y
+        assert {x: 1, y: 2}[y] == 2
+    for bad in ([0.0, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="finite and non-zero"):
+            mc.Detector(bad, e)
+
+
 def test_thin_limit_order_ratio_slope():
     dets = mc.backscatter_detectors([0.0], np.array([1.0, 0, 0]))
     ratios = []
