@@ -16,7 +16,8 @@ every sweep point and does not depend on the chunk it runs in, and
 accumulators merge in fixed chunk order, making results bit-identical for
 any worker count.  Only the beam entry samples by rejection; every
 scattering direction is drawn exactly from the dipole pattern, so an order
-makes one fixed draw of two counters.
+uses two fixed counters, and one Philox call draws them for a range of
+orders, once per distinct trajectory.
 
 Units: gamma = 1, k = 1, lengths in reduced wavelengths.
 """
@@ -58,6 +59,9 @@ _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _K_IN = np.array([0.0, 0.0, 1.0])  # incident beam direction
 _K_IN.flags.writeable = False
 _INSTABILITY_RUN = 3  # consecutive growing orders that flag a runaway
+# walkers per gathered tensor stack in _MediumTables.fields: 144 B per
+# channel, so at most 885 kB for the 12 ground channels of Rb85
+_FIELD_BLOCK = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +104,8 @@ _PHILOX_ROUNDS = 10
 
 # Draw slots: each (order, slot, retry) owns one Philox counter and so four
 # uniforms.  Order 0 is the beam entry (slot 0, one retry per rejected impact
-# point); an order >= 1 draws its slots 0 and 1, retry 0, in one call.
+# point); an order >= 1 uses its slots 0 and 1, retry 0, drawn together with
+# those of the orders after it.
 
 
 def _philox(key: np.ndarray, ctr: np.ndarray) -> np.ndarray:
@@ -130,22 +135,47 @@ def _philox(key: np.ndarray, ctr: np.ndarray) -> np.ndarray:
     return np.stack([even[0], odd[0], even[1], odd[1]])
 
 
-def _uniforms(seed: int, traj, order: int, slot, retry=0) -> np.ndarray:
+def _distinct(ids: np.ndarray, n_ctr: int):
+    """Distinct values of the ids (n,) and the index of each row among
+    them, from a presence map and its running count over the id span, or
+    ``(ids, None)`` when every id is distinct.  Over a span wider than the
+    n x ``n_ctr`` counters drawn for the rows, the map would outgrow the
+    draws it saves, and every row is drawn."""
+    n = len(ids)
+    if n < 2:
+        return ids, None
+    base = ids.min()
+    span = int(ids.max() - base) + 1
+    if span > n * n_ctr:
+        return ids, None
+    off = (ids - base).astype(np.intp)
+    present = np.zeros(span, dtype=bool)
+    present[off] = True
+    rank = np.cumsum(present) - 1
+    if rank[-1] + 1 == n:
+        return ids, None
+    return np.flatnonzero(present).astype(np.uint64) + base, rank[off]
+
+
+def _uniforms(seed: int, traj, order, slot, retry=0) -> np.ndarray:
     """Four uniforms in (0, 1) per trajectory id in ``traj`` (n,): the words
     x of the Philox block keyed by (seed, trajectory) at counter (order,
-    slot, retry, 0), as ((x >> 11) + 0.5) 2^-53.  Shape (4, n), or (4, n, k)
-    for k (slot, retry) pairs given as broadcasting arrays.  A draw depends
-    only on its key and counter, never on which other rows are drawn with
-    it."""
+    slot, retry, 0), as ((x >> 11) + 0.5) 2^-53.  ``order``, ``slot`` and
+    ``retry`` broadcast to a counter shape S, and the result is (4, n) + S.
+    Each distinct id is drawn once and its rows are returned in the
+    caller's order.  A draw depends only on its key and counter, never on
+    which other rows are drawn with it."""
     traj = np.asarray(traj, dtype=np.uint64)
-    slot, retry = np.broadcast_arrays(np.asarray(slot, dtype=np.uint64),
-                                      np.asarray(retry, dtype=np.uint64))
-    key = np.empty((2, len(traj)) + (1,) * retry.ndim, dtype=np.uint64)
+    order, slot, retry = np.broadcast_arrays(
+        *(np.asarray(c, dtype=np.uint64) for c in (order, slot, retry)))
+    ids, inv = _distinct(traj, retry.size)
+    key = np.empty((2, len(ids)) + (1,) * retry.ndim, dtype=np.uint64)
     key[0] = seed
-    key[1] = traj.reshape(key.shape[1:])
+    key[1] = ids.reshape(key.shape[1:])
     ctr = np.zeros((4, 1) + retry.shape, dtype=np.uint64)
     ctr[0], ctr[1], ctr[2] = order, slot, retry
-    return ((_philox(key, ctr) >> _SHIFT11) + 0.5) * 2.0 ** -53
+    x = ((_philox(key, ctr) >> _SHIFT11) + 0.5) * 2.0 ** -53
+    return x if inv is None else x[:, inv]
 
 
 def _normals(u1, u2):
@@ -464,11 +494,13 @@ class _MediumTables:
     def fields(self, kid, e) -> np.ndarray:
         """Scattered fields A e (n, n_ground, 3) of every outgoing channel
         for walkers with key ids ``kid`` and polarizations e (n, 3), one
-        product per distinct key, so no per-walker tensor is formed."""
+        product per block of ``_FIELD_BLOCK`` walkers over their gathered
+        tensor stacks."""
         vs = np.empty((len(kid), self.n_ground, 3), dtype=complex)
-        for k in np.unique(kid):
-            rows = kid == k
-            vs[rows] = np.einsum("cij,nj->nci", self.stacks[k], e[rows])
+        for b in range(0, len(kid), _FIELD_BLOCK):
+            blk = slice(b, b + _FIELD_BLOCK)
+            np.einsum("ncij,nj->nci", self.stacks[kid[blk]], e[blk],
+                      out=vs[blk])
         return vs
 
 
@@ -510,13 +542,18 @@ def _run_chunk(cloud: Cloud, points: list[MCParams],
     the walkers of one trajectory draw the same uniforms at every point.
     The live walkers' state is one mapping ``walk`` of arrays, whose
     ``rows`` gives each walker's index: the trajectory id of its draws and
-    the row of its per-trajectory totals.  An order does next-event
-    estimation toward every detector, the scattering event and the free
-    path, then drops escaped and truncated walkers from every array of
-    ``walk`` at once.  The tallies are ``ladder`` and ``crossed`` (point,
-    detector, order), the sums of their squared per-trajectory totals
-    ``ladder_sq`` and ``crossed_sq``, and the ``escaped`` and
-    ``truncated`` weight and ``n_truncated`` count of each point.
+    the row of its per-trajectory totals.  Its ``x`` holds each walker's
+    draws for the orders ahead.  When they run out, one call draws the
+    next range of orders: as many as the live walkers are expected to
+    last at the last order's loss (live // lost), as fit in the (hi - lo)
+    (trajectory, order) pairs that order 1 drew, and as remain up to
+    ``max_order``.  An order does next-event estimation toward every
+    detector, the scattering event and the free path, then drops escaped
+    and truncated walkers from every array of ``walk`` at once.  The
+    tallies are ``ladder`` and ``crossed`` (point, detector, order), the
+    sums of their squared per-trajectory totals ``ladder_sq`` and
+    ``crossed_sq``, and the ``escaped`` and ``truncated`` weight and
+    ``n_truncated`` count of each point.
     """
     params = points[0]
     n_pt, n_tr = len(points), hi - lo
@@ -540,19 +577,31 @@ def _run_chunk(cloud: Cloud, points: list[MCParams],
     sigma = tab.sigma[f]
     p = sample_entry(cloud, sigma, params.seed, lo + rows % n_tr)
     walk = {"rows": rows, "p": p, "e": np.broadcast_to(e_in0, p.shape),
-            "w": np.ones(len(rows)), "f": f, "sigma": sigma}
+            "w": np.ones(len(rows)), "f": f, "sigma": sigma,
+            "x": np.empty((len(rows), 0, 4, 2))}
     if crossed_on:  # M_revpre: the products up to the previous vertex
         eye = np.broadcast_to(np.eye(3, dtype=complex), (len(rows), 3, 3))
         walk.update(M_dir=eye, M_revpre=eye, r_first=p,
                     tau_in_first=chord_depth(cloud, p, -_K_IN, sigma)[:, None])
-    order = 0
+    order, n_prev = 0, len(rows)
     while len(walk["rows"]):
         order += 1
         rows, p, sigma = walk["rows"], walk["p"], walk["sigma"]
         pt = rows // n_tr
+        if not walk["x"].shape[1]:  # draws (walker, order, word, slot)
+            tr = rows % n_tr
+            lost = n_prev - len(rows)
+            n_orders = min(n_tr // np.count_nonzero(np.bincount(tr)),
+                           max(len(rows) // lost, 1) if lost else n_tr,
+                           params.max_order - order + 1)
+            walk["x"] = np.moveaxis(_uniforms(
+                params.seed, lo + tr,
+                np.arange(order, order + n_orders)[:, None], (0, 1)), 0, 2)
+        n_prev = len(rows)
         # slot 0: sublevel, free path, channel, dipole axis; slot 1:
         # direction cosine and azimuth (two words unused)
-        x = _uniforms(params.seed, lo + rows % n_tr, order, (0, 1))
+        x = np.moveaxis(walk["x"][:, 0], 0, 1)
+        walk["x"] = walk["x"][:, 1:]
         kid = tab.keys(walk["f"], tab.sublevels(x[0, :, 0]))
         vs = tab.fields(kid, walk["e"])
 
@@ -637,6 +686,8 @@ def simulate_ladder(cloud: Cloud, detectors: list[Detector], points,
     points = list(points)
     if not points:
         raise ValueError("simulate_ladder needs at least one point")
+    if not len(detectors):
+        raise ValueError("simulate_ladder needs at least one detector")
     params = points[0]
     shared = replace(params, detuning=0.0, extra_gain_sigma=0.0)
     for q in points[1:]:

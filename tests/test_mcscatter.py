@@ -67,6 +67,28 @@ def test_order_block_matches_separate_draws():
                               fused[:, t])
 
 
+def test_multi_order_draw_matches_per_order_draws():
+    # one call draws slots 0 and 1 of a range of orders; repeated ids are
+    # drawn once and returned per row, in the caller's order, as are the
+    # rows of a sparse id set, which draws every row
+    for traj in ([5, 3, 5, 9, 3, 3, 12, 0], [2 ** 40, 7, 2 ** 40]):
+        orders = np.arange(2, 7)
+        x = mc._uniforms(21, traj, orders[:, None], (0, 1))
+        assert x.shape == (4, len(traj), len(orders), 2)
+        for i, t in enumerate(traj):
+            for j, o in enumerate(orders):
+                assert np.array_equal(x[:, i, j],
+                                      mc._uniforms(21, [t], o, (0, 1))[:, 0])
+    # the beam entry of a repeated id matches its entry drawn alone
+    cloud = mc.Cloud(scheme=LevelScheme.rb85_d2(), n0=0.04, r0=8.0)
+    traj = np.array([4, 1, 4, 4, 1])
+    sigma = np.array([3.0, 5.0, 3.0, 7.0, 5.0])
+    p = mc.sample_entry(cloud, sigma, 9, traj)
+    for i in range(len(traj)):
+        assert np.array_equal(
+            p[i], mc.sample_entry(cloud, sigma[i], 9, traj[i:i + 1])[0])
+
+
 def test_cloud_b0():
     # sigma0, which sets the peak depth b0, is the resonant extinction
     cloud = two_level_cloud(b0=5.0)
@@ -255,6 +277,41 @@ def test_truncated_and_escaped_weight_balance(n_workers):
             res.injected_weight, rel=1e-12, abs=0)
 
 
+def test_order_range_capped_by_max_order_truncates_as_per_order_draws(
+        monkeypatch):
+    # a thick cloud keeps walkers long enough that a range of orders drawn
+    # ahead would pass max_order = 10 and stops there; truncation counts
+    # and weights are those of one draw call per order (the values below)
+    cloud = two_level_cloud(b0=12.0)
+    e_hel, e_det = mc.helicity_vectors()
+    dets = mc.backscatter_detectors([0.0, 0.1], e_det)
+    base = mc.MCParams(n_traj=2000, seed=9, max_order=10,
+                       include_crossed=True, e_in=tuple(e_hel))
+    points = [base, replace(base, detuning=0.5)]
+    ranges, draw = [], mc._uniforms
+
+    def recorded(seed, traj, order, slot, retry=0):
+        ranges.append(np.ravel(order).tolist())
+        return draw(seed, traj, order, slot, retry)
+
+    monkeypatch.setattr(mc, "_uniforms", recorded)
+    res = mc.simulate_ladder(cloud, dets, points)
+    capped, ranges[:] = list(ranges), []
+    free = mc.simulate_ladder(cloud, dets,
+                              [replace(q, max_order=50) for q in points])
+    assert max(max(o) for o in capped) == 10
+    assert any(o[-1] == 10 and len(f) > len(o) for o, f in zip(capped, ranges)
+               if o[0] == f[0])
+    assert [r.n_truncated for r in res] == [165, 35]
+    assert [r.truncated_weight for r in res] == pytest.approx(
+        [164.99999999999866, 34.99999999999974], rel=1e-12, abs=0)
+    # the orders up to the cap are those of an uncapped run, bit for bit
+    for a, b in zip(res, free):
+        assert np.array_equal(a.per_order, b.per_order[:, :11])
+        assert np.array_equal(a.crossed_per_order,
+                              b.crossed_per_order[:, :11])
+
+
 def test_value_types_compare_by_identity():
     d, e = np.array([0.0, 0.0, -1.0]), np.array([1.0, 0.0, 0.0])
     a, b = mc.Detector(d, e), mc.Detector(d, e)
@@ -392,6 +449,16 @@ def test_sweep_points_differ_only_in_detuning_and_gain(change):
         mc.simulate_ladder(cloud, dets, ok + [replace(base, **change)])
     with pytest.raises(ValueError, match="at least one point"):
         mc.simulate_ladder(cloud, dets, [])
+
+
+def test_empty_detector_list_raises_before_any_chunk(monkeypatch):
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(mc, "_run_chunk", no_chunk)
+    with pytest.raises(ValueError, match="at least one detector"):
+        mc.simulate_ladder(two_level_cloud(b0=1.0), [],
+                           [mc.MCParams(n_traj=10, seed=3)])
 
 
 @pytest.mark.parametrize("n_chunks", [3, 12])
@@ -631,3 +698,29 @@ def test_medium_tables_do_not_depend_on_key_arrival():
     assert np.array_equal(together.out_ids, alone.out_ids)
     assert np.allclose(together.sigma, alone.sigma, rtol=1e-14, atol=0)
     assert np.allclose(together.stacks, alone.stacks, rtol=1e-14, atol=0)
+
+
+def test_medium_table_fields_by_walker_block():
+    # rb85 over a detuning sweep: more walkers than one block and dozens of
+    # keys; each walker's fields are its own tensor stack times its e
+    cloud = mc.Cloud(scheme=LevelScheme.rb85_d2(), n0=0.04, r0=8.0)
+    tab = mc._MediumTables(cloud)
+    rng = np.random.default_rng(3)
+    n = 2 * mc._FIELD_BLOCK + 77
+    f = tab.freq_ids(rng.choice(np.linspace(-5.0, 5.0, 11), n))
+    kid = tab.keys(f, tab.sublevels(rng.random(n)))
+    assert len(np.unique(kid)) > 50
+    e = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    vs = tab.fields(kid, e)
+    # einsum sums the three products as the fields do; matmul rounds its
+    # complex sums otherwise, by at most an ulp or two
+    ref = np.stack([np.einsum("cij,j->ci", tab.stacks[k], e[i])
+                    for i, k in enumerate(kid)])
+    assert np.array_equal(vs, ref)
+    np.testing.assert_allclose(
+        vs, np.stack([tab.stacks[k] @ e[i] for i, k in enumerate(kid)]),
+        rtol=1e-14, atol=1e-15)
+    # the shared incident polarization of order 1 is a broadcast view
+    e_in = np.broadcast_to(e[0], e.shape)
+    assert np.array_equal(tab.fields(kid, e_in),
+                          np.einsum("ncij,j->nci", tab.stacks[kid], e[0]))
