@@ -11,7 +11,7 @@ from . import __version__
 from .angular import LevelScheme
 from .config import ScenarioConfig, config_hash
 from .medium import ControlField, GroundState, beam_chi0
-from .microdipole import DipoleSolver, gaussian_configuration, \
+from .microdipole import cross_section_spectrum, gaussian_configuration, \
     random_ball_configuration, self_consistent_epsilon, slab_transmission
 from .transport import DiffusionModel, solve_gain_diffusion_sphere
 from .protocols import PsiMinusState, mz_signal
@@ -160,8 +160,7 @@ def _run_coupled_dipole_spectrum(cfg, record, progress):
         # one configuration, with its cached coupling, in memory at a time
         conf = factory(d["n_atoms"], d["radius"], rng, model=d["model"])
         # the scalar model ignores e_in
-        spectra[c] = [DipoleSolver(conf, float(delta))
-                      .total_cross_section(k_in, e_in) for delta in grid]
+        spectra[c] = cross_section_spectrum(conf, grid, k_in, e_in)
         del conf
         progress(f"configuration {c + 1}/{n}")
     # ddof=1 is undefined for one configuration

@@ -85,8 +85,9 @@ def solve_gain_diffusion_sphere(model: DiffusionModel,
     zero ghost values, give a constant-coefficient tridiagonal operator
     whose top eigenpair is known in closed form: :func:`_top_eigenvalue`
     and u_j = sin(pi r_j / r0).  The eigenvalue is validated against the
-    half-resolution grid, and disagreement raises with both values
-    reported.  W = u / (|u| r) is positive.
+    half-resolution grid, relative to the largest of |eigenvalue|, v/l_tr
+    and the diffusion rate D pi^2/r0^2, and disagreement raises with both
+    values reported.  W = u / (|u| r) is positive.
     """
     if not isinstance(n_grid, numbers.Integral) or n_grid < 2:
         raise ValueError(f"n_grid must be an int >= 2, got {n_grid!r}")
@@ -96,7 +97,9 @@ def solve_gain_diffusion_sphere(model: DiffusionModel,
     lam = _top_eigenvalue(D, g, model.r0, n_grid)
     n2 = n_grid // 2
     lam2 = _top_eigenvalue(D, g, model.r0, n2)
-    scale = max(abs(lam), model.v_bar / model.l0_bar)
+    # |lam| vanishes at threshold, and v/l_tr is small when r0 << l_tr;
+    # the diffusion term D pi^2/r0^2 sets the scale there
+    scale = max(abs(lam), v / model.l0_bar, D * math.pi ** 2 / model.r0 ** 2)
     if abs(lam - lam2) > _GRID_RTOL * scale:
         raise ArithmeticError(
             f"gain-diffusion eigenvalue not grid-converged: {lam2} at "

@@ -52,8 +52,8 @@ def test_philox_matches_numpy_bit_for_bit(key):
 
 
 def test_order_block_matches_separate_draws():
-    # one call per order draws both slots of the order; each block depends
-    # only on its counter
+    # a call draws slots 0 and 1 for every order of the range it is given
+    # (here a range of one order); each block depends only on its counter
     traj = np.arange(50)
     fused = mc._uniforms(21, traj, 4, (0, 1))
     assert fused.shape == (4, 50, 2)

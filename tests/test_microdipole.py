@@ -467,6 +467,44 @@ def test_random_configurations_respect_floor():
         assert dist.min() > mi.CONTACT_FLOOR
 
 
+@pytest.mark.parametrize("model", ["vector", "scalar"])
+@pytest.mark.parametrize("maker, size", [
+    (mi.random_ball_configuration, 1.2),
+    (mi.random_ball_configuration, 6.2),
+    (mi.gaussian_configuration, 1.5),
+])
+@pytest.mark.parametrize("n_atoms", [1, 6, 50])
+def test_spectrum_matches_lu_oracle(model, maker, size, n_atoms):
+    rng = np.random.default_rng(n_atoms)
+    conf = maker(n_atoms, size, rng, model=model)
+    deltas = [-1000.0, -2.0, -0.4, 0.0, 0.25, 1.5, 1000.0]
+    got = mi.cross_section_spectrum(conf, deltas, K_IN, E_X)
+    ref = np.array([mi.DipoleSolver(conf, d).total_cross_section(K_IN, E_X)
+                    for d in deltas])
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
+
+
+def test_spectrum_rejects_non_finite_detuning():
+    conf = mi.random_ball_configuration(6, 2.0, np.random.default_rng(1))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            mi.cross_section_spectrum(conf, [0.0, bad], K_IN, E_X)
+
+
+def test_spectrum_raises_on_singular_system(monkeypatch):
+    conf = mi.random_ball_configuration(6, 2.0, np.random.default_rng(1))
+    zgbsv = mi.lapack.zgbsv
+
+    def singular(*args, **kwargs):
+        lub, piv, x, _ = zgbsv(*args, **kwargs)
+        return lub, piv, x, 3
+
+    monkeypatch.setattr(mi.lapack, "zgbsv", singular)
+    with pytest.raises(ArithmeticError, match="singular"):
+        mi.cross_section_spectrum(conf, [0.0], K_IN, E_X)
+
+
 def _dipole_spectrum(n_configs, n_atoms=6, radius=2.0, n_det=4, seed=3):
     cfg = parse_text(
         "[run]\nscenario = coupled-dipole-spectrum\nseed = %d\n"
@@ -482,8 +520,7 @@ def test_configuration_average_matches_per_configuration_spectra(n_configs):
     deltas = [row.sweep_value for row in record.rows]
     rng = np.random.default_rng(cfg["run"]["seed"])
     spectra = np.array([
-        [mi.DipoleSolver(conf, d).total_cross_section(K_IN, E_X)
-         for d in deltas]
+        mi.cross_section_spectrum(conf, deltas, K_IN, E_X)
         for conf in (mi.random_ball_configuration(6, 2.0, rng)
                      for _ in range(n_configs))])
     values = np.array([row.value for row in record.rows])

@@ -134,6 +134,16 @@ def test_sphere_coarse_grid_raises():
         tr.solve_gain_diffusion_sphere(m, n_grid=4)
 
 
+def test_sphere_near_threshold_with_radius_far_below_l_tr():
+    # at r0 << l_tr the rate balances gain against D pi^2/r0^2 ~ 3e4, not
+    # v/l_tr = 1; the half-grid check must not call r0 = 0.00993 unconverged
+    rates = [tr.solve_gain_diffusion_sphere(tr.DiffusionModel(
+        l0_bar=1.0, l_g=3e-5, r0=r0)).growth_rate
+        for r0 in (0.0099, 0.00993, 0.0100)]
+    assert rates[0] < 0.0 < rates[2]
+    assert rates[0] < rates[1] < rates[2]
+
+
 @pytest.mark.parametrize("field, value", [
     ("r0", math.nan), ("r0", math.inf), ("r0", 0.0),
     ("v_bar", math.nan), ("v_bar", math.inf), ("v_bar", -1.0),
