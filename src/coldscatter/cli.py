@@ -25,26 +25,74 @@ CSV_HEADER = ["sweep_var", "sweep_value", "value", "stat_err", "order",
               "channel"]
 
 
-def _csv_body(record: ResultRecord) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_HEADER)
-    for row in record.rows:
-        w.writerow([row.sweep_var, repr(row.sweep_value), repr(row.value),
-                    repr(row.stat_err),
-                    "" if row.order is None else row.order, row.channel])
-    return buf.getvalue()
+def _finite_value(value):
+    """``value``, or its repr ("inf", "-inf", "nan") if it is a non-finite
+    float: RFC 8259 JSON has no such numbers."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    return value
 
 
 def _finite(fields: dict) -> dict:
-    """``fields`` with each non-finite float spelled as its repr ("inf",
-    "-inf", "nan"): RFC 8259 JSON has no such numbers."""
-    return {key: repr(val) if isinstance(val, float)
-            and not math.isfinite(val) else val
-            for key, val in fields.items()}
+    """``fields`` with each non-finite float spelled as its repr."""
+    return {key: _finite_value(val) for key, val in fields.items()}
 
 
-def _json_body(record: ResultRecord, config: ScenarioConfig) -> str:
+def _cell(csv_value, json_value) -> tuple[str, str]:
+    """One field as ``csv.writer`` writes ``csv_value`` in a row of
+    several fields, and as ``json.dumps`` writes ``json_value``."""
+    buf = io.StringIO()
+    # the empty second field: csv.writer quotes an empty field only when
+    # it is alone on its row
+    csv.writer(buf, lineterminator="\n").writerow([csv_value, ""])
+    return buf.getvalue()[:-2], json.dumps(_finite_value(json_value),
+                                           sort_keys=True, allow_nan=False)
+
+
+def _number(value) -> tuple[str, str]:
+    """A numeric field: its repr in the CSV, and in the JSON too, where
+    a non-finite float is quoted."""
+    if type(value) is float:
+        text = repr(value)
+        # inf - inf and nan - nan are nan
+        return text, text if value - value == 0.0 else f'"{text}"'
+    return _cell(repr(value), value)
+
+
+def _render(record: ResultRecord, config: ScenarioConfig) -> tuple[str, str]:
+    """The CSV and JSON texts of ``record``, from one walk over its rows.
+
+    Each float is formatted once, by repr, and each distinct text field
+    is escaped once, so a CSV field and its JSON value carry the same
+    digits.  The texts are those of ``csv.writer`` and of
+    ``json.dumps(sort_keys=True, allow_nan=False)`` of the rows' fields.
+    """
+    texts = {}
+
+    def text(value) -> tuple[str, str]:
+        if type(value) is not str:
+            return _cell(value, value)
+        pair = texts.get(value)
+        if pair is None:
+            pair = texts[value] = _cell(value, value)
+        return pair
+
+    csv_lines = [",".join(CSV_HEADER) + "\n"]
+    json_rows = []
+    for row in record.rows:
+        var_csv, var_json = text(row.sweep_var)
+        sweep_csv, sweep_json = _number(row.sweep_value)
+        value_csv, value_json = _number(row.value)
+        err_csv, err_json = _number(row.stat_err)
+        order_csv, order_json = ("", "null") if row.order is None \
+            else _cell(row.order, row.order)
+        channel_csv, channel_json = text(row.channel)
+        csv_lines.append(f"{var_csv},{sweep_csv},{value_csv},{err_csv},"
+                         f"{order_csv},{channel_csv}\n")
+        json_rows.append(
+            f'{{"channel": {channel_json}, "order": {order_json}, '
+            f'"stat_err": {err_json}, "sweep_value": {sweep_json}, '
+            f'"sweep_var": {var_json}, "value": {value_json}}}')
     doc = {
         "scenario": record.scenario,
         "version": record.version,
@@ -55,22 +103,28 @@ def _json_body(record: ResultRecord, config: ScenarioConfig) -> str:
                               in config.values.items()}},
         "complete": record.complete,
         "wall_time_s": round(record.wall_time, 3),
-        "rows": [_finite(vars(r)) for r in record.rows],
+        "rows": [],
     }
-    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+    # the keys after "rows" hold scalars, so its last match is the key
+    head, _, tail = json.dumps(doc, sort_keys=True, allow_nan=False) \
+        .rpartition('"rows": []')
+    return ("".join(csv_lines),
+            f'{head}"rows": [{", ".join(json_rows)}]{tail}\n')
 
 
 def emit_results(record: ResultRecord, config: ScenarioConfig,
                  out_dir) -> tuple[Path, Path]:
     """Write <scenario>.csv and <scenario>.json; bit-stable for identical
-    runs (wall time lives only in the JSON metadata)."""
+    runs (wall time lives only in the JSON metadata).  Both texts are
+    rendered before either file is written."""
+    csv_text, json_text = _render(record, config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = record.scenario + ("" if record.complete else ".incomplete")
     csv_path = out / f"{stem}.csv"
     json_path = out / f"{stem}.json"
-    csv_path.write_text(_csv_body(record), encoding="utf-8")
-    json_path.write_text(_json_body(record, config), encoding="utf-8")
+    csv_path.write_text(csv_text, encoding="utf-8")
+    json_path.write_text(json_text, encoding="utf-8")
     return csv_path, json_path
 
 

@@ -331,10 +331,13 @@ class SlabTransmission:
 def slab_transmission(epsilon, L: float) -> SlabTransmission:
     """Exact transmission amplitude of a homogeneous dielectric slab.
 
-    T = 2 sqrt(eps) / (2 sqrt(eps) cos psi - i (1 + eps) sin psi) with
-    psi = L sqrt(eps) k with k = 1 (principal branch).  ``epsilon`` is a
-    scalar or an array; a real one is taken as eps + 0i, so a negative
-    eps has sqrt(eps) on the positive imaginary axis.
+    T = 2 s / (2 s cos psi - i (1 + eps) sin psi) with s = sqrt(eps)
+    (principal branch) and psi = L s k with k = 1, evaluated as
+    T = 4 s p / (4 s + (1 - s)^2 (1 - p^2)) with p = e^{i psi}: cos psi
+    and sin psi overflow once Im psi > ~710, where p underflows to 0
+    instead, and p = 1 makes T = 1 exactly at L = 0.  ``epsilon`` is a scalar or an array; a real one is taken
+    as eps + 0i, so a negative eps has sqrt(eps) on the positive
+    imaginary axis.
     """
     if L < 0:
         raise ValueError("slab thickness must be non-negative")
@@ -342,9 +345,9 @@ def slab_transmission(epsilon, L: float) -> SlabTransmission:
     # 1-d, so a scalar runs through the same array loops as an array
     eps = np.asarray(epsilon, dtype=complex).ravel()
     root = np.sqrt(eps)
-    psi = L * root
-    denom = 2.0 * root * np.cos(psi) - 1j * (1.0 + eps) * np.sin(psi)
-    return SlabTransmission((2.0 * root / denom).reshape(shape)[()])
+    phase = np.exp(1j * L * root)
+    denom = 4.0 * root + (1.0 - root) ** 2 * (1.0 - phase ** 2)
+    return SlabTransmission((4.0 * root * phase / denom).reshape(shape)[()])
 
 
 # ----------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 import csv
+import io
+import itertools
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coldscatter import cli, scenarios
 from coldscatter import config as cf
-from coldscatter.scenarios import ResultRow, run_scenario
+from coldscatter.scenarios import ResultRecord, ResultRow, run_scenario
 
 
 MINIMAL = "[run]\nscenario = protocol-utils\n\n[sweep]\nstart = 0.5\nstop = 2\nn = 3\n"
@@ -419,12 +422,78 @@ def test_json_record_is_standard_json(tmp_path, capsys, text, section, key):
         assert [row[key] for row in doc["rows"]] == ["inf"]
 
 
+def _reference_csv(record):
+    """The CSV text as the csv module writes it, row by row."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(cli.CSV_HEADER)
+    for row in record.rows:
+        w.writerow([row.sweep_var, repr(row.sweep_value), repr(row.value),
+                    repr(row.stat_err),
+                    "" if row.order is None else row.order, row.channel])
+    return buf.getvalue()
+
+
+def _reference_finite(fields):
+    return {key: repr(val) if isinstance(val, float)
+            and not math.isfinite(val) else val
+            for key, val in fields.items()}
+
+
+def _reference_json(record, config):
+    """The JSON text as json.dumps writes the whole record at once."""
+    doc = {
+        "scenario": record.scenario,
+        "version": record.version,
+        "seed": record.seed,
+        "config_hash": record.config_hash,
+        "config": {"scenario": config.scenario,
+                   "values": {section: _reference_finite(keys)
+                              for section, keys in config.values.items()}},
+        "complete": record.complete,
+        "wall_time_s": round(record.wall_time, 3),
+        "rows": [_reference_finite(vars(r)) for r in record.rows],
+    }
+    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _assert_renders_as_reference(record, config):
+    csv_text, json_text = cli._render(record, config)
+    assert csv_text == _reference_csv(record)
+    assert json_text == _reference_json(record, config)
+
+
+EIT_161 = ("[run]\nscenario = eit-spectrum\n[atom]\nkind = lambda-rb87\n"
+           "[control]\nrabi = 1\n[sweep]\nstart = -5\nstop = 5\nn = 161\n")
+
+ODD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-05,
+              1.5e300, 0.1]
+ODD_TEXTS = ["", "a,b", 'say "hi"', "back\\slash", "line\nbreak", "\u0394"]
+
+
+def _adversarial_rows():
+    rows = []
+    orders = itertools.cycle([None, 0, 2])
+    for x in ODD_FLOATS:
+        rows += [ResultRow("detuning", x, order=next(orders), channel="c"),
+                 ResultRow("detuning", 1.0, stat_err=x, order=next(orders)),
+                 ResultRow("detuning", 1.0, order=next(orders),
+                           sweep_value=x)]
+    rows.append(ResultRow("n_atoms", 2.5, channel="mz_signal",
+                          sweep_value=1000))
+    for text in ODD_TEXTS:
+        rows += [ResultRow(text, 0.5, order=next(orders), channel="c"),
+                 ResultRow("detuning", 0.5, order=next(orders),
+                           channel=text),
+                 ResultRow(text, math.nan, order=next(orders),
+                           channel=text)]
+    return rows
+
+
 def test_json_rows_match_csv_rows(tmp_path):
     # the 161-point EIT sweep of the benchmark's analytic workload, plus
     # one non-finite row, through the writer of both records
-    cfg = cf.parse_text("[run]\nscenario = eit-spectrum\n[atom]\n"
-                        "kind = lambda-rb87\n[control]\nrabi = 1\n"
-                        "[sweep]\nstart = -5\nstop = 5\nn = 161\n")
+    cfg = cf.parse_text(EIT_161)
     record = run_scenario(cfg)
     assert len(record.rows) == 322
     record.rows.append(ResultRow("detuning", math.nan, stat_err=math.inf,
@@ -447,3 +516,56 @@ def test_json_rows_match_csv_rows(tmp_path):
         assert [field(row[key]) for key in header] == csv_row
     assert doc["rows"][-1]["value"] == "nan"
     assert doc["rows"][-1]["stat_err"] == "inf"
+    # byte for byte what csv.writer and json.dumps write, also for
+    # non-finite, subnormal and signed-zero floats, an integer sweep
+    # value and text that needs quoting or escaping
+    assert csv_path.read_bytes() == _reference_csv(record).encode()
+    assert json_path.read_bytes() == _reference_json(record, cfg).encode()
+    record.rows += _adversarial_rows()
+    _assert_renders_as_reference(record, cfg)
+
+
+SMALL_CONFIGS = {
+    "cbs-cone": "[mc]\ntrajectories = 100\n[detection]\nn_theta = 3\n",
+    "ladder-spectrum": "[mc]\ntrajectories = 50\n[sweep]\nn = 3\n",
+    "gain-transport": "[mc]\ntrajectories = 50\n[sweep]\nn = 3\n",
+    "eit-spectrum": "[atom]\nkind = lambda-rb87\n[sweep]\nn = 5\n",
+    "coupled-dipole-spectrum": "[dipole]\nn_atoms = 4\nradius = 3\n"
+                               "n_configs = 1\n[sweep]\nn = 3\n",
+    "selfconsistent-slab": "[sweep]\nn = 5\n",
+    "diffusion-threshold": "[diffusion]\nl_g = inf\n[sweep]\nstart = 4\n"
+                           "stop = 6\nn = 3\n",
+    "protocol-utils": "[sweep]\nn = 3\n",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(cf.SCENARIOS))
+def test_every_scenario_renders_as_reference(scenario):
+    cfg = cf.parse_text(f"[run]\nscenario = {scenario}\n"
+                        f"{SMALL_CONFIGS[scenario]}")
+    record = run_scenario(cfg)
+    assert record.rows
+    _assert_renders_as_reference(record, cfg)
+    record.rows.clear()
+    _assert_renders_as_reference(record, cfg)
+
+
+_EIT_SMALL = cf.parse_text("[run]\nscenario = eit-spectrum\n[atom]\n"
+                           "kind = lambda-rb87\n[sweep]\nn = 3\n")
+_NUMBERS = st.floats() | st.integers() | st.booleans()
+# what csv quoting and JSON escaping treat apart, and some they do not;
+# a fixed alphabet spares the Unicode table st.text() would build first
+_TEXT = st.text(st.sampled_from(
+    ',"\\\n\r\t\x00\x1f aZ0.-e\u0394\u2028\udc80\U0001f600'), max_size=8)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(rows=st.lists(st.builds(
+    ResultRow, sweep_var=_TEXT, value=_NUMBERS, stat_err=_NUMBERS,
+    order=st.none() | st.integers(), channel=_TEXT,
+    sweep_value=_NUMBERS), max_size=6),
+    complete=st.booleans())
+def test_render_matches_reference_on_random_rows(rows, complete):
+    record = ResultRecord("eit-spectrum", "0" * 64, "0.0", 3, rows=rows,
+                          wall_time=0.0125, complete=complete)
+    _assert_renders_as_reference(record, _EIT_SMALL)

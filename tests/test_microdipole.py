@@ -423,6 +423,18 @@ def test_slab_trivials():
     assert mi.slab_transmission(3.0 + 0.2j, 0.0).amplitude == 1.0
 
 
+@pytest.mark.parametrize("density, thickness", [
+    (0.01, 1e4), (0.05, 3000.0), (0.001, 1e5), (0.05, 1e6)])
+def test_thick_slab_transmittance_is_finite(density, thickness):
+    # Im psi > ~710 overflows cos psi and sin psi, where the amplitude
+    # itself underflows toward 0
+    grid = np.linspace(-5.0, 5.0, 21)
+    eps = mi.self_consistent_epsilon(density, grid).epsilon
+    T = mi.slab_transmission(eps, thickness).transmittance
+    assert np.isfinite(T).all()
+    assert ((T >= 0.0) & (T <= 1.0)).all()
+
+
 def _transfer_matrix_oracle(eps, L):
     """Independent interface/propagation transfer-matrix product."""
     n = cmath.sqrt(eps)
