@@ -38,6 +38,25 @@ def test_field_green_tensor_value_against_hankel_oracle():
     assert abs((spherical_jn(2, r) + 1j * spherical_yn(2, r)) - h2) < 1e-13
 
 
+def test_field_green_tensor_matches_scipy_bessel_reference():
+    # closed-form Hankel functions against scipy's from the contact floor
+    # to the far field; Im D holds j0 and j2, and j2 cancels at small x
+    x = np.geomspace(0.05, 1000.0, 2001)
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=(x.size, 3))
+    R = u / np.linalg.norm(u, axis=1)[:, None] * x[:, None]
+    r = np.linalg.norm(R, axis=1)[:, None, None]
+    h0 = spherical_jn(0, r) + 1j * spherical_yn(0, r)
+    h2 = spherical_jn(2, r) + 1j * spherical_yn(2, r)
+    rr = R[:, :, None] * R[:, None, :] / r ** 2
+    eye = np.eye(3)
+    oracle = -(1j * (2 / 3) * h0 * eye + (rr - eye / 3) * 1j * h2)
+    D = mi.field_green_tensor(R)
+    err = np.abs(D - oracle).max(axis=(1, 2))
+    assert np.all(err <= 2e-15 * np.abs(oracle).max(axis=(1, 2)))
+    assert np.abs(D.imag - oracle.imag).max() <= 1e-12
+
+
 def test_field_green_tensor_static_limit():
     R = np.array([0.01, 0.0, 0.0])
     r = np.linalg.norm(R)
