@@ -204,6 +204,13 @@ def parse_text(text: str) -> ScenarioConfig:
         errors += [f"sweep.{key}: {sweep[key]!r} violates: {desc} in a "
                    f"{scenario} sweep" for key in ("start", "stop")
                    if not pred(sweep[key])]
+    # the EIT control field drives a second ground level
+    if scenario == "eit-spectrum":
+        kind = values.setdefault("atom", {}).setdefault("kind", "lambda-rb87")
+        if kind == "two-level":
+            errors.append(f"atom.kind: {kind!r} violates: an atom with two "
+                          f"ground levels (rb85, rb87 or lambda-rb87) in an "
+                          f"eit-spectrum run")
     if errors:
         raise ConfigError(errors)
 

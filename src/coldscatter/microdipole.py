@@ -6,12 +6,12 @@ states of an F0=0 -> F=1 transition per atom), solves the resolvent for
 scattering amplitudes, and evaluates cross sections through the optical
 theorem.  ``cross_section_spectrum`` gives the total cross section of one
 configuration over a detuning grid from one Hessenberg reduction of the
-photon-exchange coupling and one banded solve per detuning;
-``DipoleSolver`` factorizes the resolvent at a single detuning, serves
-any pair of channels, and is the LU oracle of the spectrum.  Also
-provides the self-consistent macroscopic dielectric function, as the
-principal root of one cubic per detuning, and the exact slab
-transmission amplitude.
+photon-exchange coupling and one back-substitution that serves every
+detuning at once; ``DipoleSolver`` factorizes the resolvent at a single
+detuning, serves any pair of channels, and is the LU oracle of the
+spectrum.  Also provides the self-consistent macroscopic dielectric
+function, as the principal root of one cubic per detuning, and the exact
+slab transmission amplitude.
 
 Configuration averages (the ``coupled-dipole-spectrum`` scenario) draw
 their configurations in order from one ``np.random.default_rng(seed)``
@@ -53,34 +53,47 @@ CONTACT_FLOOR = 0.05  # reduced wavelengths; dipole model invalid below
 _RESPACE_TRIES = 200  # redraw rounds for atoms inside the contact floor
 
 
+def _green_coefficients(r):
+    """Coefficients (alpha, beta) of the field Green's tensor
+    D = alpha delta + beta RR/R^2 at distances ``r`` (k = 1).
+
+    With the spherical Hankel functions of the first kind in closed form,
+    h0(x) = -i e^{ix}/x and h2(x) = i e^{ix}(x^2 + 3ix - 3)/x^3,
+    alpha = -i(2 h0 - h2)/3 = -e^{ir}(r^2 + ir - 1)/r^3 and
+    beta = -i h2 = e^{ir}(r^2 + 3ir - 3)/r^3.
+    """
+    t = np.exp(1j * r) / r ** 3
+    r2 = r * r
+    return -t * (r2 + 1j * r - 1.0), t * (r2 + 3j * r - 3.0)
+
+
 def field_green_tensor(R) -> np.ndarray:
     """Retarded field Green's tensor D_{mu nu}(R) between two dipoles.
 
     D = -(i(2/3) h0(kR) delta + [X_mu X_nu / R^2 - delta/3] i h2(kR)) with
-    k = 1 and the spherical Hankel functions of the first kind in closed
-    form, h0(x) = -i e^{ix}/x and h2(x) = i e^{ix}(x^2 + 3ix - 3)/x^3.
-    The far field reduces to -(e^{ikR}/R) times the transverse projector,
-    the near field to the static dipole-dipole tensor (delta - 3 RR)/R^3.
-    ``R`` may be a stack of separations of shape (..., 3); the result
-    then has shape (..., 3, 3).
+    k = 1, formed as alpha delta + beta RR/R^2 from the closed-form
+    coefficients of ``_green_coefficients``, which the coupling of a
+    :class:`Configuration` shares.  The far field reduces to
+    -(e^{ikR}/R) times the transverse projector, the near field to the
+    static dipole-dipole tensor (delta - 3 RR)/R^3.  ``R`` may be a stack
+    of separations of shape (..., 3); the result then has shape
+    (..., 3, 3).
 
-    Against scipy's Bessel functions, h0 agrees to 2.2e-16 and h2 to
-    6.1e-16 relative over x in [0.05, 1000].  j2 = Re h2 ~ x^2/15 is a
-    difference of terms of order 3/x^3 at small x and cancels: near the
-    contact floor x = 0.05 its absolute error reaches 3.3e-13 (2e-9 of
-    j2), far below the 1/x^3 real part beside it, so no series branch is
+    Against scipy's Bessel functions the tensor agrees to 2e-15 of its
+    largest entry over kR in [0.05, 1000].  Im D holds j2 = Re h2 ~ x^2/15,
+    a difference of terms of order 3/x^3 at small x that cancels: near
+    the contact floor x = 0.05 its absolute error reaches about 3e-13,
+    far below the 1/x^3 real part beside it, so no series branch is
     needed.
     """
     R = np.asarray(R, dtype=float)
     r = np.linalg.norm(R, axis=-1)
     if np.any(r == 0.0):
         raise ValueError("field Green's tensor undefined at zero separation")
-    e = np.exp(1j * r)
-    h0 = (-1j * e / r)[..., None, None]
-    h2 = (1j * e * (r * r + 3j * r - 3.0) / r ** 3)[..., None, None]
-    rr = R[..., :, None] * R[..., None, :] / r[..., None, None] ** 2
-    eye = np.eye(3)
-    return -(1j * (2.0 / 3.0) * h0 * eye + (rr - eye / 3.0) * 1j * h2)
+    alpha, beta = _green_coefficients(r)
+    u = R / r[..., None]
+    return (alpha[..., None, None] * np.eye(3)
+            + beta[..., None, None] * (u[..., :, None] * u[..., None, :]))
 
 
 def _nearest(pos: np.ndarray) -> np.ndarray:
@@ -129,24 +142,35 @@ class Configuration:
         The vector model uses the full field Green's tensor with basis
         index 3*atom + Cartesian component; the scalar model keeps the
         angular-averaged transverse far-field kernel -(1/2) e^{ikR}/(kR).
-        Built once per configuration for all pairs a < b, each written
-        with its mirror (the kernel is symmetric and even in R), so the
-        matrix is complex-symmetric.  Read-only.
+        Built once per configuration from the distances of all N^2 atom
+        pairs; the vector tensor alpha delta + beta RR/R^2 is written one
+        Cartesian component pair at a time through the (atom, component,
+        atom, component) view of the result.  The kernel is even in R, so
+        the matrix is exactly complex-symmetric.  Read-only.
         """
         pos = self.positions
         n = len(pos)
-        a, b = np.triu_indices(n, k=1)
+        diff = pos[:, None, :] - pos[None, :, :]
+        r = np.linalg.norm(diff, axis=-1)
+        np.fill_diagonal(r, 1.0)  # no self-coupling; keeps the diagonal finite
         if self.model == "scalar":
-            r = np.linalg.norm(pos[a] - pos[b], axis=-1)
-            coupling = np.zeros((n, n), dtype=complex)
-            coupling[a, b] = coupling[b, a] = -0.5 * np.exp(1j * r) / r
+            coupling = -0.5 * np.exp(1j * r) / r
+            np.fill_diagonal(coupling, 0.0)
         else:
             d0sq = 0.75  # |<1,q|d_q|0,0>|^2, closed F0=0 -> F=1
-            coupling = np.zeros((3 * n, 3 * n), dtype=complex)
-            # (atom, component, atom, component) view of the same memory
+            alpha, beta = _green_coefficients(r)
+            alpha *= d0sq
+            beta *= d0sq
+            np.fill_diagonal(alpha, 0.0)
+            np.fill_diagonal(beta, 0.0)
+            diff /= r[..., None]  # unit vectors, 0 on the diagonal
+            coupling = np.empty((3 * n, 3 * n), dtype=complex)
             blocks = coupling.reshape(n, 3, n, 3)
-            blocks[a, :, b] = blocks[b, :, a] = (
-                d0sq * field_green_tensor(pos[a] - pos[b]))
+            for mu in range(3):
+                for nu in range(3):
+                    np.multiply(beta, diff[..., mu] * diff[..., nu],
+                                out=blocks[:, mu, :, nu])
+                blocks[:, mu, :, mu] += alpha
         coupling.flags.writeable = False
         return coupling
 
@@ -220,55 +244,101 @@ def cross_section_spectrum(config: Configuration, detunings, k_in,
     """Total cross section Q0 of one configuration at each detuning.
 
     Only the diagonal of (Delta + i gamma/2) I - K changes along the
-    sweep, with K = ``config.coupling``.  One unitary reduction to upper
-    Hessenberg form, K = Q H Q^H (LAPACK zgehrd, blocked), turns every
-    system into (Delta + i/2 - H) y = Q^H b, a band of one subdiagonal
-    and n - 1 superdiagonals that zgbsv solves in O(n^2) with partial
-    pivoting: the frequency-response method of Laub, IEEE Trans. Autom.
-    Control 26, 407 (1981).  Q is never formed; its n - 1 reflectors are
-    applied to the source b alone, because the forward exit vector is
-    conj(b), so f = -p (Q^H b)^H y and Q0 = 4 pi Im f.
+    sweep, with K = ``config.coupling``, and the forward exit vector is
+    conj(b) for the source b, so f = -p b^H (Delta + i/2 - K)^-1 b.  A
+    Householder reflector P (LAPACK zlarfg) maps b to beta e1 and is
+    applied to a copy of K from both sides; the unitary reduction of
+    P K P^H to upper Hessenberg form H (zgehrd, blocked) leaves e1 fixed,
+    so f = -p |beta|^2 [(Delta + i/2 - H)^-1]_11 and Q0 = 4 pi Im f.  This
+    is the frequency-response method of Laub, IEEE Trans. Autom. Control
+    26, 407 (1981).
+
+    The (1,1) entry comes from Hyman's method (Wilkinson, The Algebraic
+    Eigenvalue Problem, 1965, section 7.11), for all M detunings at once:
+    rows 2..n of Delta + i/2 - H are a triangle whose diagonal is minus
+    the subdiagonal of H, which does not depend on Delta.  So, with
+    x_n = 1, back-substitution through those rows needs no pivoting and
+    gives the x with (Delta + i/2 - H) x = d e1, where d is row 1 times
+    x, and the entry is x_1/d.  The cost is O(n^3) once and O(n^2 M) for
+    the sweep.  x can grow by a factor of order |Delta + i/2|/|h_{i,i-1}|
+    per row, so each detuning's column is rescaled to a largest entry of
+    1 whenever a bound on that growth nears overflow.  An exactly zero subdiagonal
+    makes H block upper triangular; the recurrence then stops there,
+    since the leading block alone sets the (1,1) entry (a single atom
+    gives H = 0).
 
     The reduction costs several dense LU factorizations (about five at
     N = 50), so a sweep of very few detunings is faster through
     :class:`DipoleSolver`, the LU oracle this agrees with to rounding.
 
     Raises ``ValueError`` for a non-finite detuning and
-    ``ArithmeticError`` when a shifted system is exactly singular.
+    ``ArithmeticError``, naming the detuning, when a shifted system is
+    singular (d is 0 or not finite).
     """
     deltas = np.asarray(detunings, dtype=float).ravel()
     if not np.all(np.isfinite(deltas)):
         raise ValueError("detunings must be finite")
     source, pref = _plane_wave(config, k_in, e_in)
     n = len(source)
+    beta, tail, tau = lapack.zlarfg(n, source[0], source[1:])
+    v = np.concatenate(([1.0], tail))
+    work = np.empty(n, dtype=complex)
+    # the coupling is exactly symmetric, so its transpose, which is
+    # Fortran-ordered, copies straight into the layout LAPACK works in
+    h = config.coupling.T.copy(order="F")
+    h = lapack.zlarf(v, np.conj(tau), h, work, side="L", overwrite_c=1)
+    h = lapack.zlarf(v, tau, h, work, side="R", overwrite_c=1)
     lwork = int(lapack.zgehrd_lwork(n)[0].real)
-    h, tau, _ = lapack.zgehrd(config.coupling, lwork=lwork)
-    rhs = source.reshape(n, 1)
-    if n > 1:  # the wrappers reject the empty reflector set of one state
-        rhs[1:], _, _ = lapack.zunmqr("L", "C", h[1:, :-1], tau, rhs[1:], 1)
-    exit_vec = np.conj(rhs[:, 0])
-    # zgbsv band storage for kl = 1, ku = n - 1 holds entry (i, j) at row
-    # n + i - j of column j, Fortran offset n + i + j (n + 1): an n x n
-    # matrix with leading dimension n + 1.  Below the subdiagonal h holds
-    # the reflectors, which stay out; row 0 is LU workspace.
-    band = np.zeros((n + 2, n), dtype=complex, order="F")
-    np.negative(h, where=~np.tri(n, k=-2, dtype=bool),
-                out=band.reshape(-1, order="F")[n:]
-                .reshape(n + 1, n, order="F")[:n])
-    del h
-    work = np.empty_like(band)
-    q0 = np.empty(len(deltas))
-    for m, delta in enumerate(deltas):
-        work[...] = band
-        work[n] += delta + 0.5j
-        _, _, y, info = lapack.zgbsv(1, n - 1, work, rhs.copy(),
-                                     overwrite_ab=1, overwrite_b=1)
-        if info != 0:
-            raise ArithmeticError(
-                f"coupled-dipole system singular at detuning {delta!r} "
-                f"(zgbsv info {info})")
-        q0[m] = 4.0 * math.pi * (-pref * (exit_vec @ y[:, 0])).imag
-    return q0
+    h, _, _ = lapack.zgehrd(h, lwork=lwork, overwrite_a=1)
+    g11 = _hessenberg_resolvent(h, deltas)
+    return 4.0 * math.pi * (-pref * abs(beta) ** 2 * g11).imag
+
+
+_LOG_BOUND = 690.0  # rescale before an entry could exceed e^690 ~ 1e300
+
+
+def _hessenberg_resolvent(h, deltas) -> np.ndarray:
+    """[(Delta + i/2 - H)^-1]_11 at each detuning by Hyman's method.
+
+    H is the upper Hessenberg part of ``h``; entries below its
+    subdiagonal are ignored.  See :func:`cross_section_spectrum`.
+    """
+    sub = np.diagonal(h, -1)
+    zero = np.flatnonzero(sub == 0.0)
+    n = int(zero[0]) + 1 if zero.size else len(h)
+    z = deltas + 0.5j
+    # sqrt(n) ||h||_F bounds the 1-norm of every row of H, so each term
+    # that forms the next entry of x is at most e^scale times the largest
+    # entry so far, and the entry itself e^scale / |h_{i,i-1}|; growth[i]
+    # is the log of the larger of the two
+    scale = max(math.log(np.abs(z).max()
+                         + math.sqrt(len(h)) * np.linalg.norm(h)), 0.0)
+    x = np.empty((n, len(z)), dtype=complex)
+    x[-1] = 1.0
+    grown = 0.0  # log of the largest entry since the last rescaling
+    # a subnormal subdiagonal can still overflow; d is then not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = (scale
+                  + np.maximum(-np.log(np.abs(sub[:n - 1])), 0.0)).tolist()
+        inverse = (-1.0 / sub[:n - 1]).tolist()
+        for i in range(n - 1, 0, -1):
+            if grown + growth[i - 1] > _LOG_BOUND:
+                x[i:] /= np.abs(x[i:]).max(axis=0)
+                grown = 0.0
+            row = x[i - 1]
+            np.matmul(h[i, i:n], x[i:], out=row)
+            row -= z * x[i]
+            row *= inverse[i - 1]
+            grown += growth[i - 1]
+        if grown + scale > _LOG_BOUND:
+            x /= np.abs(x).max(axis=0)
+        d = z * x[0] - h[0, :n] @ x
+    bad = (d == 0.0) | ~np.isfinite(d)
+    if bad.any():
+        raise ArithmeticError(
+            f"coupled-dipole system singular at detuning "
+            f"{float(deltas[bad.argmax()])!r}")
+    return x[0] / d
 
 
 # ----------------------------------------------------------------------------

@@ -299,12 +299,34 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
 
 
 def test_cli_exit_code_numeric_error(tmp_path, capsys):
-    # eit-spectrum demands a multi-ground-level atom; two-level fails at
-    # run time with an engine error -> exit code 2
+    # at density 0.2 the sweep enters the window with no physical
+    # self-consistent root: an engine error at run time -> exit code 2
     p = tmp_path / "c.ini"
-    p.write_text("[run]\nscenario = eit-spectrum\n")
+    p.write_text("[run]\nscenario = selfconsistent-slab\n[slab]\n"
+                 "density = 0.2\n[sweep]\nstart = -2\nstop = 2\nn = 41\n")
+    assert cli.main(["validate", str(p)]) == 0
     assert cli.main(["run", str(p), "--out", str(tmp_path)]) == 2
-    assert "eit-spectrum" in capsys.readouterr().err
+    assert "selfconsistent-slab" in capsys.readouterr().err
+
+
+def test_eit_with_one_ground_level_is_a_config_error(tmp_path, capsys):
+    # eit-spectrum demands an atom with two ground levels: its default
+    # atom is lambda-rb87, and an explicit two-level atom fails
+    # validation, so validate and run both exit 1
+    assert cf.parse_text("[run]\nscenario = eit-spectrum\n")["atom"] == \
+        {"kind": "lambda-rb87"}
+    p = tmp_path / "c.ini"
+    p.write_text("[run]\nscenario = eit-spectrum\n[atom]\nkind = two-level\n")
+    assert cli.main(["validate", str(p)]) == 1
+    assert cli.main(["run", str(p), "--out", str(tmp_path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("atom.kind: 'two-level' violates") == 2
+    assert not list(tmp_path.glob("*.csv"))
+    # the engine still refuses it from a direct call
+    cfg = cf.parse_text("[run]\nscenario = eit-spectrum\n")
+    cfg.values["atom"]["kind"] = "two-level"
+    with pytest.raises(ValueError, match="multi-ground-level"):
+        run_scenario(cfg)
 
 
 def test_cli_exit_code_io_error(tmp_path, capsys):

@@ -523,17 +523,68 @@ def test_spectrum_rejects_non_finite_detuning():
             mi.cross_section_spectrum(conf, [0.0, bad], K_IN, E_X)
 
 
-def test_spectrum_raises_on_singular_system(monkeypatch):
-    conf = mi.random_ball_configuration(6, 2.0, np.random.default_rng(1))
-    zgbsv = mi.lapack.zgbsv
+def test_spectrum_raises_on_singular_system():
+    # Delta + i/2 - H is exactly singular at Delta = +-1: the recurrence
+    # gives x = (1, 1) there and row 1 times x is exactly 0
+    h = np.array([[0.5j, 1.0], [1.0, 0.5j]], order="F")
+    with pytest.raises(ArithmeticError, match=r"singular at detuning 1\.0"):
+        mi._hessenberg_resolvent(h, np.array([0.0, 1.0, -1.0]))
+    g11 = mi._hessenberg_resolvent(h, np.array([0.0, 2.0]))
+    assert g11[0] == 0.0
+    assert g11[1] == pytest.approx(np.linalg.inv(
+        (2.0 + 0.5j) * np.eye(2) - h)[0, 0], rel=1e-15)
 
-    def singular(*args, **kwargs):
-        lub, piv, x, _ = zgbsv(*args, **kwargs)
-        return lub, piv, x, 3
 
-    monkeypatch.setattr(mi.lapack, "zgbsv", singular)
-    with pytest.raises(ArithmeticError, match="singular"):
-        mi.cross_section_spectrum(conf, [0.0], K_IN, E_X)
+def test_hessenberg_resolvent_stops_at_zero_subdiagonal():
+    # h[3, 2] = 0 leaves H block upper triangular: the recurrence stops
+    # there, where dividing by that subdiagonal would give no finite x
+    rng = np.random.default_rng(6)
+    n = 7
+    h = np.asfortranarray(rng.normal(size=(n, n))
+                          + 1j * rng.normal(size=(n, n)))
+    h[3, 2] = 0.0
+    deltas = np.array([-3.0, -0.2, 0.0, 0.9, 40.0])
+    got = mi._hessenberg_resolvent(h, deltas)
+    upper = np.triu(h, -1)  # entries below the subdiagonal are ignored
+    ref = np.array([np.linalg.inv((d + 0.5j) * np.eye(n) - upper)[0, 0]
+                    for d in deltas])
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+
+def test_dense_spectrum_matches_lu_oracle():
+    # N = 200 at n0 = 0.5 (n = 600 states): unscaled, the recurrence at
+    # Delta = -40 grows past the largest float, so this needs rescaling
+    n_atoms = 200
+    radius = (3 * n_atoms / (4 * math.pi * 0.5)) ** (1 / 3)
+    conf = mi.random_ball_configuration(n_atoms, radius,
+                                        np.random.default_rng(200))
+    deltas = [-40.0, 0.0, 0.7]
+    got = mi.cross_section_spectrum(conf, deltas, K_IN, E_X)
+    ref = np.array([mi.DipoleSolver(conf, d).total_cross_section(K_IN, E_X)
+                    for d in deltas])
+    assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
+
+
+@pytest.mark.parametrize("model", ["vector", "scalar"])
+def test_coupling_is_exactly_symmetric(model):
+    conf = mi.random_ball_configuration(30, 3.0, np.random.default_rng(8),
+                                        model=model)
+    coupling = conf.coupling
+    assert np.array_equal(coupling, coupling.T)
+    assert not np.diagonal(coupling).any()
+
+
+def test_coupling_peak_memory_is_bounded_by_its_result():
+    # N = 600: a 51.8 MB (1800, 1800) result; staging all pairs' (3, 3)
+    # tensors peaked at 3.1 times that, the component-wise build at 1.5
+    conf = mi.random_ball_configuration(600, 7.0, np.random.default_rng(3))
+    tracemalloc.start()
+    try:
+        coupling = conf.coupling
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * coupling.nbytes
 
 
 def _dipole_spectrum(n_configs, n_atoms=6, radius=2.0, n_det=4, seed=3):

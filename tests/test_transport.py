@@ -184,7 +184,7 @@ def test_sphere_closed_form_matches_lapack_on_benchmark_sweep():
 
 def test_sphere_near_threshold_with_radius_far_below_l_tr():
     # at r0 << l_tr the rate balances gain against D pi^2/r0^2 ~ 3e4, not
-    # v/l_tr = 1; the half-grid check must not call r0 = 0.00993 unconverged
+    # v/l_tr = 1; the sign changes once between r0 = 0.0099 and 0.0100
     rates = [tr.solve_gain_diffusion_sphere(tr.DiffusionModel(
         l0_bar=1.0, l_g=3e-5, r0=r0)).growth_rate
         for r0 in (0.0099, 0.00993, 0.0100)]
