@@ -49,15 +49,9 @@ def _twice(x) -> int:
 # Racah closed-form sums with log-factorial stabilization and a memo cache.
 # ----------------------------------------------------------------------------
 
-_LGF_MAX = 512
-_LGF = [math.lgamma(n + 1) for n in range(_LGF_MAX)]
-
-
 def _lnfac(n: int) -> float:
     if n < 0:
         raise ValueError("factorial of negative integer")
-    if n < _LGF_MAX:
-        return _LGF[n]
     return math.lgamma(n + 1)
 
 

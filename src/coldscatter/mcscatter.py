@@ -3,8 +3,11 @@
 Samples scattering chains through a spherically symmetric Gaussian
 density, accumulating order-resolved ladder intensities by next-event
 estimation toward each detector, the crossed (interference) contribution
-by reverse traversal of each recorded chain, Raman frequency bookkeeping,
-and an optional stimulated-gain weight with an instability diagnostic.
+of each chain's reversed path, Raman frequency bookkeeping, and an
+optional stimulated-gain weight with an instability diagnostic.  One
+step, ``_chain_step``, advances the direct field and accumulates the
+reverse product forward at every vertex, in the engine and in
+``chain_pair_amplitudes`` alike.
 
 Free paths use the closed-form chord optical depth of the Gaussian cloud
 (error-function profile) inverted exactly, so no step-size bias enters.
@@ -322,37 +325,41 @@ def scatter_event(vs: np.ndarray, xi: np.ndarray):
     return channel, dirs, e_out, W_sc
 
 
-def _transverse_projector(u) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    return np.eye(3) - np.outer(u, u)
+def _chain_step(f_dir, M_rev, A, u):
+    """One vertex of a scattering chain, the only chain update: the direct
+    field f <- P A f and the reverse product M <- M A P, with the vertex
+    tensor A and P = 1 - u u^T the transverse projector of the unit
+    direction u to the next vertex.  f (..., 3), M and A (..., 3, 3) and
+    u (..., 3) broadcast, for one walker or a stack of them."""
+    f = (A @ f_dir[..., None])[..., 0]
+    f -= u * np.sum(u * f, axis=-1)[..., None]
+    M = M_rev @ A
+    M -= (M @ u[..., None]) * u[..., None, :]
+    return f, M
 
 
 def chain_pair_amplitudes(positions, tensors, e_in, e_out):
     """Direct and reverse internal amplitudes of a recorded chain.
 
     ``positions`` is the ordered scatterer list r_1..r_N, ``tensors`` the
-    per-vertex 3x3 scattering tensors.  The direct amplitude applies the
-    vertices in order with transverse projections on every internal
-    segment; the reverse amplitude traverses the same geometry backward.
-    External phases and attenuations are excluded (the caller supplies
-    them); at exact backscattering with reciprocal analyzers the two
-    amplitudes coincide chain by chain.
+    per-vertex 3x3 scattering tensors A_1..A_N.  The chain is walked
+    forward through the engine's own step ``_chain_step``, which carries
+    the direct field f = P A_{N-1} ... P A_1 e_in and accumulates the
+    reverse product M = A_1 P ... A_{N-1} P, with the transverse projector
+    P of every internal segment; then direct = e_out^* . A_N f and
+    reverse = e_out^* . M A_N e_in.  External phases and attenuations are
+    excluded (the caller supplies them); at exact backscattering with
+    reciprocal analyzers the two amplitudes coincide chain by chain.
     """
     positions = np.asarray(positions, dtype=float)
-    n = len(positions)
-    M_dir = np.array(tensors[0], dtype=complex)
-    for j in range(1, n):
-        u = positions[j] - positions[j - 1]
-        u /= np.linalg.norm(u)
-        M_dir = tensors[j] @ _transverse_projector(u) @ M_dir
-    M_rev = np.array(tensors[n - 1], dtype=complex)
-    for j in range(n - 2, -1, -1):
-        u = positions[j] - positions[j + 1]
-        u /= np.linalg.norm(u)
-        M_rev = tensors[j] @ _transverse_projector(u) @ M_rev
     e_in = np.asarray(e_in, dtype=complex)
+    f, M = e_in, np.eye(3, dtype=complex)
+    for j in range(len(positions) - 1):
+        u = positions[j + 1] - positions[j]
+        f, M = _chain_step(f, M, tensors[j], u / np.linalg.norm(u))
+    A = tensors[-1]
     e_out_c = np.conj(np.asarray(e_out, dtype=complex))
-    return complex(e_out_c @ M_dir @ e_in), complex(e_out_c @ M_rev @ e_in)
+    return complex(e_out_c @ A @ f), complex(e_out_c @ M @ A @ e_in)
 
 
 # ----------------------------------------------------------------------------
@@ -397,6 +404,7 @@ class LadderResult:
     stat_err: np.ndarray             # (n_det,) ladder total stderr
     crossed_err: np.ndarray
     escaped_weight: float
+    escaped_err: float               # escaped_weight stderr
     injected_weight: float
     truncated_weight: float
     n_truncated: int
@@ -518,10 +526,10 @@ def _point_sums(pt, values, n_points: int) -> np.ndarray:
 
 def _crossed_term(cloud, walk, A, e_in, pols_h, k_sum, depths, ladder):
     """Crossed next-event terms (n, n_det) at an order >= 2: the ladder
-    terms times the interference of the direct amplitude A M_dir e_in and
-    the reverse M_revpre A e_in through the elastic tensors A, at phase
+    terms times the interference of the direct amplitude A f_dir and the
+    reverse M_revpre A e_in through the elastic tensors A, at phase
     (k_in + k_out).(r - r_first) and half the paths' depth difference."""
-    amp_dir = (A @ (walk["M_dir"] @ e_in)[..., None])[..., 0] @ pols_h
+    amp_dir = (A @ walk["f_dir"][..., None])[..., 0] @ pols_h
     amp_rev = (walk["M_revpre"] @ (A @ e_in)[..., None])[..., 0] @ pols_h
     dphi = (walk["p"] - walk["r_first"]) @ k_sum
     tau_in = chord_depth(cloud, walk["p"], -_K_IN, walk["sigma"])[:, None]
@@ -552,8 +560,9 @@ def _run_chunk(cloud: Cloud, points: list[MCParams],
     and truncated walkers from every array of ``walk`` at once.  The
     tallies are ``ladder`` and ``crossed`` (point, detector, order), the
     sums of their squared per-trajectory totals ``ladder_sq`` and
-    ``crossed_sq``, and the ``escaped`` and ``truncated`` weight and
-    ``n_truncated`` count of each point.
+    ``crossed_sq``, and the ``escaped`` and ``truncated`` weight,
+    ``n_truncated`` count and ``escaped_sq`` sum of squared escaped
+    weights of each point (a trajectory escapes at most once per point).
     """
     params = points[0]
     n_pt, n_tr = len(points), hi - lo
@@ -570,7 +579,8 @@ def _run_chunk(cloud: Cloud, points: list[MCParams],
              for k in ("ladder", "crossed")}
     totals = {k: np.zeros((n_pt * n_tr, n_det)) for k in tally}
     tally.update(escaped=np.zeros(n_pt), truncated=np.zeros(n_pt),
-                 n_truncated=np.zeros(n_pt, dtype=np.int64))
+                 n_truncated=np.zeros(n_pt, dtype=np.int64),
+                 escaped_sq=np.zeros(n_pt))
 
     rows = np.arange(n_pt * n_tr)
     f = tab.freq_ids([q.detuning for q in points])[rows // n_tr]
@@ -579,9 +589,9 @@ def _run_chunk(cloud: Cloud, points: list[MCParams],
     walk = {"rows": rows, "p": p, "e": np.broadcast_to(e_in0, p.shape),
             "w": np.ones(len(rows)), "f": f, "sigma": sigma,
             "x": np.empty((len(rows), 0, 4, 2))}
-    if crossed_on:  # M_revpre: the products up to the previous vertex
+    if crossed_on:  # f_dir, M_revpre: the chain up to the previous vertex
         eye = np.broadcast_to(np.eye(3, dtype=complex), (len(rows), 3, 3))
-        walk.update(M_dir=eye, M_revpre=eye, r_first=p,
+        walk.update(f_dir=walk["e"], M_revpre=eye, r_first=p,
                     tau_in_first=chord_depth(cloud, p, -_K_IN, sigma)[:, None])
     order, n_prev = 0, len(rows)
     while len(walk["rows"]):
@@ -631,12 +641,8 @@ def _run_chunk(cloud: Cloud, points: list[MCParams],
         walk["f"] = tab.out_ids[kid, mp]
         walk["sigma"] = tab.sigma[walk["f"]]
         if crossed_on:
-            A = tab.stacks[kid, mp]
-            M_dir = A @ walk["M_dir"]  # M_dir <- P A M_dir, P = 1 - u u^T
-            M_dir -= u[:, :, None] * (u[:, None, :] @ M_dir)
-            M_rev = walk["M_revpre"] @ A  # M_revpre <- M_revpre A P
-            M_rev -= (M_rev @ u[:, :, None]) * u[:, None, :]
-            walk.update(M_dir=M_dir, M_revpre=M_rev)
+            walk["f_dir"], walk["M_revpre"] = _chain_step(
+                walk["f_dir"], walk["M_revpre"], tab.stacks[kid, mp], u)
         s = sample_free_path(cloud, p, u, walk["sigma"], x[1, :, 0])
         gone = np.isinf(s)
         trunc = ~gone & ((order >= params.max_order)
@@ -644,6 +650,8 @@ def _run_chunk(cloud: Cloud, points: list[MCParams],
         for k, lost in (("escaped", gone), ("truncated", trunc)):
             tally[k] += _point_sums(pt[lost], walk["w"][lost], n_pt)
         tally["n_truncated"] += np.bincount(pt[trunc], minlength=n_pt)
+        tally["escaped_sq"] += np.bincount(
+            pt[gone], weights=walk["w"][gone] ** 2, minlength=n_pt)
         keep = ~(gone | trunc)
         walk = {k: v[keep] for k, v in walk.items()}
         walk["p"] += s[keep, None] * u[keep]  # inf escape paths are gone
@@ -717,10 +725,12 @@ def simulate_ladder(cloud: Cloud, detectors: list[Detector], points,
     tally = {k: sum((r[k] for r in results[1:]), results[0][k])
              for k in results[0]}
     n = params.n_traj
-    for k in ("ladder", "crossed"):  # standard error of the trajectory sum
+    sums = {"ladder": tally["ladder"].sum(axis=2),
+            "crossed": tally["crossed"].sum(axis=2),
+            "escaped": tally["escaped"]}
+    for k, total in sums.items():  # standard error of the trajectory sum
         tally[k + "_err"] = np.sqrt(np.maximum(
-            tally[k + "_sq"] / n - (tally[k].sum(axis=2) / n) ** 2, 0.0)
-            / n) * n
+            tally[k + "_sq"] / n - (total / n) ** 2, 0.0) / n) * n
     out = []
     for i in range(len(points)):
         t = {k: v[i] for k, v in tally.items()}
@@ -731,7 +741,8 @@ def simulate_ladder(cloud: Cloud, detectors: list[Detector], points,
         out.append(LadderResult(
             per_order=t["ladder"], crossed_per_order=t["crossed"],
             stat_err=t["ladder_err"], crossed_err=t["crossed_err"],
-            escaped_weight=float(t["escaped"]), injected_weight=float(n),
+            escaped_weight=float(t["escaped"]),
+            escaped_err=float(t["escaped_err"]), injected_weight=float(n),
             truncated_weight=float(t["truncated"]),
             n_truncated=int(t["n_truncated"]), unstable=unstable))
     return out

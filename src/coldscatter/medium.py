@@ -100,12 +100,10 @@ class GroundState:
     n0: float = 1.0
 
     @classmethod
-    def isotropic(cls, scheme: LevelScheme, twice_F0: int | None = None,
+    def isotropic(cls, scheme: LevelScheme, twice_F0: int,
                   n0: float = 1.0) -> "GroundState":
         """Equal populations over the Zeeman sublevels of one ground level."""
         gnd = scheme.ground_sublevels()
-        if twice_F0 is None:
-            twice_F0 = max(tf for tf, _ in gnd)
         sel = [i for i, (tf, _) in enumerate(gnd) if tf == twice_F0]
         rho = np.zeros((len(gnd), len(gnd)))
         for i in sel:

@@ -131,10 +131,6 @@ class Configuration:
                 f"atom {a} is {near[a]:.4g} from its nearest neighbour, "
                 f"below the contact floor {CONTACT_FLOOR}")
 
-    @property
-    def n_atoms(self) -> int:
-        return len(self.positions)
-
     @cached_property
     def coupling(self) -> np.ndarray:
         """Photon-exchange part of the effective Hamiltonian (zero diagonal).

@@ -116,6 +116,7 @@ def _run_gain_transport(cfg, record, progress):
     for g, res in zip(grid, results):
         record.rows.append(ResultRow(
             "gain", float(res.escaped_weight / res.injected_weight),
+            float(res.escaped_err / res.injected_weight),
             channel="escaped_fraction", sweep_value=float(g)))
         record.rows.append(ResultRow(
             "gain", float(res.unstable), channel="unstable",
