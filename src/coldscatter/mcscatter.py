@@ -138,26 +138,16 @@ def _philox(key: np.ndarray, ctr: np.ndarray) -> np.ndarray:
     return np.stack([even[0], odd[0], even[1], odd[1]])
 
 
-def _distinct(ids: np.ndarray, n_ctr: int):
-    """Distinct values of the ids (n,) and the index of each row among
-    them, from a presence map and its running count over the id span, or
-    ``(ids, None)`` when every id is distinct.  Over a span wider than the
-    n x ``n_ctr`` counters drawn for the rows, the map would outgrow the
-    draws it saves, and every row is drawn."""
-    n = len(ids)
-    if n < 2:
-        return ids, None
-    base = ids.min()
-    span = int(ids.max() - base) + 1
-    if span > n * n_ctr:
-        return ids, None
-    off = (ids - base).astype(np.intp)
-    present = np.zeros(span, dtype=bool)
-    present[off] = True
-    rank = np.cumsum(present) - 1
-    if rank[-1] + 1 == n:
-        return ids, None
-    return np.flatnonzero(present).astype(np.uint64) + base, rank[off]
+def _live(idx: np.ndarray, n: int):
+    """Distinct values of the dense indices ``idx`` (m,) in [0, n), in
+    increasing order, and each row's rank among them; the rank is None
+    when ``idx`` already is those values in that order."""
+    present = np.zeros(n, dtype=bool)
+    present[idx] = True
+    live = np.flatnonzero(present)
+    if np.array_equal(live, idx):
+        return live, None
+    return live, (np.cumsum(present) - 1)[idx]
 
 
 def _uniforms(seed: int, traj, order, slot, retry=0) -> np.ndarray:
@@ -165,20 +155,19 @@ def _uniforms(seed: int, traj, order, slot, retry=0) -> np.ndarray:
     x of the Philox block keyed by (seed, trajectory) at counter (order,
     slot, retry, 0), as ((x >> 11) + 0.5) 2^-53.  ``order``, ``slot`` and
     ``retry`` broadcast to a counter shape S, and the result is (4, n) + S.
-    Each distinct id is drawn once and its rows are returned in the
-    caller's order.  A draw depends only on its key and counter, never on
-    which other rows are drawn with it."""
+    Every row is drawn; callers with repeated ids (``_run_chunk``,
+    ``sample_entry``) pass each id once, as ``_live`` finds them.  A draw
+    depends only on its key and counter, never on which other rows are
+    drawn with it."""
     traj = np.asarray(traj, dtype=np.uint64)
     order, slot, retry = np.broadcast_arrays(
         *(np.asarray(c, dtype=np.uint64) for c in (order, slot, retry)))
-    ids, inv = _distinct(traj, retry.size)
-    key = np.empty((2, len(ids)) + (1,) * retry.ndim, dtype=np.uint64)
+    key = np.empty((2, len(traj)) + (1,) * retry.ndim, dtype=np.uint64)
     key[0] = seed
-    key[1] = ids.reshape(key.shape[1:])
+    key[1] = traj.reshape(key.shape[1:])
     ctr = np.zeros((4, 1) + retry.shape, dtype=np.uint64)
     ctr[0], ctr[1], ctr[2] = order, slot, retry
-    x = ((_philox(key, ctr) >> _SHIFT11) + 0.5) * 2.0 ** -53
-    return x if inv is None else x[:, inv]
+    return ((_philox(key, ctr) >> _SHIFT11) + 0.5) * 2.0 ** -53
 
 
 def _normals(u1, u2):
@@ -267,7 +256,9 @@ def sample_entry(cloud: Cloud, sigma, seed: int, traj) -> np.ndarray:
     entries by the interaction probability 1 - e^{-b}.  Try r of a
     trajectory is the draw block (0, 0, r); tries run in blocks of 2, 4,
     8, ... retries, and only trajectories without an accepted try draw the
-    next block.  The interaction depth along the accepted chord is then
+    next block, once per distinct id of the pending rows (an id may
+    repeat, one trajectory entering at several points with their own
+    ``sigma``).  The interaction depth along the accepted chord is then
     drawn from the truncated exponential and inverted in closed form.
     """
     def impact(x):  # (x, y, 0) from two normals
@@ -275,14 +266,17 @@ def sample_entry(cloud: Cloud, sigma, seed: int, traj) -> np.ndarray:
         p[..., 0], p[..., 1] = _normals(x[0], x[1])
         return cloud.r0 * p
 
-    traj = np.asarray(traj)
-    sigma = np.broadcast_to(sigma, traj.shape)
-    x = np.empty((4, len(traj)))
-    pending = np.arange(len(traj))
+    ids, inv = np.unique(np.asarray(traj), return_inverse=True)
+    sigma = np.broadcast_to(sigma, inv.shape)
+    x = np.empty((4, len(inv)))
+    pending = np.arange(len(inv))
     start, count = 0, 2
     while pending.size:
-        tries = _uniforms(seed, traj[pending], 0, 0,
+        live, rank = _live(inv[pending], len(ids))
+        tries = _uniforms(seed, ids[live], 0, 0,
                           np.arange(start, start + count))
+        if rank is not None:
+            tries = tries[:, rank]
         b = 2.0 * _chord(cloud, impact(tries), _K_IN,
                          sigma[pending, None])[1]
         big = b >= 1e-300
@@ -547,7 +541,8 @@ def _run_chunk(cloud: Cloud, points: list[MCParams],
     per step, and return the chunk's tallies by name.
 
     Walker i is trajectory lo + i mod (hi - lo) of point i div (hi - lo);
-    the walkers of one trajectory draw the same uniforms at every point.
+    the walkers of one trajectory share its uniforms at every point, drawn
+    once per live trajectory (``_live``).
     The live walkers' state is one mapping ``walk`` of arrays, whose
     ``rows`` gives each walker's index: the trajectory id of its draws and
     the row of its per-trajectory totals.  Its ``x`` holds each walker's
@@ -599,14 +594,14 @@ def _run_chunk(cloud: Cloud, points: list[MCParams],
         rows, p, sigma = walk["rows"], walk["p"], walk["sigma"]
         pt = rows // n_tr
         if not walk["x"].shape[1]:  # draws (walker, order, word, slot)
-            tr = rows % n_tr
+            live, rank = _live(rows % n_tr, n_tr)
             lost = n_prev - len(rows)
-            n_orders = min(n_tr // np.count_nonzero(np.bincount(tr)),
+            n_orders = min(n_tr // len(live),
                            max(len(rows) // lost, 1) if lost else n_tr,
                            params.max_order - order + 1)
-            walk["x"] = np.moveaxis(_uniforms(
-                params.seed, lo + tr,
-                np.arange(order, order + n_orders)[:, None], (0, 1)), 0, 2)
+            x = _uniforms(params.seed, lo + live,
+                          np.arange(order, order + n_orders)[:, None], (0, 1))
+            walk["x"] = np.moveaxis(x if rank is None else x[:, rank], 0, 2)
         n_prev = len(rows)
         # slot 0: sublevel, free path, channel, dipole axis; slot 1:
         # direction cosine and azimuth (two words unused)

@@ -96,13 +96,12 @@ def field_green_tensor(R) -> np.ndarray:
             + beta[..., None, None] * (u[..., :, None] * u[..., None, :]))
 
 
-def _nearest(pos: np.ndarray) -> np.ndarray:
-    """Distance from each of the (N, 3) positions to its nearest other
-    one (inf when there is none)."""
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt(np.sum(diff ** 2, axis=-1))
-    np.fill_diagonal(dist, math.inf)
-    return dist.min(axis=1, initial=math.inf)
+class _ContactError(ValueError):
+    """Atoms too close together; ``atoms`` holds each within the floor."""
+
+    def __init__(self, message: str, atoms: np.ndarray):
+        super().__init__(message)
+        self.atoms = atoms
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,12 +123,15 @@ class Configuration:
         object.__setattr__(self, "positions", pos)
         if self.model not in ("scalar", "vector"):
             raise ValueError(f"unknown model {self.model!r}")
-        near = _nearest(pos)
-        if np.any(near <= CONTACT_FLOOR):
+        dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+        np.fill_diagonal(dist, math.inf)
+        near = dist.min(axis=1, initial=math.inf)
+        close = np.flatnonzero(near <= CONTACT_FLOOR)
+        if close.size:
             a = int(np.argmin(near))
-            raise ValueError(
+            raise _ContactError(
                 f"atom {a} is {near[a]:.4g} from its nearest neighbour, "
-                f"below the contact floor {CONTACT_FLOOR}")
+                f"below the contact floor {CONTACT_FLOOR}", close)
 
     @cached_property
     def coupling(self) -> np.ndarray:
@@ -430,13 +432,14 @@ def slab_transmission(epsilon, L: float) -> SlabTransmission:
 # Random configurations.
 # ----------------------------------------------------------------------------
 
-def _respace(draw, n: int) -> np.ndarray:
+def _respace(draw, n: int, model: str) -> Configuration:
+    """n atoms from ``draw(m)``, redrawing those the contact check names."""
     pos = draw(n)
     for _ in range(_RESPACE_TRIES):
-        bad = np.nonzero(_nearest(pos) <= CONTACT_FLOOR)[0]
-        if bad.size == 0:
-            return pos
-        pos[bad] = draw(bad.size)
+        try:
+            return Configuration(pos, model=model)
+        except _ContactError as exc:
+            pos[exc.atoms] = draw(exc.atoms.size)
     raise ValueError("could not satisfy the contact floor; density too high")
 
 
@@ -455,7 +458,7 @@ def random_ball_configuration(n: int, radius: float, rng: np.random.Generator,
             got += take
         return out
 
-    return Configuration(_respace(draw, n), model=model)
+    return _respace(draw, n, model)
 
 
 def gaussian_configuration(n: int, r0: float, rng: np.random.Generator,
@@ -469,5 +472,5 @@ def gaussian_configuration(n: int, r0: float, rng: np.random.Generator,
     def draw(m):
         return rng.normal(scale=r0, size=(m, 3))
 
-    return Configuration(_respace(draw, n), model=model)
+    return _respace(draw, n, model)
 

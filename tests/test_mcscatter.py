@@ -68,9 +68,8 @@ def test_order_block_matches_separate_draws():
 
 
 def test_multi_order_draw_matches_per_order_draws():
-    # one call draws slots 0 and 1 of a range of orders; repeated ids are
-    # drawn once and returned per row, in the caller's order, as are the
-    # rows of a sparse id set, which draws every row
+    # one call draws slots 0 and 1 of a range of orders for every row it
+    # is given, in the caller's order, repeated and sparse ids alike
     for traj in ([5, 3, 5, 9, 3, 3, 12, 0], [2 ** 40, 7, 2 ** 40]):
         orders = np.arange(2, 7)
         x = mc._uniforms(21, traj, orders[:, None], (0, 1))
@@ -310,6 +309,30 @@ def test_order_range_capped_by_max_order_truncates_as_per_order_draws(
         assert np.array_equal(a.per_order, b.per_order[:, :11])
         assert np.array_equal(a.crossed_per_order,
                               b.crossed_per_order[:, :11])
+
+
+def test_each_draw_call_gets_each_trajectory_once(monkeypatch):
+    # a 3-point sweep holds every trajectory of a chunk three times; the
+    # beam entry and the order draws pass each id once per call, and the
+    # results are those of an unobserved run, bit for bit
+    cloud = mc.Cloud(scheme=LevelScheme.rb85_d2(), n0=0.04, r0=8.0)
+    dets = mc.backscatter_detectors([0.0], np.array([1.0, 0.0, 0.0]))
+    points = [mc.MCParams(detuning=d, n_traj=200, seed=4, chunk_size=100)
+              for d in (-1.0, 0.0, 1.0)]
+    plain = mc.simulate_ladder(cloud, dets, points)
+    ids, draw = [], mc._uniforms
+
+    def recorded(seed, traj, order, slot, retry=0):
+        ids.append(np.asarray(traj))
+        return draw(seed, traj, order, slot, retry)
+
+    monkeypatch.setattr(mc, "_uniforms", recorded)
+    observed = mc.simulate_ladder(cloud, dets, points)
+    assert len(ids) >= 14  # 7 chunks, each with entry and order draws
+    assert all(len(np.unique(t)) == len(t) for t in ids)
+    for a, b in zip(plain, observed):
+        for name, value in vars(a).items():
+            assert np.array_equal(value, getattr(b, name)), name
 
 
 def test_value_types_compare_by_identity():

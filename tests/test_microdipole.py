@@ -121,6 +121,19 @@ def test_configuration_contact_floor():
     mi.Configuration(np.array([[0, 0, 0], [0.051, 0, 0.0]]))
 
 
+def test_contact_error_names_every_atom_within_the_floor():
+    # two separate close pairs, (0, 1) and (2, 3); atom 4 is clear.  The
+    # message names the closest atom, and the error carries all four, the
+    # atoms a random draw redraws
+    pos = np.array([[0, 0, 0], [0, 0, 0.03], [5, 0, 0], [5, 0.04, 0],
+                    [0, 5, 0.0]])
+    with pytest.raises(ValueError) as exc:
+        mi.Configuration(pos)
+    assert str(exc.value) == ("atom 0 is 0.03 from its nearest neighbour, "
+                              "below the contact floor 0.05")
+    assert sorted(exc.value.atoms.tolist()) == [0, 1, 2, 3]
+
+
 def test_hamiltonian_single_atom():
     H = mi.build_effective_hamiltonian(
         mi.Configuration(np.zeros((1, 3))), detuning=1.2)
