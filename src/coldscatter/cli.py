@@ -163,12 +163,13 @@ def main(argv=None) -> int:
             (lambda msg: print(f"[{cfg.scenario}] {msg}", file=sys.stderr))
         try:
             record = run_scenario(cfg, progress=progress)
-        except (ArithmeticError, ValueError, FloatingPointError) as exc:
+        except (ArithmeticError, ValueError, MemoryError) as exc:
             # persist whatever was computed before the failure
             partial = getattr(exc, "record", None)
             if partial is not None and partial.rows:
                 emit_results(partial, cfg, out_dir)
-            print(f"error [{cfg.scenario}]: {exc}", file=sys.stderr)
+            print(f"error [{cfg.scenario}]: {str(exc) or type(exc).__name__}",
+                  file=sys.stderr)
             return 2
         csv_path, json_path = emit_results(record, cfg, out_dir)
         print(csv_path)

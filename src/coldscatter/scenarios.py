@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -229,13 +230,23 @@ def run_scenario(cfg: ScenarioConfig, progress=lambda msg: None
     """Execute a validated config and return its result record.
 
     Engine errors propagate; the partial record (marked incomplete) rides
-    on the exception as ``record``.
+    on the exception as ``record``.  A row whose value is not finite, or
+    whose ``stat_err`` is NaN or negative, is such an error: it raises
+    ArithmeticError, and the record keeps the rows before it.  An
+    infinite ``stat_err`` (that of a single dipole configuration) is kept.
     """
     record = ResultRecord(scenario=cfg.scenario, config_hash=config_hash(cfg),
                           version=__version__, seed=cfg["run"]["seed"])
     t0 = time.perf_counter()
     try:
         _DISPATCH[cfg.scenario](cfg, record, progress)
+        for i, row in enumerate(record.rows):
+            if not (math.isfinite(row.value) and row.stat_err >= 0):
+                del record.rows[i:]
+                raise ArithmeticError(
+                    f"{cfg.scenario} gives {row.channel} = {row.value!r} "
+                    f"(stat_err {row.stat_err!r}) at {row.sweep_var} = "
+                    f"{row.sweep_value!r}, not a finite result")
     except Exception as exc:
         record.complete = False
         record.wall_time = time.perf_counter() - t0

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -273,6 +274,72 @@ def test_engine_failure_mid_sweep_writes_incomplete_record(tmp_path, capsys,
     assert len(doc["rows"]) == 2
     assert not (tmp_path / "diffusion-threshold.csv").exists()
     assert not (tmp_path / "diffusion-threshold.json").exists()
+
+
+def _incomplete_rows(out, scenario):
+    with open(out / f"{scenario}.incomplete.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("scenario, ini, kept", [
+    # weights overflow at gain 1e300: escaped_fraction = inf, stat_err nan
+    ("gain-transport", "[sweep]\nstart = 0\nstop = 1e300\nn = 2\n"
+     "[mc]\ntrajectories = 50\n", [0.0, 0.0]),
+    # the dressed propagator overflows at rabi = 1e155: chi = nan at 0
+    ("eit-spectrum", "[control]\nrabi = 1e155\n[sweep]\nn = 3\n",
+     [-5.0, -5.0]),
+], ids=["gain-transport", "eit-spectrum"])
+def test_non_finite_result_stops_the_record_before_it(tmp_path, capsys,
+                                                      scenario, ini, kept):
+    p = tmp_path / "c.ini"
+    p.write_text(f"[run]\nscenario = {scenario}\n{ini}")
+    # numpy warns at the overflow the guard is there to catch; under
+    # -W error that warning would be raised before the guard sees the row
+    with np.errstate(all="ignore"):
+        code = cli.main(["run", str(p), "--out", str(tmp_path), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error [{scenario}]: ")
+    assert "not a finite result" in err[0]
+    rows = _incomplete_rows(tmp_path, scenario)
+    assert [float(r["sweep_value"]) for r in rows] == kept
+    assert all(math.isfinite(float(r[k])) for r in rows
+               for k in ("value", "stat_err"))
+    assert not (tmp_path / f"{scenario}.csv").exists()
+
+
+def test_nan_or_negative_stat_err_is_an_engine_error(monkeypatch):
+    def rows(cfg, record, progress):
+        record.rows += [ResultRow("radius", 1.0, math.inf),
+                        ResultRow("radius", 2.0, stat_err),
+                        ResultRow("radius", 3.0)]
+
+    for stat_err in (math.nan, -1e-300):
+        monkeypatch.setitem(scenarios._DISPATCH, "diffusion-threshold",
+                            rows)
+        with pytest.raises(ArithmeticError) as exc:
+            run_scenario(cf.parse_text(
+                "[run]\nscenario = diffusion-threshold\n"))
+        # an infinite stat_err (one dipole configuration) is kept
+        assert [r.value for r in exc.value.record.rows] == [1.0]
+        assert not exc.value.record.complete
+
+
+def test_allocation_failure_is_an_engine_error(tmp_path, capsys,
+                                               monkeypatch):
+    # the 200000-atom coupling cannot be allocated; the factory raises
+    # instead, so the test allocates nothing
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(scenarios, "random_ball_configuration", no_memory)
+    p = tmp_path / "c.ini"
+    p.write_text("[run]\nscenario = coupled-dipole-spectrum\n"
+                 "[dipole]\nn_atoms = 200000\n")
+    assert cli.main(["run", str(p), "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error [coupled-dipole-spectrum]: MemoryError\n"
+    assert [q.name for q in tmp_path.iterdir()] == ["c.ini"]
 
 
 def test_run_scenario_protocol_rows():
