@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +22,10 @@ from . import mcscatter as mc
 __all__ = ["ResultRecord", "ResultRow", "run_scenario"]
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
+    """One output row.  Its fields hold Python scalars (float, int, str
+    or None), never numpy ones, so a row formats as its digits."""
+
     sweep_var: str
     value: float
     stat_err: float = 0.0
@@ -83,25 +86,24 @@ def _run_cbs_cone(cfg, record, progress):
             "no scattered light of any order reaches the detectors at "
             f"theta = {thetas[np.isnan(res.eta)].tolist()}, so the CBS "
             "enhancement is undefined there")
-    for i, th in enumerate(thetas):
-        record.rows.append(ResultRow("theta", float(res.eta[i]),
-                                     float(res.stat_err[i]),
-                                     channel=det["channel"],
-                                     sweep_value=float(th)))
-        progress(f"theta={th:.4f} eta={res.eta[i]:.4f}")
+    for th, eta, err in zip(thetas.tolist(), res.eta.tolist(),
+                            res.stat_err.tolist()):
+        record.rows.append(ResultRow("theta", eta, err,
+                                     channel=det["channel"], sweep_value=th))
+        progress(f"theta={th:.4f} eta={eta:.4f}")
 
 
 def _run_ladder_spectrum(cfg, record, progress):
     cloud = _cloud(cfg)
     dets = mc.backscatter_detectors([0.0], np.array([1.0, 0.0, 0.0]))
-    grid = _sweep_grid(cfg)
+    grid = _sweep_grid(cfg).tolist()
     results = mc.simulate_ladder(
-        cloud, dets, [_mc_params(cfg, detuning=float(d)) for d in grid],
+        cloud, dets, [_mc_params(cfg, detuning=d) for d in grid],
         n_workers=cfg["run"]["workers"])
     for delta, res in zip(grid, results):
         record.rows.append(ResultRow(
-            "detuning", float(res.ladder_total[0]), float(res.stat_err[0]),
-            channel="ladder", sweep_value=float(delta)))
+            "detuning", res.ladder_total.item(0), res.stat_err.item(0),
+            channel="ladder", sweep_value=delta))
         progress(f"detuning={delta:+.3f}")
 
 
@@ -109,19 +111,18 @@ def _run_gain_transport(cfg, record, progress):
     cloud = _cloud(cfg)
     dets = mc.backscatter_detectors([0.0], np.array([1.0, 0.0, 0.0]))
     sigma0 = cloud.sigma0()
-    grid = _sweep_grid(cfg)
+    grid = _sweep_grid(cfg).tolist()
     results = mc.simulate_ladder(
         cloud, dets,
-        [_mc_params(cfg, extra_gain_sigma=float(g) * sigma0) for g in grid],
+        [_mc_params(cfg, extra_gain_sigma=g * sigma0) for g in grid],
         n_workers=cfg["run"]["workers"])
     for g, res in zip(grid, results):
         record.rows.append(ResultRow(
             "gain", float(res.escaped_weight / res.injected_weight),
             float(res.escaped_err / res.injected_weight),
-            channel="escaped_fraction", sweep_value=float(g)))
+            channel="escaped_fraction", sweep_value=g))
         record.rows.append(ResultRow(
-            "gain", float(res.unstable), channel="unstable",
-            sweep_value=float(g)))
+            "gain", float(res.unstable), channel="unstable", sweep_value=g))
         progress(f"gain={g:.3f} unstable={res.unstable}")
 
 
@@ -138,13 +139,15 @@ def _run_eit_spectrum(cfg, record, progress):
     gs = GroundState.isotropic(sch, sch.ground[0].twice_F,
                                n0=cfg["cloud"]["n0"])
     grid = _sweep_grid(cfg)
-    for delta, chi0 in zip(grid, beam_chi0(sch, gs, ctrl, grid)):
-        record.rows.append(ResultRow("detuning", float(chi0.imag),
-                                     channel="im_chi",
-                                     sweep_value=float(delta)))
-        record.rows.append(ResultRow("detuning", float(chi0.real),
-                                     channel="re_chi",
-                                     sweep_value=float(delta)))
+    chi0 = beam_chi0(sch, gs, ctrl, grid)
+    # one float object per detuning on both of its rows, so the renderer
+    # formats it once
+    for delta, imag, real in zip(grid.tolist(), chi0.imag.tolist(),
+                                 chi0.real.tolist()):
+        record.rows.append(ResultRow("detuning", imag, channel="im_chi",
+                                     sweep_value=delta))
+        record.rows.append(ResultRow("detuning", real, channel="re_chi",
+                                     sweep_value=delta))
     progress("spectrum done")
 
 
@@ -168,11 +171,12 @@ def _run_coupled_dipole_spectrum(cfg, record, progress):
     # ddof=1 is undefined for one configuration
     err = spectra.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 \
         else np.full(len(grid), np.inf)
-    for delta, value, stat_err in zip(grid, spectra.mean(axis=0), err):
-        record.rows.append(ResultRow("detuning", float(value),
-                                     float(stat_err),
+    for delta, value, stat_err in zip(grid.tolist(),
+                                      spectra.mean(axis=0).tolist(),
+                                      err.tolist()):
+        record.rows.append(ResultRow("detuning", value, stat_err,
                                      channel="cross_section",
-                                     sweep_value=float(delta)))
+                                     sweep_value=delta))
 
 
 def _run_selfconsistent_slab(cfg, record, progress):
@@ -180,33 +184,32 @@ def _run_selfconsistent_slab(cfg, record, progress):
     grid = _sweep_grid(cfg)
     eps = self_consistent_epsilon(s["density"], grid)
     T = slab_transmission(eps.epsilon, s["thickness"])
-    for delta, transmittance in zip(grid, T.transmittance):
-        record.rows.append(ResultRow("detuning", float(transmittance),
+    for delta, transmittance in zip(grid.tolist(),
+                                    T.transmittance.tolist()):
+        record.rows.append(ResultRow("detuning", transmittance,
                                      channel="transmittance",
-                                     sweep_value=float(delta)))
+                                     sweep_value=delta))
     progress("slab sweep done")
 
 
 def _run_diffusion_threshold(cfg, record, progress):
     d = cfg["diffusion"]
-    for r0 in _sweep_grid(cfg):
+    for r0 in _sweep_grid(cfg).tolist():
         model = DiffusionModel(v_bar=d["v_bar"], l0_bar=d["l_tr"],
-                               albedo=d["albedo"], l_g=d["l_g"],
-                               r0=float(r0))
+                               albedo=d["albedo"], l_g=d["l_g"], r0=r0)
         mode = solve_gain_diffusion_sphere(model)
         record.rows.append(ResultRow("radius", mode.growth_rate,
-                                     channel="growth_rate",
-                                     sweep_value=float(r0)))
+                                     channel="growth_rate", sweep_value=r0))
         progress(f"r0={r0:.3f} rate={mode.growth_rate:+.3e}")
 
 
 def _run_protocol_utils(cfg, record, progress):
     p = cfg["protocol"]
-    for n_bar in _sweep_grid(cfg):
-        state = PsiMinusState.with_norm_tolerance(float(n_bar), tol=1e-9)
+    for n_bar in _sweep_grid(cfg).tolist():
+        state = PsiMinusState.with_norm_tolerance(n_bar, tol=1e-9)
         record.rows.append(ResultRow("n_bar", 1.0 - state.norm_squared(),
                                      channel="norm_deficit",
-                                     sweep_value=float(n_bar)))
+                                     sweep_value=n_bar))
     record.rows.append(ResultRow(
         "n_atoms", mz_signal(p["i_mean"], p["xi"], p["n_atoms"]),
         channel="mz_signal", sweep_value=p["n_atoms"]))
@@ -239,7 +242,10 @@ def run_scenario(cfg: ScenarioConfig, progress=lambda msg: None
                           version=__version__, seed=cfg["run"]["seed"])
     t0 = time.perf_counter()
     try:
-        _DISPATCH[cfg.scenario](cfg, record, progress)
+        # an overflow or an invalid operation inside an engine shows up
+        # in its result, which the finite-row check below judges
+        with np.errstate(over="ignore", invalid="ignore"):
+            _DISPATCH[cfg.scenario](cfg, record, progress)
         for i, row in enumerate(record.rows):
             if not (math.isfinite(row.value) and row.stat_err >= 0):
                 del record.rows[i:]

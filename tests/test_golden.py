@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from coldscatter.config import SCENARIOS, parse_config
+from coldscatter.scenarios import run_scenario
 
 _spec = importlib.util.spec_from_file_location(
     "golden_regen", Path(__file__).parent / "golden" / "regen.py")
@@ -81,6 +82,16 @@ def test_golden_record(ini):
     else:
         _agree(expected, actual,
                parse_config(ini).scenario in MONTE_CARLO)
+
+
+@pytest.mark.parametrize("ini", regen.configs(), ids=lambda p: p.stem)
+def test_golden_rows_hold_python_scalars(ini):
+    # a numpy scalar would be written as 'np.float64(0.1)' under numpy 2
+    # but as '0.1' under numpy 1, where the tolerance path would pass it
+    rows = run_scenario(parse_config(ini)).rows
+    assert rows
+    for row in rows:
+        assert {type(v) for v in row} <= {float, int, str, type(None)}, row
 
 
 def test_tolerance_path_accepts_its_own_record_and_rejects_a_move():
