@@ -64,11 +64,8 @@ def _render(record: ResultRecord, config: ScenarioConfig) -> tuple[str, str]:
 
     Each float is formatted once, by repr, and each distinct text field
     is escaped once, so a CSV field and its JSON value carry the same
-    digits.  A ``sweep_value`` or ``stat_err`` that is the same object
-    as the previous row's reuses that row's text: identity, unlike
-    equality, tells -0.0 from 0.0 and matches a NaN.  The texts are
-    those of ``csv.writer`` and of ``json.dumps(sort_keys=True,
-    allow_nan=False)`` of the rows' fields.
+    digits.  The texts are those of ``csv.writer`` and of
+    ``json.dumps(sort_keys=True, allow_nan=False)`` of the rows' fields.
     """
     texts = {}
 
@@ -82,23 +79,12 @@ def _render(record: ResultRecord, config: ScenarioConfig) -> tuple[str, str]:
 
     csv_lines = [",".join(CSV_HEADER) + "\n"]
     json_rows = []
-    # no row field is this object, so the first row formats both
-    last_sweep = last_err = object()
     for sweep_var, value, stat_err, order, channel, sweep_value \
             in record.rows:
         var_csv, var_json = text(sweep_var)
-        if sweep_value is not last_sweep:
-            last_sweep = sweep_value
-            sweep_csv, sweep_json = _number(sweep_value)
-        if type(value) is float:
-            value_csv = repr(value)
-            value_json = value_csv if value - value == 0.0 \
-                else f'"{value_csv}"'
-        else:
-            value_csv, value_json = _number(value)
-        if stat_err is not last_err:
-            last_err = stat_err
-            err_csv, err_json = _number(stat_err)
+        sweep_csv, sweep_json = _number(sweep_value)
+        value_csv, value_json = _number(value)
+        err_csv, err_json = _number(stat_err)
         order_csv, order_json = ("", "null") if order is None \
             else _cell(order, order)
         channel_csv, channel_json = text(channel)

@@ -657,7 +657,11 @@ def _run_chunk(cloud: Cloud, points: list[MCParams],
 
 
 def _chunk_worker(args):
-    return _run_chunk(*args)
+    # a worker started by spawn or forkserver does not inherit the
+    # caller's numpy error handling, so the job carries it
+    err, job = args
+    with np.errstate(**err):
+        return _run_chunk(*job)
 
 
 def _usable_cpus() -> int:
@@ -712,7 +716,8 @@ def simulate_ladder(cloud: Cloud, detectors: list[Detector], points,
     n_workers = min(n_workers, len(jobs), _usable_cpus())
     if n_workers > 1:
         with Pool(n_workers) as pool:
-            results = pool.map(_chunk_worker, jobs)
+            err = np.geterr()
+            results = pool.map(_chunk_worker, [(err, j) for j in jobs])
     else:
         results = [_run_chunk(*j) for j in jobs]
 

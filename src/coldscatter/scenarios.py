@@ -140,8 +140,6 @@ def _run_eit_spectrum(cfg, record, progress):
                                n0=cfg["cloud"]["n0"])
     grid = _sweep_grid(cfg)
     chi0 = beam_chi0(sch, gs, ctrl, grid)
-    # one float object per detuning on both of its rows, so the renderer
-    # formats it once
     for delta, imag, real in zip(grid.tolist(), chi0.imag.tolist(),
                                  chi0.real.tolist()):
         record.rows.append(ResultRow("detuning", imag, channel="im_chi",

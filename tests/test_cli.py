@@ -313,26 +313,40 @@ def test_non_finite_result_stops_the_record_before_it(tmp_path, capsys,
     assert not (tmp_path / f"{scenario}.csv").exists()
 
 
-@pytest.mark.parametrize("scenario, ini", [
-    ("gain-transport", "[sweep]\nstart = 0\nstop = 1e300\nn = 2\n"
-     "[mc]\ntrajectories = 50\n"),
+_GAIN_OVERFLOW = ("[sweep]\nstart = 0\nstop = 1e300\nn = 2\n"
+                  "[mc]\ntrajectories = 50\n")
+
+
+@pytest.mark.parametrize("scenario, ini, workers", [
+    ("gain-transport", _GAIN_OVERFLOW, 1),
+    # two jobs on two spawned workers, which do not inherit the parent's
+    # numpy error handling; the pool runs on a machine of any size
+    ("gain-transport", _GAIN_OVERFLOW + "chunk_size = 50\n", 2),
     # the dressed propagator overflows at every detuning of this sweep
     ("eit-spectrum", "[atom]\nkind = lambda-rb87\n[control]\nrabi = 1e155\n"
-     "[sweep]\nstart = -2\nstop = 2\nn = 5\n"),
-], ids=["gain-transport", "eit-spectrum"])
-def test_numpy_warnings_stay_inside_the_engine(tmp_path, scenario, ini):
+     "[sweep]\nstart = -2\nstop = 2\nn = 5\n", 1),
+], ids=["gain-transport", "gain-transport-spawned-workers", "eit-spectrum"])
+def test_numpy_warnings_stay_inside_the_engine(tmp_path, scenario, ini,
+                                               workers):
     # under -W error a numpy RuntimeWarning escaping the engine would end
     # the run in a traceback with exit 1; the finite-row check must judge
     p = tmp_path / "c.ini"
     p.write_text(f"[run]\nscenario = {scenario}\n{ini}")
+    out = tmp_path / "out"
+    script = (
+        "import multiprocessing, sys\n"
+        "from coldscatter import cli, mcscatter\n"
+        "if __name__ == '__main__':\n"
+        "    multiprocessing.set_start_method('spawn')\n"
+        "    mcscatter._usable_cpus = lambda: 2\n"
+        f"    sys.exit(cli.main(['run', {str(p)!r}, '--out', {str(out)!r},"
+        f" '--workers', '{workers}', '--quiet']))\n")
     src = str(Path(coldscatter.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "coldscatter.cli", "run",
-         str(p), "--out", str(out), "--quiet"],
-        capture_output=True, text=True, env=env, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
     assert proc.returncode == 2, proc.stderr
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error [{scenario}]"), err
@@ -649,31 +663,6 @@ def test_json_rows_match_csv_rows(tmp_path):
     assert json_path.read_bytes() == _reference_json(record, cfg).encode()
     record.rows += _adversarial_rows()
     _assert_renders_as_reference(record, cfg)
-
-
-def test_render_reuses_a_text_only_for_the_same_object():
-    # float("...") makes a new object each call
-    shared, equal = 0.1, float("0.1")
-    zero, minus_zero = float("0.0"), float("-0.0")
-    nan, inf = float("nan"), float("-inf")
-    rows = [ResultRow("detuning", 1.0, shared, sweep_value=shared),
-            ResultRow("detuning", 2.0, shared, sweep_value=shared),
-            ResultRow("detuning", 3.0, equal, sweep_value=equal),
-            ResultRow("detuning", 4.0, zero, sweep_value=zero),
-            ResultRow("detuning", 5.0, minus_zero, sweep_value=minus_zero),
-            ResultRow("detuning", 6.0, zero, sweep_value=zero),
-            ResultRow("detuning", nan, nan, sweep_value=nan),
-            ResultRow("detuning", nan, nan, sweep_value=nan),
-            ResultRow("detuning", inf, inf, sweep_value=inf),
-            ResultRow("detuning", inf, inf, sweep_value=inf),
-            ResultRow("detuning", 7.0, float("nan"),
-                      sweep_value=float("nan")),
-            ResultRow("detuning", 8.0, sweep_value=-0.0),
-            ResultRow("detuning", 9.0, sweep_value=0.0)]
-    assert equal == shared and equal is not shared
-    assert minus_zero == zero and minus_zero is not zero
-    record = ResultRecord("eit-spectrum", "0" * 64, "0.0", 3, rows=rows)
-    _assert_renders_as_reference(record, _EIT_SMALL)
 
 
 SMALL_CONFIGS = {
