@@ -357,7 +357,7 @@ def dipole_matrix_element(scheme: LevelScheme, F, M, F0, M0, q) -> float:
 
 @lru_cache(maxsize=32)
 def dipole_q_array(scheme: LevelScheme) -> np.ndarray:
-    """d[q_index, n_excited, m_ground] with q ordered (-1, 0, +1)."""
+    """Read-only d[q_index, n_excited, m_ground], q ordered (-1, 0, +1)."""
     exc = scheme.excited_sublevels()
     gnd = scheme.ground_sublevels()
     d = np.zeros((3, len(exc), len(gnd)))
@@ -367,6 +367,7 @@ def dipole_q_array(scheme: LevelScheme) -> np.ndarray:
                 if tM == tM0 + 2 * q:
                     d[iq, ie, ig] = dipole_matrix_element(
                         scheme, tF / 2, tM / 2, tF0 / 2, tM0 / 2, q)
+    d.flags.writeable = False  # cached: shared by every later caller
     return d
 
 

@@ -25,17 +25,12 @@ CSV_HEADER = ["sweep_var", "sweep_value", "value", "stat_err", "order",
               "channel"]
 
 
-def _finite_value(value):
-    """``value``, or its repr ("inf", "-inf", "nan") if it is a non-finite
-    float: RFC 8259 JSON has no such numbers."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
-    return value
-
-
 def _finite(fields: dict) -> dict:
-    """``fields`` with each non-finite float spelled as its repr."""
-    return {key: _finite_value(val) for key, val in fields.items()}
+    """``fields`` with each non-finite float spelled as its repr ("inf",
+    "-inf", "nan"): RFC 8259 JSON has no such numbers."""
+    return {key: repr(val) if isinstance(val, float)
+            and not math.isfinite(val) else val
+            for key, val in fields.items()}
 
 
 def _cell(csv_value, json_value) -> tuple[str, str]:
@@ -45,8 +40,7 @@ def _cell(csv_value, json_value) -> tuple[str, str]:
     # the empty second field: csv.writer quotes an empty field only when
     # it is alone on its row
     csv.writer(buf, lineterminator="\n").writerow([csv_value, ""])
-    return buf.getvalue()[:-2], json.dumps(_finite_value(json_value),
-                                           sort_keys=True, allow_nan=False)
+    return buf.getvalue()[:-2], json.dumps(json_value, allow_nan=False)
 
 
 def _number(value) -> tuple[str, str]:
@@ -69,9 +63,7 @@ def _render(record: ResultRecord, config: ScenarioConfig) -> tuple[str, str]:
     """
     texts = {}
 
-    def text(value) -> tuple[str, str]:
-        if type(value) is not str:
-            return _cell(value, value)
+    def text(value: str) -> tuple[str, str]:
         pair = texts.get(value)
         if pair is None:
             pair = texts[value] = _cell(value, value)

@@ -4,10 +4,9 @@ Samples scattering chains through a spherically symmetric Gaussian
 density, accumulating order-resolved ladder intensities by next-event
 estimation toward each detector, the crossed (interference) contribution
 of each chain's reversed path, Raman frequency bookkeeping, and an
-optional stimulated-gain weight with an instability diagnostic.  One
-step, ``_chain_step``, advances the direct field and accumulates the
-reverse product forward at every vertex, in the engine and in
-``chain_pair_amplitudes`` alike.
+optional stimulated-gain weight with an instability diagnostic.  The
+engine and ``chain_pair_amplitudes`` share one vertex step,
+``_chain_step``, and one end vertex, ``_end_amplitudes``.
 
 Free paths use the closed-form chord optical depth of the Gaussian cloud
 (error-function profile) inverted exactly, so no step-size bias enters.
@@ -77,8 +76,8 @@ class Cloud:
     ground: GroundState = None
 
     def __post_init__(self):
-        if self.n0 <= 0 or self.r0 <= 0:
-            raise ValueError("cloud density and radius must be positive")
+        if not (0.0 < self.n0 < math.inf and 0.0 < self.r0 < math.inf):
+            raise ValueError("cloud n0 and r0 must be positive and finite")
         if self.ground is None:
             object.__setattr__(
                 self, "ground",
@@ -332,6 +331,14 @@ def _chain_step(f_dir, M_rev, A, u):
     return f, M
 
 
+def _end_amplitudes(f_dir, M_rev, A, e_in, pols_h):
+    """The end vertex A of a chain, the only one: the direct amplitude
+    (A f).pols and the reverse (M A e_in).pols, on the analyzer columns
+    ``pols_h`` (3, ...) of conjugated polarizations."""
+    return ((A @ f_dir[..., None])[..., 0] @ pols_h,
+            (M_rev @ (A @ e_in)[..., None])[..., 0] @ pols_h)
+
+
 def chain_pair_amplitudes(positions, tensors, e_in, e_out):
     """Direct and reverse internal amplitudes of a recorded chain.
 
@@ -340,9 +347,9 @@ def chain_pair_amplitudes(positions, tensors, e_in, e_out):
     forward through the engine's own step ``_chain_step``, which carries
     the direct field f = P A_{N-1} ... P A_1 e_in and accumulates the
     reverse product M = A_1 P ... A_{N-1} P, with the transverse projector
-    P of every internal segment; then direct = e_out^* . A_N f and
-    reverse = e_out^* . M A_N e_in.  External phases and attenuations are
-    excluded (the caller supplies them); at exact backscattering with
+    P of every internal segment; its end vertex ``_end_amplitudes`` gives
+    direct = e_out^* . A_N f and reverse = e_out^* . M A_N e_in.  External
+    phases and attenuations are the caller's; at exact backscattering with
     reciprocal analyzers the two amplitudes coincide chain by chain.
     """
     positions = np.asarray(positions, dtype=float)
@@ -351,9 +358,8 @@ def chain_pair_amplitudes(positions, tensors, e_in, e_out):
     for j in range(len(positions) - 1):
         u = positions[j + 1] - positions[j]
         f, M = _chain_step(f, M, tensors[j], u / np.linalg.norm(u))
-    A = tensors[-1]
-    e_out_c = np.conj(np.asarray(e_out, dtype=complex))
-    return complex(e_out_c @ A @ f), complex(e_out_c @ M @ A @ e_in)
+    return tuple(map(complex, _end_amplitudes(
+        f, M, tensors[-1], e_in, np.conj(np.asarray(e_out, dtype=complex)))))
 
 
 # ----------------------------------------------------------------------------
@@ -425,6 +431,20 @@ class CbsResult:
 # Medium tables: per-frequency cross sections and tensors.
 # ----------------------------------------------------------------------------
 
+def _intern(ids: dict, values, fill) -> np.ndarray:
+    """Ids of ``values`` in ``ids``, in their shape; the values not yet in
+    ``ids`` go to ``fill`` as one sorted list and take the next ids."""
+    uniq, inv = np.unique(values, return_inverse=True)
+    uniq = uniq.tolist()
+    new = [v for v in uniq if v not in ids]
+    if new:
+        fill(new)
+        ids.update(zip(new, range(len(ids), len(ids) + len(new))))
+    # NumPy 1.x flattens the inverse of an n-d input, 2.x keeps its shape
+    return np.array([ids[v] for v in uniq],
+                    dtype=np.intp)[inv].reshape(np.shape(values))
+
+
 class _MediumTables:
     """Extinction per frequency and, per (frequency, sublevel) key, the
     scattering-tensor stack of every outgoing channel with the frequency
@@ -452,24 +472,17 @@ class _MediumTables:
 
     def freq_ids(self, omegas) -> np.ndarray:
         """Frequency ids of ``omegas``, in their shape, registering new
-        frequencies in sorted order with one extinction call."""
-        uniq, inv = np.unique(omegas, return_inverse=True)
-        uniq = uniq.tolist()
-        new = [w for w in uniq if w not in self._ids]
-        if new:
+        frequencies with one extinction call."""
+        def fill(new):
             val = extinction_cross_section(self.cloud.scheme,
                                            self.cloud.ground, None,
                                            np.array(new))
             if np.any(val <= 0):
                 raise ArithmeticError("non-positive extinction at "
                                       f"omega={new[np.argmax(val <= 0)]}")
-            self._ids.update(zip(new, range(len(self.omegas),
-                                            len(self.omegas) + len(new))))
             self.omegas.extend(new)
             self.sigma = np.concatenate([self.sigma, val])
-        # NumPy 1.x flattens the inverse of an n-d input, 2.x keeps its shape
-        return np.array([self._ids[w] for w in uniq],
-                        dtype=np.intp)[inv].reshape(np.shape(omegas))
+        return _intern(self._ids, omegas, fill)
 
     def sublevels(self, xi) -> np.ndarray:
         """Ground sublevels drawn from the populations, one uniform each."""
@@ -478,20 +491,15 @@ class _MediumTables:
 
     def keys(self, f, m) -> np.ndarray:
         """Key ids of walkers at frequency ids f in sublevels m, filling
-        the new keys in sorted order with one tensor call."""
-        uniq, inv = np.unique(f * self.n_ground + m, return_inverse=True)
-        uniq = uniq.tolist()
-        new = [k for k in uniq if k not in self._keys]
-        if new:
+        the new keys with one tensor call."""
+        def fill(new):
             f_new, m_new = np.divmod(np.array(new), self.n_ground)
             omega = np.array(self.omegas)[f_new]
             stacks = scattering_tensors(self.cloud.scheme, None, m_new, omega)
             out = self.freq_ids(omega[:, None] + self.shifts[:, m_new].T)
-            self._keys.update(zip(new, range(len(self.stacks),
-                                             len(self.stacks) + len(new))))
             self.stacks = np.concatenate([self.stacks, stacks])
             self.out_ids = np.concatenate([self.out_ids, out])
-        return np.array([self._keys[k] for k in uniq], dtype=np.intp)[inv]
+        return _intern(self._keys, f * self.n_ground + m, fill)
 
     def fields(self, kid, e) -> np.ndarray:
         """Scattered fields A e (n, n_ground, 3) of every outgoing channel
@@ -523,8 +531,8 @@ def _crossed_term(cloud, walk, A, e_in, pols_h, k_sum, depths, ladder):
     terms times the interference of the direct amplitude A f_dir and the
     reverse M_revpre A e_in through the elastic tensors A, at phase
     (k_in + k_out).(r - r_first) and half the paths' depth difference."""
-    amp_dir = (A @ walk["f_dir"][..., None])[..., 0] @ pols_h
-    amp_rev = (walk["M_revpre"] @ (A @ e_in)[..., None])[..., 0] @ pols_h
+    amp_dir, amp_rev = _end_amplitudes(walk["f_dir"], walk["M_revpre"], A,
+                                       e_in, pols_h)
     dphi = (walk["p"] - walk["r_first"]) @ k_sum
     tau_in = chord_depth(cloud, walk["p"], -_K_IN, walk["sigma"])[:, None]
     att = np.exp(-0.5 * (tau_in + walk["tau_out_first"]

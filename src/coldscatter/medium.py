@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,25 +116,33 @@ class GroundState:
 # Dressed excited-state propagator.
 # ----------------------------------------------------------------------------
 
+class _SchemeTable(NamedTuple):
+    excited_energies: np.ndarray
+    ground_energies: np.ndarray  # in sublevel order
+    d_out: np.ndarray            # (n_ground, 3, n_exc)
+    d_in: np.ndarray
+    blocks: tuple                # (twice_M, indices) pairs, increasing M
+
+
 @lru_cache(maxsize=32)
-def _excited_levels(scheme: LevelScheme):
-    """Read-only excited-sublevel energies and the same-M blocks as
-    ``(twice_M, indices)`` pairs in increasing M."""
+def _scheme_table(scheme: LevelScheme) -> _SchemeTable:
+    """The read-only sublevel energies, same-M excited blocks and
+    Cartesian dipole rows of ``scheme``: outgoing -e_q'^* d and incoming
+    d e_q, so that the scattering tensor of the channel m -> m' is
+    alpha^{(m' m)} = d_out[m'] G d_in[m]^T."""
     exc = scheme.excited_sublevels()
-    energies = np.array([scheme.excited_energy(tf) for tf, _ in exc])
-    energies.flags.writeable = False
     blocks = tuple((tM, tuple(i for i, (_, tm) in enumerate(exc) if tm == tM))
                    for tM in sorted({tm for _, tm in exc}))
-    return energies, blocks
-
-
-@lru_cache(maxsize=32)
-def _ground_energies(scheme: LevelScheme) -> np.ndarray:
-    """Read-only energy of every ground sublevel, in sublevel order."""
-    energies = np.array([scheme.ground_energy(tf)
-                         for tf, _ in scheme.ground_sublevels()])
-    energies.flags.writeable = False
-    return energies
+    d = dipole_q_array(scheme).transpose(2, 0, 1)  # d[m, q, n]
+    eq = spherical_unit_vectors()
+    table = _SchemeTable(
+        np.array([scheme.excited_energy(tf) for tf, _ in exc]),
+        np.array([scheme.ground_energy(tf)
+                  for tf, _ in scheme.ground_sublevels()]),
+        -(eq.conj().T @ d), eq.T @ d, blocks)
+    for a in table[:-1]:  # every field but the blocks
+        a.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=32)
@@ -146,7 +155,7 @@ def _dressed_blocks(scheme: LevelScheme, control: ControlField | None):
         return ()
     gnd = scheme.ground_sublevels()
     dressed = []
-    for tM, idx in _excited_levels(scheme)[1]:
+    for tM, idx in _scheme_table(scheme).blocks:
         partner = (control.twice_F0, tM - 2 * control.polarization_q)
         if partner not in gnd:
             continue
@@ -172,7 +181,7 @@ def excited_green(scheme: LevelScheme, control: ControlField | None,
     ``E`` raises :class:`PoleProximityError`.
     """
     E = np.asarray(E)
-    energies, _ = _excited_levels(scheme)
+    energies = _scheme_table(scheme).excited_energies
     a_inv = 1.0 / (E[..., None] - energies + 0.5j * scheme.gamma)
     n = len(energies)
     G = np.zeros(E.shape + (n, n), dtype=complex)
@@ -205,18 +214,6 @@ def excited_green(scheme: LevelScheme, control: ControlField | None,
 # Susceptibility and scattering tensors.
 # ----------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _cartesian_dipoles(scheme: LevelScheme):
-    """Read-only Cartesian dipole rows (n_ground, 3, n_exc), outgoing
-    -e_q'^* d and incoming d e_q, so that the scattering tensor of the
-    channel m -> m' is alpha^{(m' m)} = d_out[m'] G d_in[m]^T."""
-    d = dipole_q_array(scheme).transpose(2, 0, 1)  # d[m, q, n]
-    eq = spherical_unit_vectors()
-    d_out, d_in = -(eq.conj().T @ d), eq.T @ d
-    d_out.flags.writeable = d_in.flags.writeable = False
-    return d_out, d_in
-
-
 def _alpha(scheme: LevelScheme, control: ControlField | None,
            m_out, m_in, omega) -> np.ndarray:
     """Scattering tensors alpha^{(m_out m_in)} = d_out[m_out] G d_in[m_in]^T
@@ -225,12 +222,11 @@ def _alpha(scheme: LevelScheme, control: ControlField | None,
     the broadcast (m_in, omega), so a broadcast over m_out adds only the
     outgoing contraction."""
     m_in, omega = np.broadcast_arrays(m_in, omega)
-    G = excited_green(scheme, control,
-                      omega + _ground_energies(scheme)[m_in])
-    d_out, d_in = _cartesian_dipoles(scheme)
+    table = _scheme_table(scheme)
+    G = excited_green(scheme, control, omega + table.ground_energies[m_in])
     # einsum's optimized path is a BLAS product where the stack broadcasts
-    return np.einsum("...an,...nb->...ab", d_out[m_out],
-                     G @ d_in[m_in].swapaxes(-1, -2), optimize=True)
+    return np.einsum("...an,...nb->...ab", table.d_out[m_out],
+                     G @ table.d_in[m_in].swapaxes(-1, -2), optimize=True)
 
 
 def scattering_tensors(scheme: LevelScheme, control: ControlField | None,
@@ -241,7 +237,8 @@ def scattering_tensors(scheme: LevelScheme, control: ControlField | None,
     (*shape, n_ground, 3, 3) indexed by :meth:`LevelScheme.ground_sublevels`,
     rows the outgoing Cartesian index mu', columns the incoming mu."""
     m_in, omega = np.broadcast_arrays(m_in, omega)
-    return _alpha(scheme, control, np.arange(len(_ground_energies(scheme))),
+    return _alpha(scheme, control,
+                  np.arange(len(_scheme_table(scheme).ground_energies)),
                   m_in[..., None], omega[..., None])
 
 
@@ -264,7 +261,7 @@ def susceptibility(scheme: LevelScheme, ground: GroundState,
 def raman_shift(scheme: LevelScheme, m_out, m_in):
     """omega' - omega = E_m - E_m' for the channel m -> m'; the sublevel
     index arrays broadcast together."""
-    energies = _ground_energies(scheme)
+    energies = _scheme_table(scheme).ground_energies
     return energies[m_in] - energies[m_out]
 
 

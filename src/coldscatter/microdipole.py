@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 CONTACT_FLOOR = 0.05  # reduced wavelengths; dipole model invalid below
+# coupling strength p of each model: the scalar kernel's 1/2, and the
+# |<1,q|d_q|0,0>|^2 = 3/4 of the vector model's closed F0=0 -> F=1 line
+_STRENGTH = {"scalar": 0.5, "vector": 0.75}
 _RESPACE_TRIES = 200  # redraw rounds for atoms inside the contact floor
 
 
@@ -121,7 +124,7 @@ class Configuration:
             raise ValueError("positions must be an (N, 3) array")
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
-        if self.model not in ("scalar", "vector"):
+        if self.model not in _STRENGTH:
             raise ValueError(f"unknown model {self.model!r}")
         dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
         np.fill_diagonal(dist, math.inf)
@@ -152,13 +155,12 @@ class Configuration:
         r = np.linalg.norm(diff, axis=-1)
         np.fill_diagonal(r, 1.0)  # no self-coupling; keeps the diagonal finite
         if self.model == "scalar":
-            coupling = -0.5 * np.exp(1j * r) / r
+            coupling = -_STRENGTH["scalar"] * np.exp(1j * r) / r
             np.fill_diagonal(coupling, 0.0)
         else:
-            d0sq = 0.75  # |<1,q|d_q|0,0>|^2, closed F0=0 -> F=1
             alpha, beta = _green_coefficients(r)
-            alpha *= d0sq
-            beta *= d0sq
+            alpha *= _STRENGTH["vector"]
+            beta *= _STRENGTH["vector"]
             np.fill_diagonal(alpha, 0.0)
             np.fill_diagonal(beta, 0.0)
             diff /= r[..., None]  # unit vectors, 0 on the diagonal
@@ -199,9 +201,9 @@ def _plane_wave(config: Configuration, k, e):
     dsigma/dOmega = |f|^2 and Q0 = 4 pi Im f_forward.
     """
     phases = np.exp(1j * config.positions @ np.asarray(k, dtype=float))
-    if config.model == "scalar":
-        return phases, 0.5
-    return (phases[:, None] * np.asarray(e, dtype=complex)).ravel(), 0.75
+    if config.model == "vector":
+        phases = (phases[:, None] * np.asarray(e, dtype=complex)).ravel()
+    return phases, _STRENGTH[config.model]
 
 
 class DipoleSolver:

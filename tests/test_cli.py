@@ -8,7 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -298,10 +297,7 @@ def test_non_finite_result_stops_the_record_before_it(tmp_path, capsys,
                                                       scenario, ini, kept):
     p = tmp_path / "c.ini"
     p.write_text(f"[run]\nscenario = {scenario}\n{ini}")
-    # numpy warns at the overflow the guard is there to catch; under
-    # -W error that warning would be raised before the guard sees the row
-    with np.errstate(all="ignore"):
-        code = cli.main(["run", str(p), "--out", str(tmp_path), "--quiet"])
+    code = cli.main(["run", str(p), "--out", str(tmp_path), "--quiet"])
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error [{scenario}]: ")

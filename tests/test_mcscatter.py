@@ -234,6 +234,16 @@ def test_elastic_channel_keeps_frequency():
     assert raman_shift(sch, 0, 0) == 0.0
 
 
+@pytest.mark.parametrize("field", ["n0", "r0"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_cloud_rejects_non_positive_or_non_finite_size(field, bad):
+    # a NaN or infinite cloud would fail every entry try, so sample_entry
+    # would draw ever larger blocks without end
+    kwargs = {"n0": 0.01, "r0": 8.0, field: bad}
+    with pytest.raises(ValueError, match="positive and finite"):
+        mc.Cloud(LevelScheme.simple(), **kwargs)
+
+
 def test_raman_shift_broadcasts_sublevel_arrays():
     sch = LevelScheme.rb85_d2()
     n = len(sch.ground_sublevels())

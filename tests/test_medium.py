@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coldscatter.angular import (LevelScheme, dipole_matrix_element,
-                                 spherical_unit_vectors)
+                                 dipole_q_array, spherical_unit_vectors)
 from coldscatter import medium as md
 
 
@@ -405,3 +405,12 @@ def test_kinetic_lengths_gain_flag():
 def test_raman_gain_monotone_in_pump():
     vals = [md.raman_gain_cross_section(v, 1126.0) for v in (5, 10, 20, 40)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def test_cached_scheme_arrays_are_read_only():
+    # cached per scheme: a write would change every later EIT and
+    # medium-table result for that scheme
+    sch = LevelScheme.rb85_d2()
+    for a in (dipole_q_array(sch), *md._scheme_table(sch)[:-1]):
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0

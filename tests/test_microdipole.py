@@ -548,6 +548,18 @@ def test_spectrum_raises_on_singular_system():
         (2.0 + 0.5j) * np.eye(2) - h)[0, 0], rel=1e-15)
 
 
+def test_hessenberg_resolvent_rescales_before_the_last_row():
+    # a subdiagonal of 1e-300 makes x_1 ~ |Delta| 1e300; at |Delta| >= 1e7
+    # d = (Delta + i/2) x_1 - ... overflows unless x is rescaled first
+    h = np.array([[0.3 + 0.2j, 2.0], [1e-300, -0.7j]], order="F")
+    deltas = np.array([0.0, 1e7, -3e7])
+    got = mi._hessenberg_resolvent(h, deltas)
+    (a, b), (c, e) = h
+    z = deltas + 0.5j
+    ref = (z - e) / ((z - a) * (z - e) - b * c)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+
 def test_hessenberg_resolvent_stops_at_zero_subdiagonal():
     # h[3, 2] = 0 leaves H block upper triangular: the recurrence stops
     # there, where dividing by that subdiagonal would give no finite x
@@ -600,24 +612,32 @@ def test_coupling_peak_memory_is_bounded_by_its_result():
     assert peak <= 2.0 * coupling.nbytes
 
 
-def _dipole_spectrum(n_configs, n_atoms=6, radius=2.0, n_det=4, seed=3):
+def _dipole_spectrum(n_configs, n_atoms=6, radius=2.0, n_det=4, seed=3,
+                     geometry="ball"):
     cfg = parse_text(
         "[run]\nscenario = coupled-dipole-spectrum\nseed = %d\n"
         "[dipole]\nn_atoms = %d\nradius = %r\nn_configs = %d\n"
-        "[sweep]\nstart = -1\nstop = 1\nn = %d\n"
-        % (seed, n_atoms, radius, n_configs, n_det))
+        "geometry = %s\n[sweep]\nstart = -1\nstop = 1\nn = %d\n"
+        % (seed, n_atoms, radius, n_configs, geometry, n_det))
     return cfg, run_scenario(cfg)
 
 
-@pytest.mark.parametrize("n_configs", [1, 3])
-def test_configuration_average_matches_per_configuration_spectra(n_configs):
-    cfg, record = _dipole_spectrum(n_configs)
+@pytest.mark.parametrize("n_configs, geometry", [
+    pytest.param(1, "ball", id="1"),
+    pytest.param(3, "ball", id="3"),
+    # the radius is the Gaussian's per-axis standard deviation r0
+    pytest.param(3, "gaussian", id="3-gaussian"),
+])
+def test_configuration_average_matches_per_configuration_spectra(n_configs,
+                                                                 geometry):
+    factory = mi.random_ball_configuration if geometry == "ball" \
+        else mi.gaussian_configuration
+    cfg, record = _dipole_spectrum(n_configs, geometry=geometry)
     deltas = [row.sweep_value for row in record.rows]
     rng = np.random.default_rng(cfg["run"]["seed"])
     spectra = np.array([
         mi.cross_section_spectrum(conf, deltas, K_IN, E_X)
-        for conf in (mi.random_ball_configuration(6, 2.0, rng)
-                     for _ in range(n_configs))])
+        for conf in (factory(6, 2.0, rng) for _ in range(n_configs))])
     values = np.array([row.value for row in record.rows])
     errs = np.array([row.stat_err for row in record.rows])
     if n_configs == 1:
