@@ -164,7 +164,9 @@ def parse_text(text: str) -> ScenarioConfig:
     try:
         cp.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError([f"syntax error: {exc}"]) from exc
+        # one line, where configparser's message may span several
+        raise ConfigError(["syntax error: " + " ".join(
+            line.strip() for line in str(exc).splitlines())]) from exc
 
     errors = []
     values = {}
@@ -249,8 +251,7 @@ def canonical_text(config: ScenarioConfig) -> str:
     for section in sorted(config.values):
         buf.write(f"[{section}]\n")
         for key in sorted(config.values[section]):
-            buf.write(f"{key} = {config.values[section][key]!r}\n".replace(
-                "'", ""))
+            buf.write(f"{key} = {config.values[section][key]}\n")
         buf.write("\n")
     return buf.getvalue()
 

@@ -120,7 +120,7 @@ class Configuration:
 
     def __post_init__(self):
         pos = np.array(self.positions, dtype=float, ndmin=2)
-        if pos.shape[1] != 3:
+        if pos.shape[1:] != (3,):
             raise ValueError("positions must be an (N, 3) array")
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)

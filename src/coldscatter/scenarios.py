@@ -74,7 +74,23 @@ def _mc_params(cfg: ScenarioConfig, **kw) -> mc.MCParams:
                        **kw)
 
 
-def _run_cbs_cone(cfg, record, progress):
+_BACKWARD_X = mc.backscatter_detectors([0.0], np.array([1.0, 0.0, 0.0]))
+
+
+def _rows(sweep_var: str, grid: np.ndarray, *columns):
+    """At each point of ``grid``, one row per ``(channel, values, errs)``
+    column of arrays over ``grid`` (``errs`` None: exact values).  Each
+    array goes through ``.tolist()``, so the fields are Python scalars."""
+    points = grid.tolist()
+    cols = [(channel, values.tolist(),
+             [0.0] * len(points) if errs is None else errs.tolist())
+            for channel, values, errs in columns]
+    for i, x in enumerate(points):
+        for channel, values, errs in cols:
+            yield ResultRow(sweep_var, values[i], errs[i], None, channel, x)
+
+
+def _run_cbs_cone(cfg, progress):
     cloud = _cloud(cfg)
     det = cfg["detection"]
     thetas = np.linspace(0.0, det["theta_max"], det["n_theta"])
@@ -86,47 +102,39 @@ def _run_cbs_cone(cfg, record, progress):
             "no scattered light of any order reaches the detectors at "
             f"theta = {thetas[np.isnan(res.eta)].tolist()}, so the CBS "
             "enhancement is undefined there")
-    for th, eta, err in zip(thetas.tolist(), res.eta.tolist(),
-                            res.stat_err.tolist()):
-        record.rows.append(ResultRow("theta", eta, err,
-                                     channel=det["channel"], sweep_value=th))
-        progress(f"theta={th:.4f} eta={eta:.4f}")
+    return _rows("theta", thetas, (det["channel"], res.eta, res.stat_err))
 
 
-def _run_ladder_spectrum(cfg, record, progress):
-    cloud = _cloud(cfg)
-    dets = mc.backscatter_detectors([0.0], np.array([1.0, 0.0, 0.0]))
-    grid = _sweep_grid(cfg).tolist()
+def _run_ladder_spectrum(cfg, progress):
+    grid = _sweep_grid(cfg)
     results = mc.simulate_ladder(
-        cloud, dets, [_mc_params(cfg, detuning=d) for d in grid],
+        _cloud(cfg), _BACKWARD_X,
+        [_mc_params(cfg, detuning=d) for d in grid.tolist()],
         n_workers=cfg["run"]["workers"])
-    for delta, res in zip(grid, results):
-        record.rows.append(ResultRow(
-            "detuning", res.ladder_total.item(0), res.stat_err.item(0),
-            channel="ladder", sweep_value=delta))
-        progress(f"detuning={delta:+.3f}")
+    return _rows("detuning", grid, (
+        "ladder", np.array([res.ladder_total[0] for res in results]),
+        np.array([res.stat_err[0] for res in results])))
 
 
-def _run_gain_transport(cfg, record, progress):
+def _run_gain_transport(cfg, progress):
     cloud = _cloud(cfg)
-    dets = mc.backscatter_detectors([0.0], np.array([1.0, 0.0, 0.0]))
     sigma0 = cloud.sigma0()
-    grid = _sweep_grid(cfg).tolist()
+    grid = _sweep_grid(cfg)
     results = mc.simulate_ladder(
-        cloud, dets,
-        [_mc_params(cfg, extra_gain_sigma=g * sigma0) for g in grid],
+        cloud, _BACKWARD_X,
+        [_mc_params(cfg, extra_gain_sigma=g * sigma0) for g in grid.tolist()],
         n_workers=cfg["run"]["workers"])
-    for g, res in zip(grid, results):
-        record.rows.append(ResultRow(
-            "gain", float(res.escaped_weight / res.injected_weight),
-            float(res.escaped_err / res.injected_weight),
-            channel="escaped_fraction", sweep_value=g))
-        record.rows.append(ResultRow(
-            "gain", float(res.unstable), channel="unstable", sweep_value=g))
-        progress(f"gain={g:.3f} unstable={res.unstable}")
+    injected = np.array([res.injected_weight for res in results])
+    return _rows(
+        "gain", grid,
+        ("escaped_fraction",
+         np.array([res.escaped_weight for res in results]) / injected,
+         np.array([res.escaped_err for res in results]) / injected),
+        ("unstable", np.array([res.unstable for res in results], dtype=float),
+         None))
 
 
-def _run_eit_spectrum(cfg, record, progress):
+def _run_eit_spectrum(cfg, progress):
     sch = _scheme(cfg["atom"]["kind"])
     if len(sch.ground) < 2:
         raise ValueError("eit-spectrum needs a multi-ground-level atom "
@@ -140,16 +148,11 @@ def _run_eit_spectrum(cfg, record, progress):
                                n0=cfg["cloud"]["n0"])
     grid = _sweep_grid(cfg)
     chi0 = beam_chi0(sch, gs, ctrl, grid)
-    for delta, imag, real in zip(grid.tolist(), chi0.imag.tolist(),
-                                 chi0.real.tolist()):
-        record.rows.append(ResultRow("detuning", imag, channel="im_chi",
-                                     sweep_value=delta))
-        record.rows.append(ResultRow("detuning", real, channel="re_chi",
-                                     sweep_value=delta))
-    progress("spectrum done")
+    return _rows("detuning", grid, ("im_chi", chi0.imag, None),
+                 ("re_chi", chi0.real, None))
 
 
-def _run_coupled_dipole_spectrum(cfg, record, progress):
+def _run_coupled_dipole_spectrum(cfg, progress):
     d = cfg["dipole"]
     rng = np.random.default_rng(cfg["run"]["seed"])
     factory = random_ball_configuration if d["geometry"] == "ball" \
@@ -169,51 +172,40 @@ def _run_coupled_dipole_spectrum(cfg, record, progress):
     # ddof=1 is undefined for one configuration
     err = spectra.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 \
         else np.full(len(grid), np.inf)
-    for delta, value, stat_err in zip(grid.tolist(),
-                                      spectra.mean(axis=0).tolist(),
-                                      err.tolist()):
-        record.rows.append(ResultRow("detuning", value, stat_err,
-                                     channel="cross_section",
-                                     sweep_value=delta))
+    return _rows("detuning", grid,
+                 ("cross_section", spectra.mean(axis=0), err))
 
 
-def _run_selfconsistent_slab(cfg, record, progress):
+def _run_selfconsistent_slab(cfg, progress):
     s = cfg["slab"]
     grid = _sweep_grid(cfg)
     eps = self_consistent_epsilon(s["density"], grid)
     T = slab_transmission(eps.epsilon, s["thickness"])
-    for delta, transmittance in zip(grid.tolist(),
-                                    T.transmittance.tolist()):
-        record.rows.append(ResultRow("detuning", transmittance,
-                                     channel="transmittance",
-                                     sweep_value=delta))
-    progress("slab sweep done")
+    return _rows("detuning", grid, ("transmittance", T.transmittance, None))
 
 
-def _run_diffusion_threshold(cfg, record, progress):
+def _run_diffusion_threshold(cfg, progress):
     d = cfg["diffusion"]
     for r0 in _sweep_grid(cfg).tolist():
         model = DiffusionModel(v_bar=d["v_bar"], l0_bar=d["l_tr"],
                                albedo=d["albedo"], l_g=d["l_g"], r0=r0)
-        mode = solve_gain_diffusion_sphere(model)
-        record.rows.append(ResultRow("radius", mode.growth_rate,
-                                     channel="growth_rate", sweep_value=r0))
-        progress(f"r0={r0:.3f} rate={mode.growth_rate:+.3e}")
+        yield ResultRow("radius",
+                        solve_gain_diffusion_sphere(model).growth_rate,
+                        channel="growth_rate", sweep_value=r0)
 
 
-def _run_protocol_utils(cfg, record, progress):
+def _run_protocol_utils(cfg, progress):
     p = cfg["protocol"]
     for n_bar in _sweep_grid(cfg).tolist():
         state = PsiMinusState.with_norm_tolerance(n_bar, tol=1e-9)
-        record.rows.append(ResultRow("n_bar", 1.0 - state.norm_squared(),
-                                     channel="norm_deficit",
-                                     sweep_value=n_bar))
-    record.rows.append(ResultRow(
-        "n_atoms", mz_signal(p["i_mean"], p["xi"], p["n_atoms"]),
-        channel="mz_signal", sweep_value=p["n_atoms"]))
-    progress("protocol sweep done")
+        yield ResultRow("n_bar", 1.0 - state.norm_squared(),
+                        channel="norm_deficit", sweep_value=n_bar)
+    yield ResultRow("n_atoms", mz_signal(p["i_mean"], p["xi"], p["n_atoms"]),
+                    channel="mz_signal", sweep_value=p["n_atoms"])
 
 
+# runner(cfg, progress) -> iterable of ResultRows; run_scenario alone
+# collects, checks and reports them
 _DISPATCH = {
     "cbs-cone": _run_cbs_cone,
     "ladder-spectrum": _run_ladder_spectrum,
@@ -230,11 +222,13 @@ def run_scenario(cfg: ScenarioConfig, progress=lambda msg: None
                  ) -> ResultRecord:
     """Execute a validated config and return its result record.
 
-    Engine errors propagate; the partial record (marked incomplete) rides
-    on the exception as ``record``.  A row whose value is not finite, or
-    whose ``stat_err`` is NaN or negative, is such an error: it raises
-    ArithmeticError, and the record keeps the rows before it.  An
-    infinite ``stat_err`` (that of a single dipole configuration) is kept.
+    Each row the scenario yields is checked as it arrives.  A row whose
+    value is not finite, or whose ``stat_err`` is NaN or negative,
+    raises ArithmeticError; an infinite ``stat_err`` (that of a single
+    dipole configuration) is kept.  On that or any other engine error
+    the record (marked incomplete) rides on the exception as ``record``
+    and holds the rows before it.  Once all rows are in, ``progress``
+    gets their count.
     """
     record = ResultRecord(scenario=cfg.scenario, config_hash=config_hash(cfg),
                           version=__version__, seed=cfg["run"]["seed"])
@@ -243,18 +237,19 @@ def run_scenario(cfg: ScenarioConfig, progress=lambda msg: None
         # an overflow or an invalid operation inside an engine shows up
         # in its result, which the finite-row check below judges
         with np.errstate(over="ignore", invalid="ignore"):
-            _DISPATCH[cfg.scenario](cfg, record, progress)
-        for i, row in enumerate(record.rows):
-            if not (math.isfinite(row.value) and row.stat_err >= 0):
-                del record.rows[i:]
-                raise ArithmeticError(
-                    f"{cfg.scenario} gives {row.channel} = {row.value!r} "
-                    f"(stat_err {row.stat_err!r}) at {row.sweep_var} = "
-                    f"{row.sweep_value!r}, not a finite result")
+            for row in _DISPATCH[cfg.scenario](cfg, progress):
+                if not (math.isfinite(row.value) and row.stat_err >= 0):
+                    raise ArithmeticError(
+                        f"{cfg.scenario} gives {row.channel} = "
+                        f"{row.value!r} (stat_err {row.stat_err!r}) at "
+                        f"{row.sweep_var} = {row.sweep_value!r}, not a "
+                        f"finite result")
+                record.rows.append(row)
     except Exception as exc:
         record.complete = False
-        record.wall_time = time.perf_counter() - t0
         exc.record = record
         raise
-    record.wall_time = time.perf_counter() - t0
+    finally:
+        record.wall_time = time.perf_counter() - t0
+    progress(f"{len(record.rows)} rows")
     return record

@@ -154,3 +154,22 @@ def test_level_scheme_energies():
     # hyperfine ground splitting is thousands of linewidths
     gs = [s.ground_energy(l.twice_F) for l in s.ground]
     assert max(gs) - min(gs) > 1000
+
+
+@pytest.mark.parametrize("ground, excited, message", [
+    # S = 1/2 and I = 1/2 couple to F0 = 0 or 1, not 2
+    (4, 2, "ground F0=2.0 violates S,I coupling"),
+    # J = 3/2 and I = 1/2 couple to F = 1 or 2, not 4
+    (2, 8, "excited F=4.0 violates J,I coupling"),
+])
+def test_level_scheme_rejects_uncoupled_levels(ground, excited, message):
+    with pytest.raises(ValueError, match=message):
+        LevelScheme(ground=(Level(ground),), excited=(Level(excited),),
+                    twice_J=3, twice_I=1)
+
+
+def test_explicit_reduced_elements_are_zero_for_an_absent_pair():
+    s = LevelScheme.simple()
+    assert s.reduced_dipole(2, 0) > 0
+    assert s.reduced_dipole(4, 0) == 0.0
+    assert s.reduced_dipole(2, 2) == 0.0

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import itertools
 import json
@@ -110,6 +111,92 @@ def test_canonicalization_round_trip():
     assert cf.canonical_text(again) == text
 
 
+@pytest.mark.parametrize("out", ["it's", "C:\\data", 'say "hi"',
+                                 'it\'s "C:\\data"'])
+def test_string_values_keep_their_text(tmp_path, capsys, out):
+    text = MINIMAL.replace("[run]\n", f"[run]\nout = {out}\n")
+    cfg = cf.parse_text(text)
+    assert cfg["run"]["out"] == out
+    assert f"\nout = {out}\n" in cf.canonical_text(cfg)
+    assert cf.parse_text(cf.canonical_text(cfg)) == cfg
+    p = tmp_path / "c.ini"
+    p.write_text(text)
+    assert cli.main(["validate", str(p)]) == 0
+    assert f"\nout = {out}\n" in capsys.readouterr().out
+
+
+# config_hash of the golden configs, and of the benchmark's at seed 1 (its
+# inis in order): how canonical_text writes a value must not move the
+# hash of a config already in use
+_GOLDEN_HASHES = {
+    "cbs-cone":
+        "52096ca47ea3662972ed93ba3aac6ce499536f936113bc60e30b186694f3696d",
+    "coupled-dipole-spectrum":
+        "ad37017c2bbc7d6765763d8089cf86f311a38c08d7688ebc75aa81bb0214c88c",
+    "diffusion-threshold":
+        "c03c530035d9818c49b73339e61d3d179dbd8e1804b8aaefe74ebf9c1ef4f2ed",
+    "eit-spectrum":
+        "d9f20a2b27a1c5cdaf60595fb92c9db0e1676c1bf28b8152f8ef953e4f3d6ce3",
+    "gain-transport":
+        "9b1bc8876d05d1551d64da3a452bc9e10b73ba4835f18f524f865e22e46eda00",
+    "ladder-spectrum":
+        "e5e42285d71e771ebf5b852bc8331c3499001e4b5b82cc94a370ece5e083f4cd",
+    "protocol-utils":
+        "3c30df69330ae8c4da1386f5eff502ad9a117786d369067614bfad96389699c3",
+    "selfconsistent-slab":
+        "9e3ea76d2f29a36cad2b7b6da15d04a4289e9413cfd966769e8b4930acd30447",
+}
+_BENCHMARK_HASHES = {
+    "cbs-twolevel": (
+        "1500a0d226fd10a34f394c43b1bcbc8a113226c324d29025731eec0d282a796f",),
+    "ladder-rb85": (
+        "810dceff7f10223ece82f20e84cd8010cc20cccaad4989b20991e390d4da018a",),
+    "dipole-dense": (
+        "637b976228a9fc55e7379e9b424a36c7af500382ba7b274130d46cfaf00b91ec",),
+    "analytic-sweeps": (
+        "a81b419c50f9aa8e8d29a01bbde1c8cffbc6b185a28fcc5e9eec090e923f4d4b",
+        "ccd236e476e381b3a73f6b2066268300acd6ed84b57971eccd648edc7f74325d",
+        "203961bc7438f99f8b3c404405847222d6cfcc2c4e6fdb8897479e4fef650d42"),
+}
+
+
+def test_config_hashes_of_golden_and_benchmark_configs_are_pinned(
+        monkeypatch):
+    root = Path(__file__).parent.parent
+    assert {ini.stem: cf.config_hash(cf.parse_config(ini))
+            for ini in (root / "tests" / "golden").glob("*.ini")} == \
+        _GOLDEN_HASHES
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert {name: tuple(cf.config_hash(cf.parse_text(ini))
+                        for ini in make(1).inis)
+            for name, make in workloads.WORKLOADS.items()} == \
+        _BENCHMARK_HASHES
+
+
+@pytest.mark.parametrize("text, message", [
+    ("scenario = cbs-cone\n",
+     "syntax error: File contains no section headers. "),
+    ("[cloud]\nn0 = 1\n", "missing required section [run]"),
+], ids=["no-section-header", "no-run-section"])
+def test_config_without_a_run_section_is_refused(tmp_path, capsys, text,
+                                                 message):
+    p = tmp_path / "c.ini"
+    p.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["validate", str(p)]) == 1
+    assert cli.main(["run", str(p), "--out", str(out)]) == 1
+    # one line from each command, each a config error
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == err[1], err
+    assert err[0].startswith(f"config error: {message}")
+    assert not out.exists()
+
+
 def test_config_hash_semantics():
     a = cf.parse_text(MINIMAL)
     b = cf.parse_text(MINIMAL.replace("n = 3", "n = 3") + "\n# comment\n")
@@ -198,6 +285,18 @@ def test_infinite_gain_length_means_no_gain(tmp_path, capsys):
     rates = [float(line.split(",")[2]) for line in csv[1:]]
     assert len(rates) == 5
     assert all(-math.inf < r < 0 for r in rates)
+
+
+def test_ladder_at_an_extreme_detuning_fails_without_output(tmp_path,
+                                                             capsys):
+    p = tmp_path / "c.ini"
+    p.write_text("[run]\nscenario = ladder-spectrum\n[sweep]\nstart = 1e200\n"
+                 "stop = 1e200\nn = 1\n[mc]\ntrajectories = 20\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error [ladder-spectrum]: non-positive extinction at omega=1e+200\n")
+    assert not out.exists()
 
 
 def test_cbs_cone_on_rb85_fails_without_output(tmp_path, capsys):
@@ -356,10 +455,10 @@ def test_numpy_warnings_stay_inside_the_engine(tmp_path, scenario, ini,
 
 
 def test_nan_or_negative_stat_err_is_an_engine_error(monkeypatch):
-    def rows(cfg, record, progress):
-        record.rows += [ResultRow("radius", 1.0, math.inf),
-                        ResultRow("radius", 2.0, stat_err),
-                        ResultRow("radius", 3.0)]
+    def rows(cfg, progress):
+        return [ResultRow("radius", 1.0, math.inf),
+                ResultRow("radius", 2.0, stat_err),
+                ResultRow("radius", 3.0)]
 
     for stat_err in (math.nan, -1e-300):
         monkeypatch.setitem(scenarios._DISPATCH, "diffusion-threshold",
@@ -684,6 +783,23 @@ def test_every_scenario_renders_as_reference(scenario):
     _assert_renders_as_reference(record, cfg)
     record.rows.clear()
     _assert_renders_as_reference(record, cfg)
+
+
+@pytest.mark.parametrize("scenario", sorted(cf.SCENARIOS))
+def test_progress_lines(tmp_path, capsys, scenario):
+    # without --quiet: a line after each dipole configuration (an O(n^3)
+    # reduction), and one once the scenario's rows are in
+    p = tmp_path / "c.ini"
+    p.write_text(f"[run]\nscenario = {scenario}\n"
+                 f"{SMALL_CONFIGS[scenario]}")
+    assert cli.main(["run", str(p), "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    with open(tmp_path / f"{scenario}.csv", newline="") as fh:
+        n_rows = len(list(csv.DictReader(fh)))
+    n = cf.parse_config(p)["dipole"]["n_configs"] \
+        if scenario == "coupled-dipole-spectrum" else 0
+    assert err == [f"[{scenario}] configuration {c}/{n}"
+                   for c in range(1, n + 1)] + [f"[{scenario}] {n_rows} rows"]
 
 
 _EIT_SMALL = cf.parse_text("[run]\nscenario = eit-spectrum\n[atom]\n"

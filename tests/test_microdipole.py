@@ -103,6 +103,18 @@ def test_configuration_positions_are_a_private_read_only_copy():
     assert cfg.positions[1, 2] == 0.8
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (1, 4), (2, 3, 1)])
+def test_configuration_rejects_positions_not_n_by_3(shape):
+    with pytest.raises(ValueError,
+                       match=r"positions must be an \(N, 3\) array"):
+        mi.Configuration(np.zeros(shape))
+
+
+def test_configuration_rejects_an_unknown_model():
+    with pytest.raises(ValueError, match="unknown model 'tensor'"):
+        mi.Configuration(np.zeros((1, 3)), model="tensor")
+
+
 def test_configuration_equality_and_hash_by_identity():
     pos = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
     a, b = mi.Configuration(pos), mi.Configuration(pos)
@@ -453,6 +465,8 @@ def test_slab_trivials():
     assert t.transmittance == pytest.approx(1.0, abs=1e-14)
     assert t.amplitude == pytest.approx(cmath.exp(5j), abs=1e-12)
     assert mi.slab_transmission(3.0 + 0.2j, 0.0).amplitude == 1.0
+    with pytest.raises(ValueError, match="thickness must be non-negative"):
+        mi.slab_transmission(1.0 + 0j, -1e-300)
 
 
 @pytest.mark.parametrize("density, thickness", [
