@@ -19,12 +19,6 @@ from decimal import Decimal
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "parse_text",
            "override_run", "canonical_text", "config_hash", "SCENARIOS"]
 
-SCENARIOS = (
-    "cbs-cone", "ladder-spectrum", "gain-transport", "eit-spectrum",
-    "coupled-dipole-spectrum", "selfconsistent-slab", "diffusion-threshold",
-    "protocol-utils",
-)
-
 
 class ConfigError(ValueError):
     """Carries every validation problem found in a config file."""
@@ -49,6 +43,42 @@ def _unit_interval(x):
     return 0.0 <= x <= 1.0
 
 
+def _sweep(start, stop, *domain):
+    """The [sweep] range and domain of a scenario that does not sweep the
+    probe detuning (the schema's -5..5)."""
+    return {"sweep.start": (start, *domain), "sweep.stop": (stop, *domain)}
+
+
+# scenario -> (the keys its runner reads, "section" for all of a
+# section's keys; {"section.key": (default, predicate, description)}
+# where the scenario's own default and domain replace the schema's).  A
+# config may set these and [run]'s keys, which the CLI reads, and no
+# other key; only a scenario that draws random numbers reads run.seed.
+_READS = {
+    "cbs-cone": ("atom cloud detection mc run.seed", {}),
+    "ladder-spectrum": ("atom cloud sweep mc run.seed", {}),
+    "gain-transport": ("atom cloud sweep mc run.seed", _sweep(
+        0.0, 1.0, _non_negative,
+        ">= 0 (gain cross section per sigma0) in a gain-transport sweep")),
+    # the EIT control field drives a second ground level
+    "eit-spectrum": ("atom control cloud.n0 sweep", {"atom.kind": (
+        "lambda-rb87", lambda s: s in ("rb85", "rb87", "lambda-rb87"),
+        "an atom with two ground levels (rb85, rb87 or lambda-rb87) in an "
+        "eit-spectrum run")}),
+    "coupled-dipole-spectrum": ("dipole sweep run.seed", {}),
+    "selfconsistent-slab": ("slab sweep", {}),
+    # brackets the Letokhov radius pi sqrt(l_tr l_g / 3) ~ 5.74 of the
+    # default [diffusion] lengths
+    "diffusion-threshold": ("diffusion sweep", _sweep(
+        3.0, 9.0, _positive,
+        "> 0 (radius, lambda-bar) in a diffusion-threshold sweep")),
+    "protocol-utils": ("protocol sweep", _sweep(
+        0.0, 5.0, _non_negative,
+        ">= 0 (mean photon number) in a protocol-utils sweep")),
+}
+SCENARIOS = tuple(_READS)
+
+
 # key -> (type, default_or_None_if_required, predicate, description)
 _SCHEMA = {
     "run": {
@@ -57,7 +87,8 @@ _SCHEMA = {
         # the seed is the first Philox key word, a uint64
         "seed": (int, 0, lambda s: 0 <= s < 2 ** 64, "in [0, 2^64)"),
         "workers": (int, 1, _positive, "> 0"),
-        "out": (str, ".", lambda s: True, "output directory"),
+        "out": (str, ".", lambda s: "\n" not in s,
+                "output directory, on one line"),
     },
     "atom": {
         "kind": (str, "two-level",
@@ -117,22 +148,10 @@ _SCHEMA = {
     },
 }
 
-# [sweep] defaults and domain of the scenarios that do not sweep a probe
-# detuning (the schema's -5..5 default):
-# scenario -> (start, stop, predicate, description)
-_SWEEP_RANGES = {
-    "gain-transport": (0.0, 1.0, _non_negative,
-                       ">= 0 (gain cross section per sigma0)"),
-    # brackets the Letokhov radius pi sqrt(l_tr l_g / 3) ~ 5.74 of the
-    # default [diffusion] lengths
-    "diffusion-threshold": (3.0, 9.0, _positive, "> 0 (radius, lambda-bar)"),
-    "protocol-utils": (0.0, 5.0, _non_negative, ">= 0 (mean photon number)"),
-}
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated, fully defaulted scenario configuration."""
+    """Validated configuration: [run] and the keys its scenario reads."""
     scenario: str
     values: dict = field(default_factory=dict)  # section -> key -> value
 
@@ -157,77 +176,68 @@ def _convert(raw: str, typ, section, key, errors):
         return None
 
 
-def parse_text(text: str) -> ScenarioConfig:
-    """Parse and validate config text, raising ConfigError with every
-    problem found."""
+def _entries(names, own):
+    """(section, key) -> (type, default, predicate, description) of each
+    key ``names`` lists ("section.key", or "section" for all its keys),
+    with the defaults and domains in ``own`` in place of the schema's."""
+    keys = {}
+    for name in names.split():
+        section, _, key = name.partition(".")
+        for key in (key,) if key else _SCHEMA[section]:
+            typ, *entry = _SCHEMA[section][key]
+            keys[section, key] = (typ, *own.get(f"{section}.{key}", entry))
+    return keys
+
+
+def parse_text(text: str, source: str = "<string>") -> ScenarioConfig:
+    """Parse and validate config text read from ``source``, raising
+    ConfigError with every problem found."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        cp.read_string(text)
+        cp.read_string(text, source)
     except configparser.Error as exc:
         # one line, where configparser's message may span several
         raise ConfigError(["syntax error: " + " ".join(
             line.strip() for line in str(exc).splitlines())]) from exc
 
     errors = []
-    values = {}
+    scenario = cp.get("run", "scenario", fallback=None)
+    # the CLI reads [run]; without a known scenario, check every key
+    names, own = _READS.get(scenario, (" ".join(_SCHEMA), {}))
+    accepted = _entries("run " + names, own)
     for section in cp.sections():
         if section not in _SCHEMA:
             hint = difflib.get_close_matches(section, _SCHEMA, n=1)
             extra = f" (did you mean [{hint[0]}]?)" if hint else ""
             errors.append(f"unknown section [{section}]{extra}")
             continue
-        schema = _SCHEMA[section]
-        out = {}
-        for key, raw in cp.items(section):
-            if key not in schema:
-                hint = difflib.get_close_matches(key, schema, n=1)
+        for key in cp[section]:
+            if key not in _SCHEMA[section]:
+                hint = difflib.get_close_matches(key, _SCHEMA[section], n=1)
                 extra = f" (did you mean {section}.{hint[0]}?)" if hint else ""
                 errors.append(f"unknown key {section}.{key}{extra}")
-                continue
-            typ, _, pred, desc = schema[key]
-            val = _convert(raw, typ, section, key, errors)
-            if val is not None and not pred(val):
-                errors.append(f"{section}.{key}: {val!r} violates: {desc}")
-            elif val is not None:
-                out[key] = val
-        values[section] = out
+            elif (section, key) not in accepted:
+                errors.append(f"{scenario} does not read {section}.{key}")
 
-    scenario = values.get("run", {}).get("scenario")
-    if "run" not in cp.sections():
-        errors.append("missing required section [run]")
-    elif scenario is None and not any(e.startswith("run.scenario")
-                                      for e in errors):
-        errors.append("run.scenario is required")
-    if scenario in _SWEEP_RANGES:
-        start, stop, pred, desc = _SWEEP_RANGES[scenario]
-        sweep = values.setdefault("sweep", {})
-        sweep.setdefault("start", start)
-        sweep.setdefault("stop", stop)
-        errors += [f"sweep.{key}: {sweep[key]!r} violates: {desc} in a "
-                   f"{scenario} sweep" for key in ("start", "stop")
-                   if not pred(sweep[key])]
-    # the EIT control field drives a second ground level
-    if scenario == "eit-spectrum":
-        kind = values.setdefault("atom", {}).setdefault("kind", "lambda-rb87")
-        if kind == "two-level":
-            errors.append(f"atom.kind: {kind!r} violates: an atom with two "
-                          f"ground levels (rb85, rb87 or lambda-rb87) in an "
-                          f"eit-spectrum run")
+    values = {}
+    for (section, key), (typ, default, pred, desc) in accepted.items():
+        raw = cp.get(section, key, fallback=None)
+        val = default if raw is None \
+            else _convert(raw, typ, section, key, errors)
+        if raw is not None and val is not None and not pred(val):
+            errors.append(f"{section}.{key}: {val!r} violates: {desc}")
+        values.setdefault(section, {})[key] = val
+    if scenario is None:
+        errors.append("run.scenario is required" if cp.has_section("run")
+                      else "missing required section [run]")
     if errors:
         raise ConfigError(errors)
-
-    # fill defaults for every schema section so scenarios never KeyError
-    full = {}
-    for section, schema in _SCHEMA.items():
-        got = values.get(section, {})
-        full[section] = {key: got.get(key, entry[1])
-                         for key, entry in schema.items()}
-    return ScenarioConfig(scenario=scenario, values=full)
+    return ScenarioConfig(scenario=scenario, values=values)
 
 
 def parse_config(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_text(fh.read())
+        return parse_text(fh.read(), str(path))
 
 
 def override_run(config: ScenarioConfig, **overrides) -> ScenarioConfig:
@@ -257,9 +267,11 @@ def canonical_text(config: ScenarioConfig) -> str:
 
 
 def config_hash(config: ScenarioConfig) -> str:
-    """sha256 of the canonical text without ``run.out`` and ``run.workers``,
-    which decide where and how wide a run executes but not its results."""
-    run = {key: val for key, val in config["run"].items()
-           if key not in ("out", "workers")}
-    physics = ScenarioConfig(config.scenario, {**config.values, "run": run})
-    return hashlib.sha256(canonical_text(physics).encode()).hexdigest()
+    """sha256 of the canonical text of the scenario and the keys it reads:
+    not of run.out and run.workers, which decide where and how wide a run
+    executes, nor of the seed of a scenario that draws no random number."""
+    values = {"run": {"scenario": config.scenario}}
+    for section, key in _entries(*_READS[config.scenario]):
+        values.setdefault(section, {})[key] = config[section][key]
+    text = canonical_text(ScenarioConfig(config.scenario, values))
+    return hashlib.sha256(text.encode()).hexdigest()

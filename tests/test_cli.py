@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,8 +26,9 @@ def test_parse_minimal_fills_defaults():
     cfg = cf.parse_text(MINIMAL)
     assert cfg.scenario == "protocol-utils"
     assert cfg["run"]["seed"] == 0
-    assert cfg["mc"]["trajectories"] == 20000
     assert cfg["protocol"]["xi"] == 0.01
+    # only [run] and the sections the scenario reads
+    assert sorted(cfg.values) == ["protocol", "run", "sweep"]
 
 
 def test_all_errors_reported_not_first_only():
@@ -130,33 +132,33 @@ def test_string_values_keep_their_text(tmp_path, capsys, out):
 # hash of a config already in use
 _GOLDEN_HASHES = {
     "cbs-cone":
-        "52096ca47ea3662972ed93ba3aac6ce499536f936113bc60e30b186694f3696d",
+        "6ae4af1aa7947bc4bda812748b2a93f3469d5f6db4c0288f8ef902afaf67696a",
     "coupled-dipole-spectrum":
-        "ad37017c2bbc7d6765763d8089cf86f311a38c08d7688ebc75aa81bb0214c88c",
+        "b260b653b2063fa85a2a304595a84b388a1740a2c25b18a765ca4934367b01c9",
     "diffusion-threshold":
-        "c03c530035d9818c49b73339e61d3d179dbd8e1804b8aaefe74ebf9c1ef4f2ed",
+        "7d71c36a2fbc40eb3afa3547077402b964b00e3dddcc9fbebd13c78d15b98ec6",
     "eit-spectrum":
-        "d9f20a2b27a1c5cdaf60595fb92c9db0e1676c1bf28b8152f8ef953e4f3d6ce3",
+        "5be7a443866f9f21b460565f2294c761015b192ee16be448aed11db3214e562d",
     "gain-transport":
-        "9b1bc8876d05d1551d64da3a452bc9e10b73ba4835f18f524f865e22e46eda00",
+        "da753322ed484dd8eb0790bb90f670b8f1d5560b54199b4b1d709362c35fb031",
     "ladder-spectrum":
-        "e5e42285d71e771ebf5b852bc8331c3499001e4b5b82cc94a370ece5e083f4cd",
+        "14c27d825069fb310992a69b4590aa5b1be8a1e74b88ddcbb81b856a524d7a4b",
     "protocol-utils":
-        "3c30df69330ae8c4da1386f5eff502ad9a117786d369067614bfad96389699c3",
+        "621a780c8aa3e1c23a6bed30f081bec991223286934d13a806d996519f072eef",
     "selfconsistent-slab":
-        "9e3ea76d2f29a36cad2b7b6da15d04a4289e9413cfd966769e8b4930acd30447",
+        "b3b254cd66ce215664333791fabb4fd431d90f3a4df9d6f89fd1affe8a617d10",
 }
 _BENCHMARK_HASHES = {
     "cbs-twolevel": (
-        "1500a0d226fd10a34f394c43b1bcbc8a113226c324d29025731eec0d282a796f",),
+        "f1289942663a9ec7d1f182c137ffe8f7d046c4ffd64f66611845df7d7ac112c1",),
     "ladder-rb85": (
-        "810dceff7f10223ece82f20e84cd8010cc20cccaad4989b20991e390d4da018a",),
+        "e37e954b2a56dd9d4d33e3ff9fdf0b943cb8348bf5210d3da9b1f2f1a6e6a022",),
     "dipole-dense": (
-        "637b976228a9fc55e7379e9b424a36c7af500382ba7b274130d46cfaf00b91ec",),
+        "3d45dedf3db702d979288d4fb7cdd614702c97f4784f9159735fd7afac54a266",),
     "analytic-sweeps": (
-        "a81b419c50f9aa8e8d29a01bbde1c8cffbc6b185a28fcc5e9eec090e923f4d4b",
-        "ccd236e476e381b3a73f6b2066268300acd6ed84b57971eccd648edc7f74325d",
-        "203961bc7438f99f8b3c404405847222d6cfcc2c4e6fdb8897479e4fef650d42"),
+        "c63fae494446aa615d1e8b6245922ff0541ad6d3d22897d9ce88b12c05a318d9",
+        "4594dc131d7f10dd7c73ed2bd0ea26d7d6dd02672fb764274f1e34e510d78b27",
+        "9ef386b433cb53149a2df7f525176e05cadd05ab6010fcec966069bc084cd71a"),
 }
 
 
@@ -208,10 +210,142 @@ def test_config_hash_semantics():
         "[run]\n", "[run]\nout = elsewhere/x\nworkers = 2\n"))
     assert d["run"]["workers"] == 2
     assert cf.config_hash(a) == cf.config_hash(d)
-    # seeds beyond 2^53 that a float would merge hash apart
-    e, f = (cf.parse_text(MINIMAL.replace("[run]\n", f"[run]\nseed = {s}\n"))
+    # seeds beyond 2^53 that a float would merge hash apart, in a
+    # scenario that draws from its seed
+    e, f = (cf.parse_text(f"[run]\nscenario = cbs-cone\nseed = {s}\n")
             for s in (2 ** 53, 2 ** 53 + 1))
     assert cf.config_hash(e) != cf.config_hash(f)
+
+
+def _table(scenario):
+    """The (section, key) pairs config.py lists as read by ``scenario``."""
+    return set(cf._entries(*cf._READS[scenario]))
+
+
+class _RecordingSection(dict):
+    """A config section that notes each key read from it."""
+
+    def __init__(self, section, keys, read):
+        super().__init__(keys)
+        self.section, self.read = section, read
+
+    def __getitem__(self, key):
+        self.read.add((self.section, key))
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize(
+    "ini", sorted((Path(__file__).parent / "golden").glob("*.ini")),
+    ids=lambda ini: ini.stem)
+def test_each_runner_reads_exactly_the_keys_of_its_table_entry(ini):
+    cfg = cf.parse_config(ini)
+    read = set()
+    recording = cf.ScenarioConfig(cfg.scenario, {
+        section: _RecordingSection(section, keys, read)
+        for section, keys in cfg.values.items()})
+    # under the error handling run_scenario gives the runners
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert list(scenarios._DISPATCH[cfg.scenario](recording,
+                                                      lambda msg: None))
+    # run.workers decides how many processes share the work, not its
+    # result (test_cli_worker_count_does_not_change_results)
+    assert read - {("run", "workers")} == _table(cfg.scenario)
+
+
+# a valid value other than every scenario's default, for each key but
+# run.scenario
+_OTHER_VALUES = {
+    "run.seed": "7", "run.workers": "2", "run.out": "elsewhere",
+    "atom.kind": "rb87", "cloud.n0": "0.02", "cloud.r0": "8",
+    "control.rabi": "1", "control.polarization_q": "1",
+    "detection.channel": "lin_perp", "detection.theta_max": "0.2",
+    "detection.n_theta": "3",
+    "sweep.start": "0.5", "sweep.stop": "2", "sweep.n": "3",
+    "mc.trajectories": "100", "mc.max_order": "10", "mc.chunk_size": "50",
+    "dipole.n_atoms": "4", "dipole.radius": "3", "dipole.model": "scalar",
+    "dipole.n_configs": "1", "dipole.geometry": "gaussian",
+    "slab.thickness": "5", "slab.density": "0.05",
+    "diffusion.l_tr": "2", "diffusion.l_g": "inf", "diffusion.v_bar": "0.5",
+    "diffusion.albedo": "0.9",
+    "protocol.xi": "0.5", "protocol.i_mean": "2", "protocol.n_atoms": "10",
+}
+_DRAWS_FROM_SEED = {"cbs-cone", "ladder-spectrum", "gain-transport",
+                    "coupled-dipole-spectrum"}
+
+
+@pytest.mark.parametrize("scenario", cf.SCENARIOS)
+def test_a_key_moves_the_hash_if_and_only_if_the_scenario_reads_it(
+        scenario):
+    assert set(_OTHER_VALUES) == {f"{section}.{key}" for section, keys
+                                  in cf._SCHEMA.items() for key in keys
+                                  } - {"run.scenario"}
+    table = _table(scenario)
+    # a deterministic scenario's hash does not depend on run.seed
+    assert (("run", "seed") in table) == (scenario in _DRAWS_FROM_SEED)
+    head = f"[run]\nscenario = {scenario}\n"
+    base = cf.parse_text(head)
+    for name, value in _OTHER_VALUES.items():
+        section, key = name.split(".")
+        text = head + ("" if section == "run" else f"[{section}]\n") + \
+            f"{key} = {value}\n"
+        if section != "run" and (section, key) not in table:
+            with pytest.raises(cf.ConfigError) as exc:
+                cf.parse_text(text)
+            assert exc.value.errors == [f"{scenario} does not read {name}"]
+            continue
+        cfg = cf.parse_text(text)
+        assert cfg[section][key] != base[section][key], name
+        # run.out and run.workers never enter the hash
+        assert (cf.config_hash(cfg) != cf.config_hash(base)) == \
+            ((section, key) in table), name
+
+
+@pytest.mark.parametrize("text, keys", [
+    ("[run]\nscenario = coupled-dipole-spectrum\n[atom]\nkind = rb85\n",
+     ["atom.kind"]),
+    ("[run]\nscenario = selfconsistent-slab\n[atom]\nkind = rb85\n",
+     ["atom.kind"]),
+    ("[run]\nscenario = ladder-spectrum\n[detection]\nchannel = lin_perp\n",
+     ["detection.channel"]),
+    ("[run]\nscenario = eit-spectrum\n[cloud]\nr0 = 5\n", ["cloud.r0"]),
+    ("[run]\nscenario = coupled-dipole-spectrum\n[atom]\nkind = rb85\n"
+     "[protocol]\nxi = 0.5\n", ["atom.kind", "protocol.xi"]),
+], ids=["dipole-rb85", "slab-rb85", "ladder-channel", "eit-r0",
+        "dipole-two-keys"])
+def test_a_key_the_scenario_does_not_read_is_refused(tmp_path, capsys, text,
+                                                     keys):
+    p = tmp_path / "c.ini"
+    p.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["validate", str(p)]) == 1
+    assert cli.main(["run", str(p), "--out", str(out)]) == 1
+    scenario = text.splitlines()[1].removeprefix("scenario = ")
+    lines = [f"config error: {scenario} does not read {key}" for key in keys]
+    assert capsys.readouterr().err.splitlines() == lines + lines
+    assert not out.exists()
+
+
+def test_a_string_value_on_two_lines_is_refused(tmp_path, capsys):
+    # configparser joins a continuation line to the value, and the text
+    # validate echoes would not parse again
+    p = tmp_path / "c.ini"
+    p.write_text(MINIMAL.replace("[run]\n", "[run]\nout = a\n  b\n"))
+    message = "run.out: 'a\\nb' violates: output directory, on one line"
+    assert cli.main(["validate", str(p)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    with pytest.raises(cf.ConfigError) as exc:
+        cf.override_run(cf.parse_text(MINIMAL), out="a\nb")
+    assert exc.value.errors == [message]
+
+
+def test_a_syntax_error_names_the_config_file(tmp_path, capsys):
+    p = tmp_path / "c.ini"
+    p.write_text("[run]\nscenario = cbs-cone\n[run]\n")
+    assert cli.main(["validate", str(p)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: syntax error: ")
+    assert repr(str(p)) in err[0]
 
 
 def test_every_scenario_validates_on_defaults():
@@ -599,15 +733,17 @@ def test_out_flag_is_not_overridden_by_the_environment(tmp_path, capsys,
 
 
 def test_seed_override_changes_hashed_config(tmp_path, capsys):
+    # a scenario that draws its configurations from the seed
     p = tmp_path / "c.ini"
-    p.write_text(MINIMAL)
+    p.write_text("[run]\nscenario = coupled-dipole-spectrum\n"
+                 + SMALL_CONFIGS["coupled-dipole-spectrum"])
     out1, out2 = tmp_path / "s0", tmp_path / "s1"
     assert cli.main(["run", str(p), "--out", str(out1), "--quiet"]) == 0
     assert cli.main(["run", str(p), "--out", str(out2), "--quiet",
                      "--seed", "7"]) == 0
     capsys.readouterr()
-    d1 = json.loads((out1 / "protocol-utils.json").read_text())
-    d2 = json.loads((out2 / "protocol-utils.json").read_text())
+    d1 = json.loads((out1 / "coupled-dipole-spectrum.json").read_text())
+    d2 = json.loads((out2 / "coupled-dipole-spectrum.json").read_text())
     assert d2["seed"] == 7
     assert d1["config_hash"] != d2["config_hash"]
 
