@@ -192,7 +192,10 @@ def _entries(names, own):
 def parse_text(text: str, source: str = "<string>") -> ScenarioConfig:
     """Parse and validate config text read from ``source``, raising
     ConfigError with every problem found."""
-    cp = configparser.ConfigParser(interpolation=None)
+    # configparser would copy the keys of a [DEFAULT] section into every
+    # section; a default-section name no header can spell ("[]" is not a
+    # header) makes [DEFAULT] an ordinary section, and so an unknown one
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         cp.read_string(text, source)
     except configparser.Error as exc:

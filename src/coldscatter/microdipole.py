@@ -262,7 +262,8 @@ def cross_section_spectrum(config: Configuration, detunings, k_in,
     x, and the entry is x_1/d.  The cost is O(n^3) once and O(n^2 M) for
     the sweep.  x can grow by a factor of order |Delta + i/2|/|h_{i,i-1}|
     per row, so each detuning's column is rescaled to a largest entry of
-    1 whenever a bound on that growth nears overflow.  An exactly zero subdiagonal
+    1 whenever a bound on that growth nears overflow, or below 1 when the
+    next row's growth alone would pass it.  An exactly zero subdiagonal
     makes H block upper triangular; the recurrence then stops there,
     since the leading block alone sets the (1,1) entry (a single atom
     gives H = 0).
@@ -323,8 +324,12 @@ def _hessenberg_resolvent(h, deltas) -> np.ndarray:
         inverse = (-1.0 / sub[:n - 1]).tolist()
         for i in range(n - 1, 0, -1):
             if grown + growth[i - 1] > _LOG_BOUND:
+                # to a largest entry of 1, or of e^(bound - growth) when
+                # the next entry's own growth would pass the bound
                 x[i:] /= np.abs(x[i:]).max(axis=0)
-                grown = 0.0
+                grown = min(_LOG_BOUND - growth[i - 1], 0.0)
+                if grown:
+                    x[i:] *= math.exp(grown)
             row = x[i - 1]
             np.matmul(h[i, i:n], x[i:], out=row)
             row -= z * x[i]

@@ -199,6 +199,23 @@ def test_config_without_a_run_section_is_refused(tmp_path, capsys, text,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nseed = 5\n[run]\nscenario = protocol-utils\n",
+    "[DEFAULT]\nxi = 5\n[run]\nscenario = protocol-utils\n"
+    "[protocol]\ni_mean = 2\n",
+], ids=["run-key", "protocol-key"])
+def test_a_default_section_is_refused(tmp_path, capsys, text):
+    # configparser would copy [DEFAULT]'s keys into every section
+    p = tmp_path / "c.ini"
+    p.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["validate", str(p)]) == 1
+    assert cli.main(["run", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: unknown section [DEFAULT]"] * 2, err
+    assert not out.exists()
+
+
 def test_config_hash_semantics():
     a = cf.parse_text(MINIMAL)
     b = cf.parse_text(MINIMAL.replace("n = 3", "n = 3") + "\n# comment\n")

@@ -1,6 +1,9 @@
+import importlib.util
+import json
 import math
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,12 @@ from coldscatter.medium import (GroundState, extinction_cross_section,
                                 kinetic_lengths, raman_shift,
                                 scattering_tensors)
 from coldscatter import mcscatter as mc
+
+_spec = importlib.util.spec_from_file_location(
+    "golden_regen", Path(__file__).parent / "golden" / "regen.py")
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
+RECORDED = json.loads(regen.ENVIRONMENT.read_text(encoding="utf-8"))
 
 
 def peak_depth(cloud):
@@ -598,6 +607,45 @@ def test_chain_step_on_a_stack_equals_single_walkers():
         f_k, M_k = mc._chain_step(f[k], M[k], A[k], u[k])
         np.testing.assert_allclose(f_all[k], f_k, rtol=1e-14, atol=0)
         np.testing.assert_allclose(M_all[k], M_k, rtol=1e-14, atol=0)
+
+
+def _assert_same_sum(got, want, magnitude):
+    """Bit for bit where the golden records were made, as they require.
+    Elsewhere numpy may add three terms in another order, so within the
+    rounding bound of any order, 4u times the sum of the terms'
+    magnitudes (u = 2^-53), in each real part."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if regen.environment() == RECORDED:
+        assert got.tobytes() == want.tobytes()
+    else:
+        tol = 4 * 2.0 ** -53 * magnitude
+        assert np.all(np.abs(got.real - want.real) <= tol)
+        assert np.all(np.abs(got.imag - want.imag) <= tol)
+
+
+def test_dot3_is_numpys_sum_over_the_last_axis():
+    rng = np.random.default_rng(33)
+
+    def wide(shape):  # spread over 8 decades, so the order of adding shows
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 4, shape)
+
+    def check(a, b):
+        _assert_same_sum(mc._dot3(a, b), np.sum(a * b, axis=-1),
+                         np.sum(np.abs(a * b), axis=-1))
+
+    check(wide((500, 1, 3)), wide((7, 3)))  # real . real, broadcast
+    check(wide((500, 3)), wide((500, 3)) + 1j * wide((500, 3)))
+    for _ in range(200):  # single vectors, as chain_pair_amplitudes has
+        check(wide(3), wide(3))
+        check(wide(3), wide(3) + 1j * wide(3))
+    x = wide((500, 12, 3))
+    _assert_same_sum(mc._dot3(x), np.sum(x, axis=-1),
+                     np.sum(np.abs(x), axis=-1))
+    # the norm scatter_event divides e_out by
+    e = wide((500, 3)) + 1j * wide((500, 3))
+    _assert_same_sum(np.sqrt(mc._dot3((e.conj() * e).real)),
+                     np.linalg.norm(e, axis=-1), np.linalg.norm(e, axis=-1))
 
 
 def test_escaped_err_matches_seed_spread():

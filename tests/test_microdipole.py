@@ -564,9 +564,10 @@ def test_spectrum_raises_on_singular_system():
 
 def test_hessenberg_resolvent_rescales_before_the_last_row():
     # a subdiagonal of 1e-300 makes x_1 ~ |Delta| 1e300; at |Delta| >= 1e7
-    # d = (Delta + i/2) x_1 - ... overflows unless x is rescaled first
+    # d = (Delta + i/2) x_1 - ... overflows unless x is rescaled first, and
+    # from |Delta| ~ 1e9 on x_1 itself does unless x_2 is scaled below 1
     h = np.array([[0.3 + 0.2j, 2.0], [1e-300, -0.7j]], order="F")
-    deltas = np.array([0.0, 1e7, -3e7])
+    deltas = np.array([0.0, 1e7, -3e7, 1e9, -1e10, 1e100])
     got = mi._hessenberg_resolvent(h, deltas)
     (a, b), (c, e) = h
     z = deltas + 0.5j
