@@ -72,7 +72,7 @@ _READS = {
     "diffusion-threshold": ("diffusion sweep", _sweep(
         3.0, 9.0, _positive,
         "> 0 (radius, lambda-bar) in a diffusion-threshold sweep")),
-    "protocol-utils": ("protocol sweep", _sweep(
+    "protocol-utils": ("sweep", _sweep(
         0.0, 5.0, _non_negative,
         ">= 0 (mean photon number) in a protocol-utils sweep")),
 }
@@ -140,11 +140,6 @@ _SCHEMA = {
                 "> 0 (lambda-bar; inf: no gain)"),
         "v_bar": (float, 1.0, _positive, "finite > 0 (c)"),
         "albedo": (float, 1.0, _unit_interval, "in [0, 1]"),
-    },
-    "protocol": {
-        "xi": (float, 0.01, _non_negative, "finite >= 0"),
-        "i_mean": (float, 1.0, math.isfinite, "finite mean intensity"),
-        "n_atoms": (float, 100.0, _non_negative, "finite >= 0"),
     },
 }
 

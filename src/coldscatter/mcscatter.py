@@ -819,18 +819,13 @@ def cbs_enhancement(cloud: Cloud, thetas, params: MCParams,
     L = 0.
     """
     e_hel, e_hel_det = helicity_vectors()
-    if channel == "hel_par":
-        e_in, e_det = e_hel, e_hel_det
-    elif channel == "hel_perp":
-        e_in, e_det = e_hel, e_hel
-    elif channel == "lin_par":
-        e_in = np.array([1.0, 0.0, 0.0], dtype=complex)
-        e_det = e_in
-    elif channel == "lin_perp":
-        e_in = np.array([1.0, 0.0, 0.0], dtype=complex)
-        e_det = np.array([0.0, 1.0, 0.0], dtype=complex)
-    else:
-        raise ValueError(f"unknown channel {channel!r}")
+    x, y, _ = np.eye(3, dtype=complex)
+    try:
+        e_in, e_det = {"hel_par": (e_hel, e_hel_det),
+                       "hel_perp": (e_hel, e_hel),
+                       "lin_par": (x, x), "lin_perp": (x, y)}[channel]
+    except KeyError:
+        raise ValueError(f"unknown channel {channel!r}") from None
 
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     dets = backscatter_detectors(thetas, e_det)

@@ -420,9 +420,10 @@ def slab_transmission(epsilon, L: float) -> SlabTransmission:
     (principal branch) and psi = L s k with k = 1, evaluated as
     T = 4 s p / (4 s + (1 - s)^2 (1 - p^2)) with p = e^{i psi}: cos psi
     and sin psi overflow once Im psi > ~710, where p underflows to 0
-    instead, and p = 1 makes T = 1 exactly at L = 0.  ``epsilon`` is a scalar or an array; a real one is taken
-    as eps + 0i, so a negative eps has sqrt(eps) on the positive
-    imaginary axis.
+    instead, and p = 1 makes T = 1 exactly at L = 0.
+
+    ``epsilon`` is a scalar or an array; a real one is taken as eps + 0i,
+    so a negative eps has sqrt(eps) on the positive imaginary axis.
     """
     if L < 0:
         raise ValueError("slab thickness must be non-negative")

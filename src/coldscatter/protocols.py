@@ -1,21 +1,21 @@
-"""Protocol-level utilities: anti-correlated two-mode light state and
-balanced interferometric detection.
+"""Protocol-level utility: the anti-correlated two-mode light state.
 
 The two-beam state with perfectly anti-correlated photon numbers in
 orthogonal polarization modes has Schmidt coefficients
 
     Lambda_mn = (-1)^n nbar^{(m+n)/2} / (1 + nbar)^{(m+n)/2 + 1}
 
-for mean photon number nbar per mode.  The balanced Mach-Zehnder signal
-is linear in the atom-induced phase shift, i_minus = i_mean * xi * n.
+for mean photon number nbar per mode.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 
-__all__ = ["PsiMinusState", "mz_signal"]
+__all__ = ["PsiMinusState"]
 
 
 @dataclass(frozen=True)
@@ -30,27 +30,36 @@ class PsiMinusState:
         if self.n_max < 0:
             raise ValueError("truncation must be >= 0")
 
+    def _log_q_power(self) -> float:
+        """ln q^(N+1) with q = nbar / (1 + nbar), from ln q =
+        -log1p(1 / nbar): the quotient q loses its digits as nbar grows
+        and rounds to 1 from nbar ~ 9e15."""
+        if self.n_bar == 0:
+            return -math.inf
+        return (self.n_max + 1) * -math.log1p(1.0 / self.n_bar)
+
     def norm_squared(self) -> float:
         """Sum of Lambda_mn^2 over the retained modes.
 
         Lambda_mn^2 = q^(m+n) / (1 + nbar)^2 with q = nbar / (1 + nbar), so
         the double sum is a squared geometric sum, (1 - q^(N+1))^2.
         """
-        q = self.n_bar / (1.0 + self.n_bar)
-        return (1.0 - q ** (self.n_max + 1)) ** 2
+        return math.expm1(self._log_q_power()) ** 2
 
     def truncation_error_bound(self) -> float:
         """Geometric tail bound on 1 - norm_squared().
 
         Every dropped term has s = m + n > n_max with multiplicity at most
-        s + 1, and sum_{s>N} (s+1) q^s is available in closed form.
+        s + 1, and sum_{s>N} (s+1) q^s / (1 + nbar)^2 = q^(N+1) (1 +
+        (N+1) / (1 + nbar)), since (1 - q)(1 + nbar) = 1.  The float value
+        is rounded up past its relative error, (5|ln q^(N+1)| + 6) u at
+        most with u = eps / 2.
         """
         if self.n_bar == 0:
             return 0.0
-        q = self.n_bar / (1.0 + self.n_bar)
-        N = self.n_max
-        tail = q ** (N + 1) * ((N + 2) - (N + 1) * q) / (1.0 - q) ** 2
-        return tail / (1.0 + self.n_bar) ** 2
+        e = self._log_q_power()
+        tail = math.exp(e) * (1.0 + (self.n_max + 1) / (1.0 + self.n_bar))
+        return tail * (1.0 + 4 * sys.float_info.epsilon * (1.0 - e))
 
     @classmethod
     def with_norm_tolerance(cls, n_bar: float, tol: float = 1e-9
@@ -58,26 +67,17 @@ class PsiMinusState:
         """Smallest truncation whose geometric tail bound is below tol.
 
         The bound strictly decreases with n_max, so double to an upper
-        bracket and then bisect.
+        bracket and then bisect.  ValueError if no n_max up to
+        sys.maxsize will do.
         """
         def ok(n_max):
             return cls(n_bar, n_max).truncation_error_bound() <= tol
 
         hi = 1
         while not ok(hi):
-            hi *= 2
+            if hi == sys.maxsize:
+                raise ValueError(
+                    f"no truncation up to {sys.maxsize} keeps the tail bound "
+                    f"of mean photon number {n_bar!r} below {tol!r}")
+            hi = min(2 * hi, sys.maxsize)
         return cls(n_bar, bisect_left(range(hi), True, key=ok))
-
-
-def mz_signal(i_mean: float, xi: float, n_atoms: float) -> float:
-    """Balanced Mach-Zehnder difference signal i_minus = i_mean * xi * n.
-
-    The atom-number-induced phase shift is delta_phi = xi * n_atoms with
-    the proportionality constant taken as 1; xi bundles the geometric
-    factors (sample size, aperture) and is a free input.
-    """
-    if xi < 0:
-        raise ValueError("phase shift per atom must be >= 0")
-    if n_atoms < 0:
-        raise ValueError("atom number must be >= 0")
-    return i_mean * xi * n_atoms

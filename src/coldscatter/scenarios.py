@@ -16,7 +16,7 @@ from .medium import ControlField, GroundState, beam_chi0
 from .microdipole import cross_section_spectrum, gaussian_configuration, \
     random_ball_configuration, self_consistent_epsilon, slab_transmission
 from .transport import DiffusionModel, solve_gain_diffusion_sphere
-from .protocols import PsiMinusState, mz_signal
+from .protocols import PsiMinusState
 from . import mcscatter as mc
 
 __all__ = ["ResultRecord", "ResultRow", "run_scenario"]
@@ -195,13 +195,10 @@ def _run_diffusion_threshold(cfg, progress):
 
 
 def _run_protocol_utils(cfg, progress):
-    p = cfg["protocol"]
     for n_bar in _sweep_grid(cfg).tolist():
         state = PsiMinusState.with_norm_tolerance(n_bar, tol=1e-9)
         yield ResultRow("n_bar", 1.0 - state.norm_squared(),
                         channel="norm_deficit", sweep_value=n_bar)
-    yield ResultRow("n_atoms", mz_signal(p["i_mean"], p["xi"], p["n_atoms"]),
-                    channel="mz_signal", sweep_value=p["n_atoms"])
 
 
 # runner(cfg, progress) -> iterable of ResultRows; run_scenario alone

@@ -26,9 +26,11 @@ def test_parse_minimal_fills_defaults():
     cfg = cf.parse_text(MINIMAL)
     assert cfg.scenario == "protocol-utils"
     assert cfg["run"]["seed"] == 0
-    assert cfg["protocol"]["xi"] == 0.01
     # only [run] and the sections the scenario reads
-    assert sorted(cfg.values) == ["protocol", "run", "sweep"]
+    assert sorted(cfg.values) == ["run", "sweep"]
+    cfg = cf.parse_text(MINIMAL.replace("protocol-utils", "eit-spectrum"))
+    assert cfg["control"]["rabi"] == 0.0
+    assert sorted(cfg.values) == ["atom", "cloud", "control", "run", "sweep"]
 
 
 def test_all_errors_reported_not_first_only():
@@ -144,7 +146,7 @@ _GOLDEN_HASHES = {
     "ladder-spectrum":
         "14c27d825069fb310992a69b4590aa5b1be8a1e74b88ddcbb81b856a524d7a4b",
     "protocol-utils":
-        "621a780c8aa3e1c23a6bed30f081bec991223286934d13a806d996519f072eef",
+        "16d4abc47756cb0f8fa9e8bd14d73184b333396dd612da022c9432dce549e71c",
     "selfconsistent-slab":
         "b3b254cd66ce215664333791fabb4fd431d90f3a4df9d6f89fd1affe8a617d10",
 }
@@ -199,20 +201,24 @@ def test_config_without_a_run_section_is_refused(tmp_path, capsys, text,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", [
-    "[DEFAULT]\nseed = 5\n[run]\nscenario = protocol-utils\n",
-    "[DEFAULT]\nxi = 5\n[run]\nscenario = protocol-utils\n"
-    "[protocol]\ni_mean = 2\n",
-], ids=["run-key", "protocol-key"])
-def test_a_default_section_is_refused(tmp_path, capsys, text):
-    # configparser would copy [DEFAULT]'s keys into every section
+@pytest.mark.parametrize("text, section", [
+    ("[DEFAULT]\nseed = 5\n[run]\nscenario = protocol-utils\n",
+     "DEFAULT"),
+    ("[DEFAULT]\nn0 = 5\n[run]\nscenario = cbs-cone\n[cloud]\nr0 = 8\n",
+     "DEFAULT"),
+    ("[run]\nscenario = protocol-utils\n[protocol]\nxi = 0.01\n",
+     "protocol"),
+], ids=["run-key", "cloud-key", "protocol-section"])
+def test_a_default_section_is_refused(tmp_path, capsys, text, section):
+    # configparser would copy [DEFAULT]'s keys into every section; no
+    # scenario reads a [protocol] section
     p = tmp_path / "c.ini"
     p.write_text(text)
     out = tmp_path / "out"
     assert cli.main(["validate", str(p)]) == 1
     assert cli.main(["run", str(p), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["config error: unknown section [DEFAULT]"] * 2, err
+    assert err == [f"config error: unknown section [{section}]"] * 2, err
     assert not out.exists()
 
 
@@ -284,7 +290,6 @@ _OTHER_VALUES = {
     "slab.thickness": "5", "slab.density": "0.05",
     "diffusion.l_tr": "2", "diffusion.l_g": "inf", "diffusion.v_bar": "0.5",
     "diffusion.albedo": "0.9",
-    "protocol.xi": "0.5", "protocol.i_mean": "2", "protocol.n_atoms": "10",
 }
 _DRAWS_FROM_SEED = {"cbs-cone", "ladder-spectrum", "gain-transport",
                     "coupled-dipole-spectrum"}
@@ -326,7 +331,7 @@ def test_a_key_moves_the_hash_if_and_only_if_the_scenario_reads_it(
      ["detection.channel"]),
     ("[run]\nscenario = eit-spectrum\n[cloud]\nr0 = 5\n", ["cloud.r0"]),
     ("[run]\nscenario = coupled-dipole-spectrum\n[atom]\nkind = rb85\n"
-     "[protocol]\nxi = 0.5\n", ["atom.kind", "protocol.xi"]),
+     "[slab]\nthickness = 5\n", ["atom.kind", "slab.thickness"]),
 ], ids=["dipole-rb85", "slab-rb85", "ladder-channel", "eit-r0",
         "dipole-two-keys"])
 def test_a_key_the_scenario_does_not_read_is_refused(tmp_path, capsys, text,
@@ -400,8 +405,8 @@ def test_out_of_domain_sweep_is_a_config_error(tmp_path, capsys, scenario):
 
 @pytest.mark.parametrize("scenario, extra, keys", [
     ("ladder-spectrum", "[sweep]\nstart = nan\n", ["sweep.start"]),
-    ("protocol-utils", "[protocol]\ni_mean = inf\nxi = inf\n",
-     ["protocol.i_mean", "protocol.xi"]),
+    ("protocol-utils", "[sweep]\nstart = inf\nstop = inf\n",
+     ["sweep.start", "sweep.stop"]),
     ("cbs-cone", "[cloud]\nn0 = inf\nr0 = inf\n[detection]\n"
      "theta_max = inf\n", ["cloud.n0", "cloud.r0", "detection.theta_max"]),
     ("gain-transport", "[sweep]\nstop = inf\n", ["sweep.stop"]),
@@ -412,11 +417,11 @@ def test_out_of_domain_sweep_is_a_config_error(tmp_path, capsys, scenario):
      ["slab.thickness", "slab.density"]),
     ("diffusion-threshold", "[diffusion]\nl_tr = inf\nv_bar = inf\n",
      ["diffusion.l_tr", "diffusion.v_bar"]),
-    ("protocol-utils", "[protocol]\nn_atoms = inf\ni_mean = -inf\n",
-     ["protocol.n_atoms", "protocol.i_mean"]),
+    ("ladder-spectrum", "[sweep]\nstart = -inf\nstop = inf\n",
+     ["sweep.start", "sweep.stop"]),
 ], ids=["ladder-nan-start", "protocol-inf", "cbs-inf", "gain-inf-stop",
         "eit-inf-rabi", "dipole-inf-radius", "slab-inf", "diffusion-inf",
-        "protocol-minus-inf"])
+        "ladder-minus-inf"])
 def test_non_finite_floats_are_config_errors(tmp_path, capsys, scenario,
                                              extra, keys):
     # validated only: a nan detuning sweep, once run, never finishes
@@ -645,6 +650,28 @@ def test_run_scenario_protocol_rows():
     deficits = [r for r in record.rows if r.channel == "norm_deficit"]
     assert len(deficits) == 3
     assert all(abs(r.value) < 1e-9 for r in deficits)
+
+
+def test_protocol_rows_where_the_photon_number_ratio_rounds_to_one():
+    # n_bar / (1 + n_bar) is 1.0 at 1e16, where the tail bound divided
+    # by zero
+    record = run_scenario(cf.parse_text(MINIMAL.replace("stop = 2",
+                                                        "stop = 1e16")))
+    assert record.complete
+    assert all(0 < r.value < 1e-9 for r in record.rows)
+
+
+def test_a_protocol_sweep_past_every_truncation_is_an_error(tmp_path,
+                                                            capsys):
+    p = tmp_path / "c.ini"
+    p.write_text("[run]\nscenario = protocol-utils\n"
+                 "[sweep]\nstart = 0\nstop = 1e300\nn = 3\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(p), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error [protocol-utils]: no truncation ")
+    assert "mean photon number 5e+299" in err[0]
 
 
 def test_cli_validate_ok(tmp_path, capsys):

@@ -701,6 +701,9 @@ def test_eta_at_least_one_all_channels():
         cbs = mc.cbs_enhancement(cloud, [0.0], mc.MCParams(
             n_traj=20000, seed=14, chunk_size=10000), channel=channel)
         assert cbs.eta[0] >= 1.0 - 3 * cbs.stat_err[0] - 0.01
+    with pytest.raises(ValueError, match="unknown channel 'circ'"):
+        mc.cbs_enhancement(cloud, [0.0], mc.MCParams(n_traj=10),
+                           channel="circ")
 
 
 def test_eta_is_nan_without_multiple_scattering():

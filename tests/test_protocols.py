@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from coldscatter import protocols as pr
@@ -92,10 +93,34 @@ def test_state_validation():
         pr.PsiMinusState(1.0, -1)
 
 
-def test_mz_signal():
-    assert pr.mz_signal(3.0, 0.01, 0) == 0.0
-    assert pr.mz_signal(3.0, 0.01, 100) == pytest.approx(3.0)
-    assert pr.mz_signal(1.5, 0.02, 40) == \
-        pytest.approx(2 * pr.mz_signal(1.5, 0.02, 20))
-    with pytest.raises(ValueError):
-        pr.mz_signal(1.0, -0.1, 10)
+def _mp_bound_and_norm(n_bar, n_max):
+    """The tail bound q^(N+1) (1 + (N+1) / (1 + nbar)) and the norm
+    (1 - q^(N+1))^2 with q = nbar / (1 + nbar), at 60 digits."""
+    with mpmath.workdps(60):
+        q = mpmath.mpf(n_bar) / (1 + mpmath.mpf(n_bar))
+        power = q ** (n_max + 1)
+        return (power * (1 + (n_max + 1) / (1 + mpmath.mpf(n_bar))),
+                (1 - power) ** 2)
+
+
+@pytest.mark.parametrize("n_bar", [0.5, 2.0, 1e3, 1e8, 1e15, 5.94e15, 1e16,
+                                   1e17])
+def test_truncation_matches_mpmath_where_q_rounds(n_bar):
+    # q = nbar / (1 + nbar) loses its digits as nbar grows (at 1e15 the
+    # truncation for 1e-9 had a true bound of 1.017e-9) and is 1 from
+    # nbar ~ 9e15 on
+    for tol in (1e-6, 1e-9, 1e-12):
+        state = pr.PsiMinusState.with_norm_tolerance(n_bar, tol)
+        bound, norm = _mp_bound_and_norm(n_bar, state.n_max)
+        assert bound <= tol
+        assert state.truncation_error_bound() == pytest.approx(
+            float(bound), rel=1e-13)
+        assert abs(state.norm_squared() - norm) <= 4e-16
+        # and none much smaller will do
+        assert _mp_bound_and_norm(n_bar, state.n_max - 1)[0] > \
+            tol * (1 - 1e-13)
+
+
+def test_no_truncation_is_a_value_error_naming_the_photon_number():
+    with pytest.raises(ValueError, match="mean photon number 1e\\+300"):
+        pr.PsiMinusState.with_norm_tolerance(1e300, 1e-9)
