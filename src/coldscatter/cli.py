@@ -21,8 +21,7 @@ from .scenarios import ResultRecord, run_scenario
 
 __all__ = ["main", "emit_results"]
 
-CSV_HEADER = ["sweep_var", "sweep_value", "value", "stat_err", "order",
-              "channel"]
+CSV_HEADER = ["sweep_var", "sweep_value", "value", "stat_err", "channel"]
 
 
 def _finite(fields: dict) -> dict:
@@ -71,26 +70,23 @@ def _render(record: ResultRecord, config: ScenarioConfig) -> tuple[str, str]:
 
     csv_lines = [",".join(CSV_HEADER) + "\n"]
     json_rows = []
-    for sweep_var, value, stat_err, order, channel, sweep_value \
-            in record.rows:
+    for sweep_var, value, stat_err, channel, sweep_value in record.rows:
         var_csv, var_json = text(sweep_var)
         sweep_csv, sweep_json = _number(sweep_value)
         value_csv, value_json = _number(value)
         err_csv, err_json = _number(stat_err)
-        order_csv, order_json = ("", "null") if order is None \
-            else _cell(order, order)
         channel_csv, channel_json = text(channel)
         csv_lines.append(f"{var_csv},{sweep_csv},{value_csv},{err_csv},"
-                         f"{order_csv},{channel_csv}\n")
+                         f"{channel_csv}\n")
         json_rows.append(
-            f'{{"channel": {channel_json}, "order": {order_json}, '
-            f'"stat_err": {err_json}, "sweep_value": {sweep_json}, '
-            f'"sweep_var": {var_json}, "value": {value_json}}}')
+            f'{{"channel": {channel_json}, "stat_err": {err_json}, '
+            f'"sweep_value": {sweep_json}, "sweep_var": {var_json}, '
+            f'"value": {value_json}}}')
     doc = {
-        "scenario": record.scenario,
-        "version": record.version,
-        "seed": record.seed,
-        "config_hash": record.config_hash,
+        "scenario": config.scenario,
+        "version": __version__,
+        "seed": config["run"]["seed"],
+        "config_hash": config_hash(config),
         "config": {"scenario": config.scenario,
                    "values": {section: _finite(keys) for section, keys
                               in config.values.items()}},
@@ -107,13 +103,14 @@ def _render(record: ResultRecord, config: ScenarioConfig) -> tuple[str, str]:
 
 def emit_results(record: ResultRecord, config: ScenarioConfig,
                  out_dir) -> tuple[Path, Path]:
-    """Write <scenario>.csv and <scenario>.json; bit-stable for identical
-    runs (wall time lives only in the JSON metadata).  Both texts are
+    """Write <scenario>.csv and <scenario>.json of ``record``, with the
+    scenario, seed and hash of ``config``; bit-stable for identical runs
+    (wall time lives only in the JSON metadata).  Both texts are
     rendered before either file is written."""
     csv_text, json_text = _render(record, config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stem = record.scenario + ("" if record.complete else ".incomplete")
+    stem = config.scenario + ("" if record.complete else ".incomplete")
     csv_path = out / f"{stem}.csv"
     json_path = out / f"{stem}.json"
     csv_path.write_text(csv_text, encoding="utf-8")

@@ -718,6 +718,10 @@ def simulate_ladder(cloud: Cloud, detectors: list[Detector], points,
     if not len(detectors):
         raise ValueError("simulate_ladder needs at least one detector")
     params = points[0]
+    for name in ("n_traj", "max_order"):
+        if getattr(params, name) < 1:
+            raise ValueError(f"simulate_ladder needs {name} >= 1, got "
+                             f"{getattr(params, name)!r}")
     shared = replace(params, detuning=0.0, extra_gain_sigma=0.0)
     for q in points[1:]:
         if replace(q, detuning=0.0, extra_gain_sigma=0.0) != shared:

@@ -425,7 +425,7 @@ def slab_transmission(epsilon, L: float) -> SlabTransmission:
     ``epsilon`` is a scalar or an array; a real one is taken as eps + 0i,
     so a negative eps has sqrt(eps) on the positive imaginary axis.
     """
-    if L < 0:
+    if not L >= 0:  # negated so that NaN fails it
         raise ValueError("slab thickness must be non-negative")
     shape = np.shape(epsilon)
     # 1-d, so a scalar runs through the same array loops as an array

@@ -25,8 +25,8 @@ class PsiMinusState:
     n_max: int
 
     def __post_init__(self):
-        if self.n_bar < 0:
-            raise ValueError("mean photon number must be >= 0")
+        if not 0.0 <= self.n_bar < math.inf:  # NaN fails it
+            raise ValueError("mean photon number must be >= 0 and finite")
         if self.n_max < 0:
             raise ValueError("truncation must be >= 0")
 
@@ -45,6 +45,12 @@ class PsiMinusState:
         the double sum is a squared geometric sum, (1 - q^(N+1))^2.
         """
         return math.expm1(self._log_q_power()) ** 2
+
+    def norm_deficit(self) -> float:
+        """1 - norm_squared() = x (2 - x) with x = q^(N+1), formed without
+        the subtraction from 1 that would keep only its leading digits."""
+        x = math.exp(self._log_q_power())
+        return x * (2.0 - x)
 
     def truncation_error_bound(self) -> float:
         """Geometric tail bound on 1 - norm_squared().

@@ -9,9 +9,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
 from .angular import LevelScheme
-from .config import ScenarioConfig, config_hash
+from .config import ScenarioConfig
 from .medium import ControlField, GroundState, beam_chi0
 from .microdipole import cross_section_spectrum, gaussian_configuration, \
     random_ball_configuration, self_consistent_epsilon, slab_transmission
@@ -23,23 +22,20 @@ __all__ = ["ResultRecord", "ResultRow", "run_scenario"]
 
 
 class ResultRow(NamedTuple):
-    """One output row.  Its fields hold Python scalars (float, int, str
-    or None), never numpy ones, so a row formats as its digits."""
+    """One output row.  Its fields hold Python scalars (float or str),
+    never numpy ones, so a row formats as its digits."""
 
     sweep_var: str
     value: float
     stat_err: float = 0.0
-    order: int | None = None
     channel: str = ""
     sweep_value: float = 0.0
 
 
 @dataclass
 class ResultRecord:
-    scenario: str
-    config_hash: str
-    version: str
-    seed: int
+    """What a run computed, and nothing its config already says."""
+
     rows: list = field(default_factory=list)
     wall_time: float = 0.0
     complete: bool = True
@@ -87,7 +83,7 @@ def _rows(sweep_var: str, grid: np.ndarray, *columns):
             for channel, values, errs in columns]
     for i, x in enumerate(points):
         for channel, values, errs in cols:
-            yield ResultRow(sweep_var, values[i], errs[i], None, channel, x)
+            yield ResultRow(sweep_var, values[i], errs[i], channel, x)
 
 
 def _run_cbs_cone(cfg, progress):
@@ -197,7 +193,7 @@ def _run_diffusion_threshold(cfg, progress):
 def _run_protocol_utils(cfg, progress):
     for n_bar in _sweep_grid(cfg).tolist():
         state = PsiMinusState.with_norm_tolerance(n_bar, tol=1e-9)
-        yield ResultRow("n_bar", 1.0 - state.norm_squared(),
+        yield ResultRow("n_bar", state.norm_deficit(),
                         channel="norm_deficit", sweep_value=n_bar)
 
 
@@ -217,7 +213,8 @@ _DISPATCH = {
 
 def run_scenario(cfg: ScenarioConfig, progress=lambda msg: None
                  ) -> ResultRecord:
-    """Execute a validated config and return its result record.
+    """Execute a validated config and return its result record (rows,
+    wall time, completion), which holds no copy of ``cfg``.
 
     Each row the scenario yields is checked as it arrives.  A row whose
     value is not finite, or whose ``stat_err`` is NaN or negative,
@@ -227,8 +224,7 @@ def run_scenario(cfg: ScenarioConfig, progress=lambda msg: None
     and holds the rows before it.  Once all rows are in, ``progress``
     gets their count.
     """
-    record = ResultRecord(scenario=cfg.scenario, config_hash=config_hash(cfg),
-                          version=__version__, seed=cfg["run"]["seed"])
+    record = ResultRecord()
     t0 = time.perf_counter()
     try:
         # an overflow or an invalid operation inside an engine shows up

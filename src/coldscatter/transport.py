@@ -79,6 +79,6 @@ def solve_gain_diffusion_sphere(model: DiffusionModel) -> GainMode:
 
 def letokhov_threshold(l_tr: float, l_g: float) -> float:
     """Critical sphere radius r0* = pi sqrt(l_tr l_g / 3)."""
-    if l_tr <= 0 or l_g <= 0:
+    if not (l_tr > 0 and l_g > 0):  # negated so that NaN fails it
         raise ValueError("lengths must be positive")
     return math.pi * math.sqrt(l_tr * l_g / 3.0)

@@ -1,7 +1,6 @@
 import csv
 import importlib.util
 import io
-import itertools
 import json
 import math
 import os
@@ -844,8 +843,7 @@ def _reference_csv(record):
     w.writerow(cli.CSV_HEADER)
     for row in record.rows:
         w.writerow([row.sweep_var, repr(row.sweep_value), repr(row.value),
-                    repr(row.stat_err),
-                    "" if row.order is None else row.order, row.channel])
+                    repr(row.stat_err), row.channel])
     return buf.getvalue()
 
 
@@ -856,12 +854,13 @@ def _reference_finite(fields):
 
 
 def _reference_json(record, config):
-    """The JSON text as json.dumps writes the whole record at once."""
+    """The JSON text as json.dumps writes the whole record at once, with
+    the scenario, seed and hash of the config it ran."""
     doc = {
-        "scenario": record.scenario,
-        "version": record.version,
-        "seed": record.seed,
-        "config_hash": record.config_hash,
+        "scenario": config.scenario,
+        "version": coldscatter.__version__,
+        "seed": config["run"]["seed"],
+        "config_hash": cf.config_hash(config),
         "config": {"scenario": config.scenario,
                    "values": {section: _reference_finite(keys)
                               for section, keys in config.values.items()}},
@@ -888,20 +887,16 @@ ODD_TEXTS = ["", "a,b", 'say "hi"', "back\\slash", "line\nbreak", "\u0394"]
 
 def _adversarial_rows():
     rows = []
-    orders = itertools.cycle([None, 0, 2])
     for x in ODD_FLOATS:
-        rows += [ResultRow("detuning", x, order=next(orders), channel="c"),
-                 ResultRow("detuning", 1.0, stat_err=x, order=next(orders)),
-                 ResultRow("detuning", 1.0, order=next(orders),
-                           sweep_value=x)]
+        rows += [ResultRow("detuning", x, channel="c"),
+                 ResultRow("detuning", 1.0, stat_err=x),
+                 ResultRow("detuning", 1.0, sweep_value=x)]
     rows.append(ResultRow("n_atoms", 2.5, channel="mz_signal",
                           sweep_value=1000))
     for text in ODD_TEXTS:
-        rows += [ResultRow(text, 0.5, order=next(orders), channel="c"),
-                 ResultRow("detuning", 0.5, order=next(orders),
-                           channel=text),
-                 ResultRow(text, math.nan, order=next(orders),
-                           channel=text)]
+        rows += [ResultRow(text, 0.5, channel="c"),
+                 ResultRow("detuning", 0.5, channel=text),
+                 ResultRow(text, math.nan, channel=text)]
     return rows
 
 
@@ -912,7 +907,7 @@ def test_json_rows_match_csv_rows(tmp_path):
     record = run_scenario(cfg)
     assert len(record.rows) == 322
     record.rows.append(ResultRow("detuning", math.nan, stat_err=math.inf,
-                                 order=2, channel="im_chi"))
+                                 channel="im_chi"))
     csv_path, json_path = cli.emit_results(record, cfg, tmp_path)
     text = json_path.read_text(encoding="utf-8")
     assert text.endswith("\n") and text.count("\n") == 1
@@ -923,8 +918,6 @@ def test_json_rows_match_csv_rows(tmp_path):
     assert len(doc["rows"]) == len(csv_rows) == 323
 
     def field(value):
-        if value is None:
-            return ""
         return value if isinstance(value, str) else repr(value)
 
     for row, csv_row in zip(doc["rows"], csv_rows):
@@ -960,6 +953,9 @@ def test_every_scenario_renders_as_reference(scenario):
                         f"{SMALL_CONFIGS[scenario]}")
     record = run_scenario(cfg)
     assert record.rows
+    # each field a Python float or str, as the renderer formats it
+    for row in record.rows:
+        assert [type(v) for v in row] == [str, float, float, str, float], row
     _assert_renders_as_reference(record, cfg)
     record.rows.clear()
     _assert_renders_as_reference(record, cfg)
@@ -994,10 +990,8 @@ _TEXT = st.text(st.sampled_from(
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(rows=st.lists(st.builds(
     ResultRow, sweep_var=_TEXT, value=_NUMBERS, stat_err=_NUMBERS,
-    order=st.none() | st.integers(), channel=_TEXT,
-    sweep_value=_NUMBERS), max_size=6),
+    channel=_TEXT, sweep_value=_NUMBERS), max_size=6),
     complete=st.booleans())
 def test_render_matches_reference_on_random_rows(rows, complete):
-    record = ResultRecord("eit-spectrum", "0" * 64, "0.0", 3, rows=rows,
-                          wall_time=0.0125, complete=complete)
+    record = ResultRecord(rows=rows, wall_time=0.0125, complete=complete)
     _assert_renders_as_reference(record, _EIT_SMALL)

@@ -502,6 +502,12 @@ def test_empty_detector_list_raises_before_any_chunk(monkeypatch):
     with pytest.raises(ValueError, match="at least one detector"):
         mc.simulate_ladder(two_level_cloud(b0=1.0), [],
                            [mc.MCParams(n_traj=10, seed=3)])
+    # nor does an empty trajectory set or order axis
+    dets = mc.backscatter_detectors([0.0], np.array([1.0, 0, 0]))
+    for name in ("n_traj", "max_order"):
+        with pytest.raises(ValueError, match=f"needs {name} >= 1"):
+            mc.simulate_ladder(two_level_cloud(b0=1.0), dets,
+                               [mc.MCParams(seed=3, **{name: 0})])
 
 
 @pytest.mark.parametrize("n_chunks", [3, 12])

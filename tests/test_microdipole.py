@@ -465,8 +465,9 @@ def test_slab_trivials():
     assert t.transmittance == pytest.approx(1.0, abs=1e-14)
     assert t.amplitude == pytest.approx(cmath.exp(5j), abs=1e-12)
     assert mi.slab_transmission(3.0 + 0.2j, 0.0).amplitude == 1.0
-    with pytest.raises(ValueError, match="thickness must be non-negative"):
-        mi.slab_transmission(1.0 + 0j, -1e-300)
+    for L in (-1e-300, math.nan):
+        with pytest.raises(ValueError, match="thickness must be non-negative"):
+            mi.slab_transmission(1.0 + 0j, L)
 
 
 @pytest.mark.parametrize("density, thickness", [

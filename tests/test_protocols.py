@@ -91,16 +91,22 @@ def test_state_validation():
         pr.PsiMinusState(-0.1, 5)
     with pytest.raises(ValueError):
         pr.PsiMinusState(1.0, -1)
+    # NaN fails every comparison, and inf would give a norm of 0
+    for n_bar in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="mean photon number"):
+            pr.PsiMinusState(n_bar, 3)
 
 
 def _mp_bound_and_norm(n_bar, n_max):
-    """The tail bound q^(N+1) (1 + (N+1) / (1 + nbar)) and the norm
-    (1 - q^(N+1))^2 with q = nbar / (1 + nbar), at 60 digits."""
+    """The tail bound q^(N+1) (1 + (N+1) / (1 + nbar)), the norm
+    (1 - q^(N+1))^2 and its deficit from 1, with q = nbar / (1 + nbar),
+    at 60 digits."""
     with mpmath.workdps(60):
         q = mpmath.mpf(n_bar) / (1 + mpmath.mpf(n_bar))
         power = q ** (n_max + 1)
+        norm = (1 - power) ** 2
         return (power * (1 + (n_max + 1) / (1 + mpmath.mpf(n_bar))),
-                (1 - power) ** 2)
+                norm, 1 - norm)
 
 
 @pytest.mark.parametrize("n_bar", [0.5, 2.0, 1e3, 1e8, 1e15, 5.94e15, 1e16,
@@ -111,11 +117,14 @@ def test_truncation_matches_mpmath_where_q_rounds(n_bar):
     # nbar ~ 9e15 on
     for tol in (1e-6, 1e-9, 1e-12):
         state = pr.PsiMinusState.with_norm_tolerance(n_bar, tol)
-        bound, norm = _mp_bound_and_norm(n_bar, state.n_max)
+        bound, norm, deficit = _mp_bound_and_norm(n_bar, state.n_max)
         assert bound <= tol
         assert state.truncation_error_bound() == pytest.approx(
             float(bound), rel=1e-13)
         assert abs(state.norm_squared() - norm) <= 4e-16
+        # the deficit keeps its digits, which 1 - norm_squared() loses
+        assert state.norm_deficit() == pytest.approx(float(deficit),
+                                                     rel=1e-13)
         # and none much smaller will do
         assert _mp_bound_and_norm(n_bar, state.n_max - 1)[0] > \
             tol * (1 - 1e-13)

@@ -53,6 +53,10 @@ def test_letokhov_threshold_formula():
     assert tr.letokhov_threshold(1.0, 1e12) > 1e5
     with pytest.raises(ValueError):
         tr.letokhov_threshold(0.0, 1.0)
+    # NaN fails every comparison
+    for args in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="lengths must be positive"):
+            tr.letokhov_threshold(*args)
 
 
 def test_letokhov_threshold_monotone():
